@@ -35,8 +35,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -48,32 +50,47 @@ import (
 )
 
 func main() {
-	load := flag.String("load", "", "JSON load document to run (required)")
-	format := flag.String("format", "table", "result format: table, json or csv")
-	shards := flag.Int("shards", -1, "override: number of shards")
-	clients := flag.Int("clients", -1, "override: number of closed-loop client routines")
-	target := flag.Float64("target", -1, "override: aggregate target throughput, requests/sec (0 = unthrottled)")
-	warmup := flag.Int("warmup", -1, "override: per-client warmup requests excluded from measurement")
-	maxRequests := flag.Int64("max-requests", -1, "override: total request budget (0 = the whole stream)")
-	duration := flag.Duration("duration", -1, "override: wall-clock run cap (0 = none)")
-	latencySample := flag.Int("latency-sample", 0, "override: measure latency on every k-th request (-1 = off, 0 = keep document setting)")
-	rate := flag.Bool("rate", false, "stream live aggregate requests/sec to stderr")
-	stripTiming := flag.Bool("strip-timing", false, "zero wall-clock-derived fields in json/csv output (deterministic golden mode)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile taken at run end to this file")
-	flag.Parse()
-
-	code, err := run(*load, *format, *shards, *clients, *target, *warmup,
-		*maxRequests, *duration, *latencySample, *rate, *stripTiming, *cpuprofile, *memprofile)
+	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ksanload:", err)
 	}
 	os.Exit(code)
 }
 
-func run(load, format string, shards, clients int, target float64, warmup int,
-	maxRequests int64, duration time.Duration, latencySample int,
-	rate, stripTiming bool, cpuprofile, memprofile string) (int, error) {
+// run executes one ksanload invocation with the given command-line
+// arguments and returns the process exit code: 0 on success, 1 when the
+// run itself fails, 2 on a usage or document error.
+func run(args []string, stdout, stderr io.Writer) (int, error) {
+	fs := flag.NewFlagSet("ksanload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		load, format, cpuprofile, memprofile   string
+		shards, clients, warmup, latencySample int
+		target                                 float64
+		maxRequests                            int64
+		duration                               time.Duration
+		rate, stripTiming                      bool
+	)
+	fs.StringVar(&load, "load", "", "JSON load document to run (required)")
+	fs.StringVar(&format, "format", "table", "result format: table, json or csv")
+	fs.IntVar(&shards, "shards", -1, "override: number of shards")
+	fs.IntVar(&clients, "clients", -1, "override: number of closed-loop client routines")
+	fs.Float64Var(&target, "target", -1, "override: aggregate target throughput, requests/sec (0 = unthrottled)")
+	fs.IntVar(&warmup, "warmup", -1, "override: per-client warmup requests excluded from measurement")
+	fs.Int64Var(&maxRequests, "max-requests", -1, "override: total request budget (0 = the whole stream)")
+	fs.DurationVar(&duration, "duration", -1, "override: wall-clock run cap (0 = none)")
+	fs.IntVar(&latencySample, "latency-sample", 0, "override: measure latency on every k-th request (-1 = off, 0 = keep document setting)")
+	fs.BoolVar(&rate, "rate", false, "stream live aggregate requests/sec to stderr")
+	fs.BoolVar(&stripTiming, "strip-timing", false, "zero wall-clock-derived fields in json/csv output (deterministic golden mode)")
+	fs.StringVar(&cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&memprofile, "memprofile", "", "write a pprof heap profile taken at run end to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
+		}
+		return 2, nil // the flag set has already printed the error and the usage
+	}
+
 	if load == "" {
 		return 2, fmt.Errorf("-load is required (a JSON load document; see DESIGN.md §11)")
 	}
@@ -124,7 +141,7 @@ func run(load, format string, shards, clients int, target float64, warmup int,
 	}
 	if rate {
 		cfg.OnRate = func(s serve.RateSample) {
-			fmt.Fprintf(os.Stderr, "[%8s] %d requests, %.0f req/s\n",
+			fmt.Fprintf(stderr, "[%8s] %d requests, %.0f req/s\n",
 				s.Elapsed.Round(time.Millisecond), s.Requests, s.Rate)
 		}
 	}
@@ -154,7 +171,7 @@ func run(load, format string, shards, clients int, target float64, warmup int,
 		defer func() {
 			runtime.GC() // settle accounting so the profile reflects live objects
 			if err := pprof.Lookup("heap").WriteTo(mf, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "ksanload: writing heap profile:", err)
+				fmt.Fprintln(stderr, "ksanload: writing heap profile:", err)
 			}
 			mf.Close()
 		}()
@@ -167,9 +184,9 @@ func run(load, format string, shards, clients int, target float64, warmup int,
 
 	switch format {
 	case "table":
-		printTable(os.Stdout, stats)
+		printTable(stdout, stats)
 	case "json":
-		sink := report.NewJSONLSink(os.Stdout)
+		sink := report.NewJSONLSink(stdout)
 		if err := sink.Record(recordOf(stats, stripTiming)); err != nil {
 			return 1, err
 		}
@@ -177,7 +194,7 @@ func run(load, format string, shards, clients int, target float64, warmup int,
 			return 1, err
 		}
 	case "csv":
-		sink := report.NewCSVSink(os.Stdout)
+		sink := report.NewCSVSink(stdout)
 		if err := sink.Record(recordOf(stats, stripTiming)); err != nil {
 			return 1, err
 		}
@@ -235,7 +252,7 @@ func recordOf(s *serve.Stats, stripTiming bool) report.Record {
 
 // printTable renders the human summary: aggregate totals, percentiles,
 // and one row per shard.
-func printTable(w *os.File, s *serve.Stats) {
+func printTable(w io.Writer, s *serve.Stats) {
 	fmt.Fprintf(w, "network   %s\ntrace     %s\n", s.Network, s.Trace)
 	fmt.Fprintf(w, "shards    %d    clients %d\n", s.Shards, s.Clients)
 	fmt.Fprintf(w, "requests  %d (warmup %d)    cross-shard %d (warmup %d)\n",

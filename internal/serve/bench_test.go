@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/ksan-net/ksan/internal/hist"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -164,7 +165,7 @@ func BenchmarkFaultedLoad(b *testing.B) {
 // BenchmarkHistObserve is the per-request measurement overhead: one
 // Observe on the hot path.
 func BenchmarkHistObserve(b *testing.B) {
-	var h Hist
+	var h hist.Hist
 	h.Observe(0xfffff) // pre-grow the bucket array
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -176,11 +177,11 @@ func BenchmarkHistObserve(b *testing.B) {
 // BenchmarkHistMerge is the end-of-run cost of folding one client
 // histogram into the aggregate.
 func BenchmarkHistMerge(b *testing.B) {
-	var src Hist
+	var src hist.Hist
 	for v := int64(0); v < 1<<20; v += 97 {
 		src.Observe(v)
 	}
-	var dst Hist
+	var dst hist.Hist
 	dst.Merge(&src) // pre-grow so the measured loop is allocation-free
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,7 +191,7 @@ func BenchmarkHistMerge(b *testing.B) {
 }
 
 func BenchmarkHistPercentile(b *testing.B) {
-	var h Hist
+	var h hist.Hist
 	for v := int64(0); v < 1<<20; v += 13 {
 		h.Observe(v)
 	}

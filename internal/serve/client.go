@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ksan-net/ksan/internal/hist"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
@@ -15,12 +16,26 @@ import (
 // instead of one per request.
 const counterFlush = 256
 
+// replyBuffer is the capacity of a client's reply channel. One slot is
+// all a round trip without a deadline needs; the rest hold late replies
+// of timed-out attempts, so an owner seldom blocks on a client that is
+// busy with another shard.
+const replyBuffer = 8
+
 // shardAcc accumulates one client's view of one shard: the local serves
 // it routed there (warmup included — these are the totals the per-shard
 // sequential-equivalence property compares against a replay).
 type shardAcc struct {
 	requests, routing, adjust int64
-	hist                      Hist
+	hist                      hist.Hist
+}
+
+// add accounts one served half.
+func (a *shardAcc) add(c sim.Cost) {
+	a.requests++
+	a.routing += c.Routing
+	a.adjust += c.Adjust
+	a.hist.Observe(c.Routing)
 }
 
 // clientAcc is everything one client routine measures. Clients never
@@ -30,7 +45,7 @@ type shardAcc struct {
 type clientAcc struct {
 	requests, routing, adjust, cross                 int64 // measurement region
 	warmRequests, warmRouting, warmAdjust, warmCross int64
-	routingHist, latencyHist                         Hist
+	routingHist, latencyHist                         hist.Hist
 	perShard                                         []shardAcc
 	faults                                           FaultStats // client-side ledger slice (timeouts, retries, failed, degraded, late)
 	err                                              error
@@ -46,29 +61,21 @@ type client struct {
 	gen    workload.Generator
 	budget int64 // requests this client may serve; <0 = until stream end
 	acc    clientAcc
-	reply  chan sim.Cost
+	reply  chan response
 
-	// Fault-mode state.
-	freply      chan response
 	seq         uint64 // attempt sequence tag, matches replies to awaits
 	outstanding int    // delivered requests whose replies are unconsumed
 	timer       *time.Timer
 	jit         uint64 // deterministic backoff-jitter stream
 }
 
-// serveLocal serves one local (half-)request on a shard: lock-free
-// through the distance oracle when the shard is frozen, through the owner
-// loop otherwise.
-func (c *client) serveLocal(s *shard, a, b int) sim.Cost {
-	if s.oracle != nil {
-		if a == b {
-			return sim.Cost{}
-		}
-		return sim.Cost{Routing: s.oracle.Dist(a, b)}
-	}
-	s.ch <- request{u: a, v: b, reply: c.reply}
-	return <-c.reply
-}
+// Half-request outcomes, ordered by severity: a request's outcome is the
+// worse of its halves'.
+const (
+	outcomeOK       uint8 = iota
+	outcomeDegraded       // served read-only through a stale checkpoint oracle
+	outcomeFailed         // timed out, or down after retries under fail-fast
+)
 
 // resetTimer arms the client's reusable timer (Go 1.23 timer semantics:
 // Reset discards any pending fire, so no drain dance is needed).
@@ -82,8 +89,7 @@ func (c *client) resetTimer(d time.Duration) {
 
 // sleepStop sleeps for d or until the pool halts, whichever comes first,
 // and reports whether the pool is still running — so pacing waits and
-// retry backoffs never delay cancellation by more than a scheduler tick
-// (the PR 8 pacing loop slept through stops for up to a full interval).
+// retry backoffs never delay cancellation by more than a scheduler tick.
 func (c *client) sleepStop(d time.Duration) bool {
 	if d <= 0 {
 		return !c.pool.stop.Load()
@@ -101,10 +107,16 @@ func (c *client) sleepStop(d time.Duration) bool {
 // run drives the client loop. It returns normally on stream end, budget
 // exhaustion, or a pool-wide stop (duration elapsed or context
 // cancelled); a stream error is terminal and recorded in the accumulator.
+// Only fully-OK requests enter the warmup/measured serving totals;
+// degraded and failed requests go to the fault ledger, with the OK halves
+// of mixed requests still attributed to the shards that served them.
 func (c *client) run() {
 	p := c.pool
 	c.acc.perShard = make([]shardAcc, p.part.S)
-	c.reply = make(chan sim.Cost, 1)
+	c.reply = make(chan response, replyBuffer)
+	if plan := p.cfg.Faults; plan != nil {
+		c.jit = mix64(plan.Seed ^ (uint64(c.id)+1)*0x9e3779b97f4a7c15)
+	}
 
 	var interval time.Duration
 	if p.cfg.TargetOps > 0 {
@@ -145,263 +157,13 @@ func (c *client) run() {
 		if timed {
 			t0 = time.Now()
 		}
-		c1 := c.serveLocal(p.shards[r.S1], r.A1, r.B1)
-		var c2 sim.Cost
-		routing, adjust := c1.Routing, c1.Adjust
-		if r.Cross {
-			c2 = c.serveLocal(p.shards[r.S2], r.A2, r.B2)
-			routing += InterShardHop + c2.Routing
-			adjust += c2.Adjust
-		}
-		var lat int64
-		if timed {
-			lat = int64(time.Since(t0))
-		}
-
-		sa := &c.acc.perShard[r.S1]
-		sa.requests++
-		sa.routing += c1.Routing
-		sa.adjust += c1.Adjust
-		sa.hist.Observe(c1.Routing)
-		if r.Cross {
-			sa2 := &c.acc.perShard[r.S2]
-			sa2.requests++
-			sa2.routing += c2.Routing
-			sa2.adjust += c2.Adjust
-			sa2.hist.Observe(c2.Routing)
-		}
-		if served < warmup {
-			c.acc.warmRequests++
-			c.acc.warmRouting += routing
-			c.acc.warmAdjust += adjust
-			if r.Cross {
-				c.acc.warmCross++
-			}
-		} else {
-			c.acc.requests++
-			c.acc.routing += routing
-			c.acc.adjust += adjust
-			if r.Cross {
-				c.acc.cross++
-			}
-			c.acc.routingHist.Observe(routing)
-			if timed {
-				c.acc.latencyHist.Observe(lat)
-			}
-		}
-
-		served++
-		unflushed++
-		if unflushed == counterFlush {
-			p.served.Add(unflushed)
-			unflushed = 0
-		}
-	}
-	if unflushed > 0 {
-		p.served.Add(unflushed)
-	}
-}
-
-// Half-request outcomes of the faulted serve path.
-const (
-	outcomeOK       uint8 = iota
-	outcomeDegraded       // served read-only through a stale checkpoint oracle
-	outcomeFailed         // timed out, or down after retries under fail-fast
-)
-
-// lateReply accounts an owner reply that arrived after its attempt's
-// deadline. The shard did serve the half — exactly once, the delivered
-// request was simply slow — so an OK late half stays in the per-shard
-// serve totals (keeping them equal to what the shards actually did) and
-// is ledgered; the request itself was already counted as a timeout.
-func (c *client) lateReply(r response) {
-	if r.status != statusOK {
-		return
-	}
-	c.acc.faults.LateReplies++
-	c.acc.faults.LateRouting += r.cost.Routing
-	sa := &c.acc.perShard[r.shard]
-	sa.requests++
-	sa.routing += r.cost.Routing
-	sa.adjust += r.cost.Adjust
-	sa.hist.Observe(r.cost.Routing)
-}
-
-// drainOutstanding consumes every delivered-but-unconsumed reply before
-// the client exits. This is the invariant that makes shutdown sound:
-// owners never block forever on a reply to a departed client, so Run's
-// close-and-wait drain always terminates.
-func (c *client) drainOutstanding() {
-	for c.outstanding > 0 {
-		r := <-c.freply
-		c.outstanding--
-		c.lateReply(r)
-	}
-}
-
-// backoff sleeps before retry number attempt+1: exponential from
-// plan.Backoff, capped at plan.BackoffCap, with deterministic jitter in
-// [1/2, 1) drawn from a splitmix64 stream seeded by (plan.Seed, client
-// id) — a replayed fault schedule backs off identically, run after run.
-func (c *client) backoff(attempt int) {
-	plan := c.pool.plan
-	if plan.Backoff <= 0 {
-		return
-	}
-	if attempt > 30 {
-		attempt = 30
-	}
-	d := plan.Backoff << uint(attempt)
-	if d <= 0 { // overflowed
-		d = plan.BackoffCap
-	}
-	if plan.BackoffCap > 0 && d > plan.BackoffCap {
-		d = plan.BackoffCap
-	}
-	c.jit = mix64(c.jit)
-	frac := 0.5 + float64(c.jit>>11)/float64(1<<53)/2
-	c.sleepStop(time.Duration(float64(d) * frac))
-}
-
-// serveHalfFaulted serves one local half through the faulted owner
-// protocol: a deadline-bounded round trip per attempt, bounded retries
-// with backoff on down replies (each attempt ticks the shard's recovery
-// clock), and the configured degraded fallback once retries run out.
-// Timeouts are never retried — the request may have been delivered, and a
-// delivered request is served exactly once (its late reply is drained).
-func (c *client) serveHalfFaulted(s *shard, a, b int) (sim.Cost, uint8) {
-	p := c.pool
-	plan := p.plan
-	for attempt := 0; ; attempt++ {
-		c.seq++
-		seq := c.seq
-		deadline := plan.Timeout > 0
-		if deadline {
-			c.resetTimer(plan.Timeout)
-		}
-		rq := frequest{u: a, v: b, seq: seq, reply: c.freply}
-		if deadline {
-			select {
-			case s.fch <- rq:
-				c.outstanding++
-			case <-c.timer.C:
-				// Undelivered: nothing outstanding, no late reply to come.
-				c.acc.faults.Timeouts++
-				return sim.Cost{}, outcomeFailed
-			}
-		} else {
-			s.fch <- rq
-			c.outstanding++
-		}
-		var resp response
-		timedOut := false
-		for {
-			if deadline {
-				select {
-				case r := <-c.freply:
-					c.outstanding--
-					if r.seq != seq {
-						c.lateReply(r)
-						continue
-					}
-					resp = r
-				case <-c.timer.C:
-					timedOut = true
-				}
-			} else {
-				r := <-c.freply
-				c.outstanding--
-				if r.seq != seq {
-					c.lateReply(r)
-					continue
-				}
-				resp = r
-			}
-			break
-		}
-		if timedOut {
-			c.acc.faults.Timeouts++
-			return sim.Cost{}, outcomeFailed
-		}
-		if resp.status == statusOK {
-			return resp.cost, outcomeOK
-		}
-		// Down reply: safe to retry — the shard rejected without serving.
-		if attempt < plan.Retries && !p.stop.Load() {
-			c.acc.faults.Retries++
-			c.backoff(attempt)
-			continue
-		}
-		if plan.Degraded == DegradedStale {
-			if ix := s.stale.Load(); ix != nil {
-				var cost sim.Cost
-				if a != b {
-					cost.Routing = ix.Dist(a, b)
-				}
-				return cost, outcomeDegraded
-			}
-		}
-		return sim.Cost{}, outcomeFailed
-	}
-}
-
-// runFaulted is the client loop with a fault plan armed. Structure and
-// accounting order mirror run exactly; the differences are the faulted
-// half-request protocol and the outcome split: only fully-OK requests
-// enter the warmup/measured serving totals, degraded and failed requests
-// go to the fault ledger (with OK halves of mixed requests still
-// attributed to their shards, which served them).
-func (c *client) runFaulted() {
-	p := c.pool
-	plan := p.plan
-	c.acc.perShard = make([]shardAcc, p.part.S)
-	c.freply = make(chan response, 8)
-	c.jit = mix64(plan.Seed ^ (uint64(c.id)+1)*0x9e3779b97f4a7c15)
-	defer c.drainOutstanding()
-
-	var interval time.Duration
-	if p.cfg.TargetOps > 0 {
-		perClient := p.cfg.TargetOps / float64(p.cfg.Clients)
-		interval = time.Duration(float64(time.Second) / perClient)
-	}
-	sample := p.cfg.LatencySample
-	warmup := int64(p.cfg.Warmup)
-
-	var served, unflushed int64
-	start := time.Now()
-	var r Route
-	for rq, err := range c.gen.Requests() {
-		if err != nil {
-			c.acc.err = err
-			break
-		}
-		if c.budget >= 0 && served >= c.budget {
-			break
-		}
-		if p.stop.Load() {
-			break
-		}
-		if interval > 0 {
-			if wait := time.Until(start.Add(time.Duration(served) * interval)); wait > 0 {
-				if !c.sleepStop(wait) {
-					break
-				}
-			}
-		}
-
-		p.part.Route(rq.Src, rq.Dst, &r)
-		timed := sample > 0 && served%int64(sample) == 0
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		c1, o1 := c.serveHalfFaulted(p.shards[r.S1], r.A1, r.B1)
+		c1, o1 := c.serveHalf(p.shards[r.S1], r.A1, r.B1)
 		var c2 sim.Cost
 		o2 := outcomeOK
 		if r.Cross && o1 != outcomeFailed {
 			// A failed source half fails the request; don't disturb the
 			// destination shard for a request that cannot complete.
-			c2, o2 = c.serveHalfFaulted(p.shards[r.S2], r.A2, r.B2)
+			c2, o2 = c.serveHalf(p.shards[r.S2], r.A2, r.B2)
 		}
 		var lat int64
 		if timed {
@@ -409,35 +171,23 @@ func (c *client) runFaulted() {
 		}
 
 		if o1 == outcomeOK {
-			sa := &c.acc.perShard[r.S1]
-			sa.requests++
-			sa.routing += c1.Routing
-			sa.adjust += c1.Adjust
-			sa.hist.Observe(c1.Routing)
+			c.acc.perShard[r.S1].add(c1)
 		}
 		if r.Cross && o2 == outcomeOK {
-			sa2 := &c.acc.perShard[r.S2]
-			sa2.requests++
-			sa2.routing += c2.Routing
-			sa2.adjust += c2.Adjust
-			sa2.hist.Observe(c2.Routing)
+			c.acc.perShard[r.S2].add(c2)
 		}
-		switch {
-		case o1 == outcomeFailed || o2 == outcomeFailed:
+		routing, adjust := c1.Routing, c1.Adjust
+		if r.Cross {
+			routing += InterShardHop + c2.Routing
+			adjust += c2.Adjust
+		}
+		switch max(o1, o2) {
+		case outcomeFailed:
 			c.acc.faults.FailedRequests++
-		case o1 == outcomeDegraded || o2 == outcomeDegraded:
-			routing := c1.Routing + c2.Routing
-			if r.Cross {
-				routing += InterShardHop
-			}
+		case outcomeDegraded:
 			c.acc.faults.DegradedRequests++
 			c.acc.faults.DegradedRouting += routing
 		default:
-			routing, adjust := c1.Routing, c1.Adjust
-			if r.Cross {
-				routing += InterShardHop + c2.Routing
-				adjust += c2.Adjust
-			}
 			if served < warmup {
 				c.acc.warmRequests++
 				c.acc.warmRouting += routing
@@ -471,12 +221,141 @@ func (c *client) runFaulted() {
 	}
 }
 
+// serveHalf serves one local (half-)request on a shard: lock-free through
+// the distance oracle when the shard is frozen, through the owner loop
+// otherwise. Without a plan that is one round trip. With one armed, down
+// replies are retried up to plan.Retries times with backoff (each attempt
+// ticks the shard's recovery clock), and the configured degraded fallback
+// applies once retries run out. Timeouts are never retried — the request
+// may have been delivered, and a delivered request is served exactly once
+// (its late reply is drained).
+func (c *client) serveHalf(s *shard, a, b int) (sim.Cost, uint8) {
+	if s.oracle != nil {
+		if a == b {
+			return sim.Cost{}, outcomeOK
+		}
+		return sim.Cost{Routing: s.oracle.Dist(a, b)}, outcomeOK
+	}
+	for attempt := 0; ; attempt++ {
+		c.seq++
+		resp, ok := c.roundTrip(s, request{u: a, v: b, seq: c.seq, reply: c.reply})
+		if !ok {
+			c.acc.faults.Timeouts++
+			return sim.Cost{}, outcomeFailed
+		}
+		if resp.status == statusOK {
+			return resp.cost, outcomeOK
+		}
+		// Down reply (a plan is armed): safe to retry — the shard
+		// rejected without serving.
+		plan := c.pool.cfg.Faults
+		if attempt < plan.Retries && !c.pool.stop.Load() {
+			c.acc.faults.Retries++
+			c.backoff(attempt)
+			continue
+		}
+		if plan.Degraded == DegradedStale {
+			if ix := s.stale.Load(); ix != nil {
+				var cost sim.Cost
+				if a != b {
+					cost.Routing = ix.Dist(a, b)
+				}
+				return cost, outcomeDegraded
+			}
+		}
+		return sim.Cost{}, outcomeFailed
+	}
+}
+
+// roundTrip sends rq to the shard's owner and returns its reply. Without
+// a deadline that is a bare channel send and receive. With plan.Timeout
+// set, the send and the reply together must beat the deadline; ok is
+// false when they do not. An attempt whose send timed out was never
+// delivered; one whose reply timed out stays outstanding until its late
+// reply is consumed here or in drainOutstanding.
+func (c *client) roundTrip(s *shard, rq request) (resp response, ok bool) {
+	plan := c.pool.cfg.Faults
+	if plan == nil || plan.Timeout <= 0 {
+		s.ch <- rq
+		return <-c.reply, true
+	}
+	c.resetTimer(plan.Timeout)
+	select {
+	case s.ch <- rq:
+		c.outstanding++
+	case <-c.timer.C:
+		return response{}, false
+	}
+	for {
+		select {
+		case r := <-c.reply:
+			c.outstanding--
+			if r.seq == rq.seq {
+				return r, true
+			}
+			c.lateReply(r)
+		case <-c.timer.C:
+			return response{}, false
+		}
+	}
+}
+
+// lateReply accounts an owner reply that arrived after its attempt's
+// deadline. The shard did serve the half — exactly once, the delivered
+// request was simply slow — so an OK late half stays in the per-shard
+// serve totals (keeping them equal to what the shards actually did) and
+// is ledgered; the request itself was already counted as a timeout.
+func (c *client) lateReply(r response) {
+	if r.status != statusOK {
+		return
+	}
+	c.acc.faults.LateReplies++
+	c.acc.faults.LateRouting += r.cost.Routing
+	c.acc.perShard[r.shard].add(r.cost)
+}
+
+// drainOutstanding consumes every delivered-but-unconsumed reply before
+// the client exits. This is the invariant that makes shutdown sound:
+// owners never block forever on a reply to a departed client, so Run's
+// close-and-wait drain always terminates.
+func (c *client) drainOutstanding() {
+	for c.outstanding > 0 {
+		r := <-c.reply
+		c.outstanding--
+		c.lateReply(r)
+	}
+}
+
+// backoff sleeps before retry number attempt+1: exponential from
+// plan.Backoff, capped at plan.BackoffCap, with deterministic jitter in
+// [1/2, 1) drawn from a splitmix64 stream seeded by (plan.Seed, client
+// id) — a replayed fault schedule backs off identically, run after run.
+func (c *client) backoff(attempt int) {
+	plan := c.pool.cfg.Faults
+	if plan.Backoff <= 0 {
+		return
+	}
+	if attempt > 30 {
+		attempt = 30
+	}
+	d := plan.Backoff << uint(attempt)
+	if d <= 0 { // overflowed
+		d = plan.BackoffCap
+	}
+	if plan.BackoffCap > 0 && d > plan.BackoffCap {
+		d = plan.BackoffCap
+	}
+	c.jit = mix64(c.jit)
+	frac := 0.5 + float64(c.jit>>11)/float64(1<<53)/2
+	c.sleepStop(time.Duration(float64(d) * frac))
+}
+
 // pool is the shared run state of one serving run.
 type pool struct {
 	cfg      Config
 	part     *Partition
 	shards   []*shard
-	plan     *FaultPlan // nil: faults disarmed, PR 8 fast path
+	owners   sync.WaitGroup // running owner loops
 	stop     atomic.Bool
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -484,7 +363,7 @@ type pool struct {
 }
 
 // halt flips the stop flag and wakes every client sleeping in pacing or
-// backoff waits.
+// backoff waits and every owner in a stall.
 func (p *pool) halt() {
 	p.stopOnce.Do(func() {
 		p.stop.Store(true)
@@ -498,19 +377,9 @@ func (p *pool) halt() {
 // before the failing one are shut down too.
 func (p *pool) shutdownShards() {
 	for _, s := range p.shards {
-		if s == nil {
-			continue
-		}
-		if s.ch != nil {
+		if s != nil && s.ch != nil {
 			close(s.ch)
 		}
-		if s.fch != nil {
-			close(s.fch)
-		}
 	}
-	for _, s := range p.shards {
-		if s != nil && s.done != nil {
-			<-s.done
-		}
-	}
+	p.owners.Wait()
 }

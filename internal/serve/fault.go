@@ -79,14 +79,14 @@ type FaultEvent struct {
 	// the first post-crash arrival (no request is ever lost), -1 never
 	// recovers.
 	RecoverAfter int64
-	// Stall (stalls only) is how long the owner sleeps.
+	// Stall (stalls only) is how long the owner sleeps; a stall ends
+	// early when the run stops.
 	Stall time.Duration
 }
 
 // FaultPlan scripts the faults of one serving run and configures the
-// robustness machinery around them. The zero plan is invalid; a nil
-// *FaultPlan in Config means faults are disarmed and the serving layer
-// runs its unchanged PR 8 hot path.
+// robustness machinery around them. A nil *FaultPlan in Config means
+// faults are disarmed.
 type FaultPlan struct {
 	// CheckpointEvery is the per-shard checkpoint interval in local
 	// serves (0 = DefaultCheckpointEvery). Between checkpoints each shard

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -344,6 +345,107 @@ func TestStallAndTimeout(t *testing.T) {
 	// plus late-served halves.
 	if want := stats.Requests + f.LateReplies; stats.PerShard[0].Requests != want {
 		t.Errorf("shard served %d, want %d ok + %d late", stats.PerShard[0].Requests, stats.Requests, f.LateReplies)
+	}
+}
+
+// TestStallEndsWhenRunStops is the regression test for a stop-deaf
+// stall: a scripted stall far longer than the run must end as soon as
+// the pool halts — on cancellation, when Config.Duration elapses, and
+// once the last client has spent its budget — whether or not the
+// clients have a deadline, so Run returns long before the stall would.
+func TestStallEndsWhenRunStops(t *testing.T) {
+	const stall = 3 * time.Second
+	gen := workload.TemporalGen(64, 100_000, 0.6, 13)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		timeout time.Duration
+		cancel  bool
+	}{
+		{"cancel", Config{}, 0, true},
+		{"cancel/timeout", Config{}, 20 * time.Millisecond, true},
+		{"duration", Config{Duration: 50 * time.Millisecond}, 0, false},
+		{"duration/timeout", Config{Duration: 50 * time.Millisecond}, 20 * time.Millisecond, false},
+		{"budget/timeout", Config{MaxRequests: 30}, 20 * time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Faults = &FaultPlan{
+				Timeout: tc.timeout,
+				Events:  []FaultEvent{{Shard: 0, At: 10, Kind: FaultStall, Stall: stall}},
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel {
+				time.AfterFunc(50*time.Millisecond, cancel)
+			}
+			start := time.Now()
+			stats, err := Run(ctx, cfg, mkKary, gen)
+			elapsed := time.Since(start)
+			if tc.cancel && !errors.Is(err, context.Canceled) || !tc.cancel && err != nil {
+				t.Fatalf("err = %v", err)
+			}
+			if elapsed >= time.Second {
+				t.Errorf("Run returned after %v; the %v stall ignored the stop", elapsed, stall)
+			}
+			if stats.Faults.Stalls != 1 {
+				t.Errorf("stalls = %d, want 1", stats.Faults.Stalls)
+			}
+		})
+	}
+}
+
+// TestFaultProtocolStress runs the whole client/owner fault protocol at
+// once under concurrent clients: stalls shorter and longer than the
+// deadline (timeouts, late replies) and crashes whose RecoverAfter
+// outlasts what four clients' retries can absorb (retries, then degraded
+// or failed requests), under both degraded modes. Counts are timing
+// dependent; the ledger identities are not.
+func TestFaultProtocolStress(t *testing.T) {
+	const budget = 4_000
+	for _, mode := range []DegradedMode{DegradedFail, DegradedStale} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", mode, seed), func(t *testing.T) {
+				gen := workload.TemporalGen(200, 2*budget, 0.6, seed)
+				plan := &FaultPlan{
+					CheckpointEvery: 256,
+					Degraded:        mode,
+					Timeout:         10 * time.Millisecond,
+					Retries:         2,
+					Backoff:         50 * time.Microsecond,
+					BackoffCap:      time.Millisecond,
+					Seed:            uint64(seed),
+					Events: []FaultEvent{
+						{Shard: 0, At: 200, Kind: FaultStall, Stall: time.Millisecond},
+						{Shard: 0, At: 600, Kind: FaultCrash, RecoverAfter: 20},
+						{Shard: 1, At: 400, Kind: FaultStall, Stall: 40 * time.Millisecond},
+						{Shard: 1, At: 1200, Kind: FaultCrash, RecoverAfter: 20},
+					},
+				}
+				stats, err := Run(context.Background(),
+					Config{Shards: 2, Clients: 4, MaxRequests: budget, Faults: plan}, mkKary, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := stats.Faults
+				if got := stats.Requests + stats.WarmupRequests + f.FailedRequests + f.DegradedRequests; got != budget {
+					t.Errorf("ok %d + warmup %d + failed %d + degraded %d = %d, want the budget %d",
+						stats.Requests, stats.WarmupRequests, f.FailedRequests, f.DegradedRequests, got, budget)
+				}
+				if f.LateReplies > f.Timeouts {
+					t.Errorf("late replies %d > timeouts %d", f.LateReplies, f.Timeouts)
+				}
+				if f.Retries > f.Rejected {
+					t.Errorf("retries %d > rejected %d", f.Retries, f.Rejected)
+				}
+				if f.Stalls != 2 || f.Crashes != 2 || f.Recoveries != 2 {
+					t.Errorf("stalls/crashes/recoveries = %d/%d/%d, want 2/2/2", f.Stalls, f.Crashes, f.Recoveries)
+				}
+				if f.Timeouts == 0 || f.LateReplies == 0 || f.Retries == 0 || f.FailedRequests+f.DegradedRequests == 0 {
+					t.Errorf("protocol not exercised: %+v", *f)
+				}
+			})
+		}
 	}
 }
 

@@ -1,11 +1,35 @@
+// Package serve is the concurrent sharded serving front-end: it turns the
+// strictly-sequential evaluation engine into a system that serves a
+// request stream from many client routines at once.
+//
+// The node space 1..n is hash-partitioned across S independent shards,
+// each owning a private network instance (its tree, trigger state and
+// demand window) behind a single-writer owner goroutine; a deterministic
+// router maps every request to the shard(s) that serve it, charging
+// cross-shard pairs under a documented inter-shard cost rule; and C
+// closed-loop client routines drive the shards, each iterating its own
+// private pass of the workload stream (workload.SplitGen — the YCSB
+// per-routine-state pattern, no locks on the request hot path). Frozen
+// shards — compositions whose trigger can never fire, detected through
+// the StaticOracle hook — are served lock-free by the clients themselves
+// through the shard's Euler-tour/RMQ distance oracle; every other shard
+// serializes exclusively through its owner loop, preserving the
+// repository-wide single-writer contract on serve paths (DESIGN.md §11).
+//
+// Measurement is bounded-memory by construction: every per-request
+// observation goes into a mergeable log-bucketed hist.Hist, so per-client
+// and per-shard statistics combine into global percentiles without sample
+// buffers.
 package serve
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/ksan-net/ksan/internal/hist"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
@@ -54,8 +78,9 @@ type Config struct {
 	// Faults arms the deterministic fault-injection machinery (DESIGN.md
 	// §12): scripted crashes/stalls at logical trigger points, periodic
 	// checkpoints with snapshot+replay recovery, client deadlines/retries,
-	// and degraded-mode serving. nil (the default) disarms everything and
-	// the run uses the unchanged PR 8 hot path. With a plan armed, every
+	// and degraded-mode serving. nil (the default) disarms everything:
+	// owners neither log nor checkpoint, round trips have no deadline,
+	// and frozen shards are served lock-free. With a plan armed, every
 	// shard — frozen included — is served through its owner loop, and
 	// every shard network must support exact checkpoint/restore
 	// (tree-backed policy compositions do; custom substrates are
@@ -79,7 +104,7 @@ type ShardStats struct {
 	Requests int64 // local serve calls (a cross-shard request counts on both shards)
 	Routing  int64
 	Adjust   int64
-	Hist     *Hist // local serve routing costs
+	Hist     *hist.Hist // local serve routing costs
 	// Local is the processed local request sequence (RecordLocal runs
 	// only; nil otherwise).
 	Local []sim.Request
@@ -112,8 +137,8 @@ type Stats struct {
 	WarmupAdjust   int64
 	WarmupCross    int64
 
-	RoutingHist *Hist // full per-request routing cost (hop included), measured region
-	LatencyHist *Hist // sampled closed-loop latency, nanoseconds, measured region
+	RoutingHist *hist.Hist // full per-request routing cost (hop included), measured region
+	LatencyHist *hist.Hist // sampled closed-loop latency, nanoseconds, measured region
 
 	PerShard []ShardStats
 
@@ -165,8 +190,7 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			return nil, err
 		}
 	}
-	p := &pool{cfg: cfg, part: part, shards: make([]*shard, cfg.Shards),
-		plan: cfg.Faults, stopCh: make(chan struct{})}
+	p := &pool{cfg: cfg, part: part, shards: make([]*shard, cfg.Shards), stopCh: make(chan struct{})}
 	for i := range p.shards {
 		net, err := mk(part.Size(i))
 		if err != nil {
@@ -174,25 +198,20 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			p.shutdownShards()
 			return nil, fmt.Errorf("serve: building shard %d (%d nodes): %w", i, part.Size(i), err)
 		}
-		s := &shard{id: i, nodes: part.Size(i), net: net, record: cfg.RecordLocal}
-		if cfg.Faults != nil {
-			// Fault mode: every shard is served through a faulted owner
-			// loop and must support exact checkpoint/restore.
+		s := &shard{id: i, nodes: part.Size(i), net: net, record: cfg.RecordLocal,
+			plan: cfg.Faults, stop: p.stopCh}
+		p.shards[i] = s
+		switch {
+		case cfg.Faults != nil:
+			// Every shard must support exact checkpoint/restore.
 			rec, ok := net.(recoverable)
 			if !ok || !rec.Checkpointable() {
 				p.shutdownShards()
 				return nil, fmt.Errorf("serve: fault plan armed, but shard %d network %q cannot checkpoint/restore",
 					i, net.Name())
 			}
-			s.recov = rec
-			s.events = events[i]
-			s.fch = make(chan frequest, cfg.Clients)
-			s.done = make(chan struct{})
-			go s.runFaulted(cfg.Faults)
-			p.shards[i] = s
-			continue
-		}
-		if !cfg.RecordLocal {
+			s.recov, s.events = rec, events[i]
+		case !cfg.RecordLocal:
 			if ss, ok := net.(staticServer); ok {
 				if ix, frozen := ss.StaticOracle(); frozen {
 					s.oracle = ix
@@ -201,15 +220,18 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		}
 		if s.oracle == nil {
 			s.ch = make(chan request, cfg.Clients)
-			s.done = make(chan struct{})
-			go s.run()
+			p.owners.Add(1)
+			go func() {
+				defer p.owners.Done()
+				s.run()
+			}()
 		}
-		p.shards[i] = s
 	}
 
 	// Stop signals: wall-clock duration (normal completion) and context
 	// cancellation (error). Both halt the pool, which flips the flag
-	// clients poll and wakes any client sleeping in pacing or backoff.
+	// clients poll and wakes any client sleeping in pacing or backoff and
+	// any owner in a stall.
 	watchDone := make(chan struct{})
 	if cfg.Duration > 0 {
 		t := time.AfterFunc(cfg.Duration, p.halt)
@@ -254,6 +276,8 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 
 	clients := make([]*client, cfg.Clients)
 	var wg sync.WaitGroup
+	var looping atomic.Int64 // clients still in their request loop
+	looping.Store(int64(cfg.Clients))
 	start := time.Now()
 	for i := range clients {
 		budget := int64(-1)
@@ -267,11 +291,13 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		wg.Add(1)
 		go func(c *client) {
 			defer wg.Done()
-			if p.plan != nil {
-				c.runFaulted()
-			} else {
-				c.run()
+			c.run()
+			if looping.Add(-1) == 0 {
+				// No request can follow: halt, so that a stalled owner
+				// wakes and serves what the clients still wait on.
+				p.halt()
 			}
+			c.drainOutstanding()
 		}(clients[i])
 	}
 	wg.Wait()
@@ -287,11 +313,11 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		Clients: cfg.Clients,
 		Elapsed: elapsed,
 	}
-	stats.RoutingHist = new(Hist)
-	stats.LatencyHist = new(Hist)
+	stats.RoutingHist = new(hist.Hist)
+	stats.LatencyHist = new(hist.Hist)
 	stats.PerShard = make([]ShardStats, cfg.Shards)
 	for i, s := range p.shards {
-		stats.PerShard[i] = ShardStats{Shard: i, Nodes: s.nodes, Hist: new(Hist), Local: s.local,
+		stats.PerShard[i] = ShardStats{Shard: i, Nodes: s.nodes, Hist: new(hist.Hist), Local: s.local,
 			Crashes: s.faults.Crashes, Recoveries: s.faults.Recoveries,
 			Checkpoints: s.faults.Checkpoints, Replayed: s.faults.ReplayedRequests,
 			Rejected: s.faults.Rejected}

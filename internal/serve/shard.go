@@ -22,19 +22,12 @@ type staticServer interface {
 	StaticOracle() (*statictree.DistIndex, bool)
 }
 
-// request is one unit of work sent to a shard's owner loop. The reply
-// channel is client-owned and reused across requests (capacity 1), so the
-// closed-loop hot path allocates nothing per request.
+// request is one unit of work sent to a shard's owner loop. It carries
+// the client's attempt sequence number, so a reply that arrives after its
+// deadline can be told apart from the reply being awaited. The reply
+// channel is client-owned and reused across requests, so the closed-loop
+// hot path allocates nothing per request.
 type request struct {
-	u, v  int
-	reply chan sim.Cost
-}
-
-// frequest is the fault-mode unit of work: requests carry a client
-// sequence number so a reply that arrives after its deadline can be told
-// apart from the reply being awaited, and replies carry a status so a
-// downed shard can refuse without serving.
-type frequest struct {
 	u, v  int
 	seq   uint64
 	reply chan response
@@ -42,11 +35,11 @@ type frequest struct {
 
 // response statuses.
 const (
-	statusOK uint8 = iota
-	statusDown
+	statusOK   uint8 = iota
+	statusDown       // refused without serving: the shard is crashed
 )
 
-// response is one fault-mode owner reply.
+// response is one owner reply.
 type response struct {
 	cost   sim.Cost
 	seq    uint64
@@ -61,25 +54,29 @@ type response struct {
 // any locks on network state (the single-writer rule, DESIGN.md §11).
 // Frozen shards additionally carry their distance oracle; clients serve
 // those without ever touching the loop. When a fault plan is armed every
-// shard — frozen included — runs the faulted owner loop instead, which
-// adds checkpointing, crash/stall injection, and snapshot+replay
-// recovery (DESIGN.md §12).
+// shard — frozen included — is served through its owner loop, which then
+// also checkpoints, injects the scripted crashes and stalls, and recovers
+// by snapshot+replay (DESIGN.md §12).
 type shard struct {
 	id     int
 	nodes  int
 	net    sim.Network
 	oracle *statictree.DistIndex // non-nil: frozen, clients serve lock-free
 	ch     chan request
-	fch    chan frequest
-	done   chan struct{}
 	record bool
 	local  []sim.Request // processed local sequence, when record is set
 
-	// Fault-mode state (owner-goroutine-private except stale).
-	recov       recoverable
-	events      []FaultEvent
-	wal         []sim.Request // post-checkpoint replay log, bounded by the checkpoint interval
-	localServed int64
+	// Fault state, owner-goroutine-private except stale. plan is nil when
+	// faults are disarmed, and then nothing below is used.
+	plan          *FaultPlan
+	stop          <-chan struct{} // closed when the pool halts; ends a stall
+	recov         recoverable
+	cp            policy.Checkpoint
+	events        []FaultEvent  // scripted events not yet fired, by At
+	wal           []sim.Request // post-checkpoint replay log, bounded by the checkpoint interval
+	localServed   int64
+	down          bool
+	downRemaining int64 // arrivals to reject before recovering; -1 = never
 	// stale is the last-checkpoint distance oracle published for
 	// degraded-mode reads (DegradedStale only). Each publish is a fresh
 	// immutable index, so clients may keep querying one they loaded
@@ -92,14 +89,26 @@ type shard struct {
 // run is the owner loop: the only goroutine that ever calls Serve on this
 // shard's network. It drains the request channel in arrival order, which
 // defines the shard's local request sequence — the sequence the
-// sequential-equivalence property replays.
+// sequential-equivalence property replays. The fault plan is consulted at
+// two fixed points only: the down/recovery check before a serve, and the
+// replay-log append plus checkpoint/event boundary after it.
 func (s *shard) run() {
-	defer close(s.done)
+	if s.plan != nil {
+		s.checkpoint() // recovery point for a crash before the first interval
+	}
 	for rq := range s.ch {
+		if s.down && !s.recover() {
+			s.faults.Rejected++
+			rq.reply <- response{seq: rq.seq, shard: int32(s.id), status: statusDown}
+			continue
+		}
 		if s.record {
 			s.local = append(s.local, sim.Request{Src: rq.u, Dst: rq.v})
 		}
-		rq.reply <- s.net.Serve(rq.u, rq.v)
+		rq.reply <- response{cost: s.net.Serve(rq.u, rq.v), seq: rq.seq, shard: int32(s.id)}
+		if s.plan != nil {
+			s.afterServe(rq.u, rq.v)
+		}
 	}
 }
 
@@ -108,82 +117,71 @@ func (s *shard) run() {
 // stale-read mode — publishes a fresh distance oracle over the
 // checkpointed topology. The CheckpointInto error path is unreachable:
 // Run rejects non-checkpointable networks before starting any owner.
-func (s *shard) checkpoint(cp *policy.Checkpoint, publishStale bool) {
-	if err := s.recov.CheckpointInto(cp); err != nil {
+func (s *shard) checkpoint() {
+	if err := s.recov.CheckpointInto(&s.cp); err != nil {
 		panic(fmt.Sprintf("serve: shard %d checkpoint failed after Run-time validation: %v", s.id, err))
 	}
 	s.faults.Checkpoints++
 	s.wal = s.wal[:0]
-	if publishStale {
+	if s.plan.Degraded == DegradedStale {
 		s.stale.Store(statictree.NewDistIndex(s.recov.Tree()))
 	}
 }
 
-// runFaulted is the owner loop with the fault machinery armed: it
-// checkpoints every interval serves, fires the scripted events at their
-// logical trigger points, rejects arrivals while down, and recovers by
-// restoring the last checkpoint and replaying the post-checkpoint log —
-// which provably rebuilds the exact pre-crash state (the policy layer's
+// recover is the downed shard's answer to one arrival: it reports false
+// while the crash still has arrivals to reject, and otherwise restores
+// the last checkpoint and replays the post-checkpoint log — which provably
+// rebuilds the exact pre-crash state (the policy layer's
 // checkpoint-restore equivalence), so a recovered shard's subsequent
 // serves are bit-identical to a run that never crashed.
-func (s *shard) runFaulted(plan *FaultPlan) {
-	defer close(s.done)
-	interval := plan.checkpointInterval()
-	publishStale := plan.Degraded == DegradedStale
-	var cp policy.Checkpoint
-	s.checkpoint(&cp, publishStale) // recovery point for a crash before the first interval
-	evIdx := 0
-	down := false
-	var downRemaining int64
-	for rq := range s.fch {
-		if down {
-			if downRemaining != 0 {
-				if downRemaining > 0 {
-					downRemaining--
-				}
-				s.faults.Rejected++
-				rq.reply <- response{seq: rq.seq, shard: int32(s.id), status: statusDown}
-				continue
-			}
-			// Recovery: restore the checkpoint, replay the log. The
-			// restore error path is unreachable for the same reason as
-			// in checkpoint (the checkpoint came from this very net).
-			if err := s.recov.Restore(&cp); err != nil {
-				panic(fmt.Sprintf("serve: shard %d restore failed after Run-time validation: %v", s.id, err))
-			}
-			for _, r := range s.wal {
-				c := s.net.Serve(r.Src, r.Dst)
-				s.faults.ReplayRouting += c.Routing
-				s.faults.ReplayAdjust += c.Adjust
-			}
-			s.faults.ReplayedRequests += int64(len(s.wal))
-			s.faults.Recoveries++
-			down = false
+func (s *shard) recover() bool {
+	if s.downRemaining != 0 {
+		if s.downRemaining > 0 {
+			s.downRemaining--
 		}
-		if s.record {
-			s.local = append(s.local, sim.Request{Src: rq.u, Dst: rq.v})
-		}
-		cost := s.net.Serve(rq.u, rq.v)
-		s.wal = append(s.wal, sim.Request{Src: rq.u, Dst: rq.v})
-		s.localServed++
-		rq.reply <- response{cost: cost, seq: rq.seq, shard: int32(s.id)}
-		// Post-serve boundaries: the checkpoint first, then any event at
-		// the same point — a crash scheduled on a checkpoint boundary
-		// loses nothing and replays nothing.
-		if s.localServed%interval == 0 {
-			s.checkpoint(&cp, publishStale)
-		}
-		for evIdx < len(s.events) && s.events[evIdx].At == s.localServed {
-			ev := s.events[evIdx]
-			evIdx++
-			switch ev.Kind {
-			case FaultCrash:
-				down = true
-				downRemaining = ev.RecoverAfter
-				s.faults.Crashes++
-			case FaultStall:
-				s.faults.Stalls++
-				time.Sleep(ev.Stall)
+		return false
+	}
+	// The restore error path is unreachable for the same reason as in
+	// checkpoint (the checkpoint came from this very net).
+	if err := s.recov.Restore(&s.cp); err != nil {
+		panic(fmt.Sprintf("serve: shard %d restore failed after Run-time validation: %v", s.id, err))
+	}
+	for _, r := range s.wal {
+		c := s.net.Serve(r.Src, r.Dst)
+		s.faults.ReplayRouting += c.Routing
+		s.faults.ReplayAdjust += c.Adjust
+	}
+	s.faults.ReplayedRequests += int64(len(s.wal))
+	s.faults.Recoveries++
+	s.down = false
+	return true
+}
+
+// afterServe is the post-serve boundary of an armed plan: log the served
+// request for replay, then checkpoint every interval serves, then fire
+// any event scheduled at this point — a crash scheduled on a checkpoint
+// boundary loses nothing and replays nothing.
+func (s *shard) afterServe(u, v int) {
+	s.wal = append(s.wal, sim.Request{Src: u, Dst: v})
+	s.localServed++
+	if s.localServed%s.plan.checkpointInterval() == 0 {
+		s.checkpoint()
+	}
+	for len(s.events) > 0 && s.events[0].At == s.localServed {
+		ev := s.events[0]
+		s.events = s.events[1:]
+		switch ev.Kind {
+		case FaultCrash:
+			s.down = true
+			s.downRemaining = ev.RecoverAfter
+			s.faults.Crashes++
+		case FaultStall:
+			s.faults.Stalls++
+			t := time.NewTimer(ev.Stall)
+			select {
+			case <-t.C:
+			case <-s.stop:
+				t.Stop()
 			}
 		}
 	}
