@@ -32,9 +32,10 @@ type Spec struct {
 // the arena's fixed-stride threshold/child spans sound.
 //
 // Build allocates the whole arena up front (a handful of flat slices
-// instead of one heap object per node), so spec materialization — including
-// the DP solver's result construction and every lazy-rebuild tree swap —
-// costs O(1) allocations in the node count.
+// instead of one heap object per node) and nothing per node, so spec
+// materialization — including the DP solver's result construction and
+// every lazy-rebuild tree swap — costs O(1) allocations in the node count
+// (TestBuildAllocsConstantInN pins it).
 func Build(k int, spec *Spec) (*Tree, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("core: nil spec")
@@ -100,7 +101,10 @@ func specIDRange(s *Spec) (lo, hi int) {
 }
 
 // buildSpec fills in the arena state for s, whose slot covers the cut-space
-// interval (lo, hi], and returns the node's arena index.
+// interval (lo, hi], and returns the node's arena index. It writes the
+// node's padded routing array straight into its span and places each spec
+// child in the padded slot its index maps to, so materialization allocates
+// nothing per node.
 func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32, error) {
 	iv := s.ID * t.scale
 	if s.ID < 1 || s.ID > t.n {
@@ -115,18 +119,17 @@ func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32,
 	if len(s.Thresholds) > t.k-1 {
 		return 0, fmt.Errorf("core: node %d has %d routing elements, max is %d", s.ID, len(s.Thresholds), t.k-1)
 	}
-	children := s.Children
-	if children == nil {
-		children = make([]*Spec, len(s.Thresholds)+1)
-	}
-	if len(children) != len(s.Thresholds)+1 {
-		return 0, fmt.Errorf("core: node %d has %d thresholds but %d child slots", s.ID, len(s.Thresholds), len(children))
+	// A nil Children is a leaf: every slot empty.
+	if s.Children != nil && len(s.Children) != len(s.Thresholds)+1 {
+		return 0, fmt.Errorf("core: node %d has %d thresholds but %d child slots", s.ID, len(s.Thresholds), len(s.Children))
 	}
 
-	// Scale the spec thresholds and validate monotonicity within (lo, hi].
-	ths := make([]int, len(s.Thresholds))
-	prev := lo
-	for i, th := range s.Thresholds {
+	// Validate the scaled thresholds as strictly increasing within
+	// (lo, hi]. j counts those below the node's own id value — the same
+	// strictly-less count the routing kernels compute — so spec slot j is
+	// the one that contains it.
+	prev, j := lo, 0
+	for _, th := range s.Thresholds {
 		v := th * t.scale
 		if v <= prev {
 			return 0, fmt.Errorf("core: node %d thresholds not strictly increasing within its interval", s.ID)
@@ -134,84 +137,65 @@ func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32,
 		if v > hi {
 			return 0, fmt.Errorf("core: node %d threshold %d exceeds its interval", s.ID, th)
 		}
-		ths[i] = v
+		if v < iv {
+			j++
+		}
 		prev = v
 	}
 
 	// Pad the routing array to exactly k−1 cuts using the empty sliver just
-	// below the node's own id value: cuts iv−p .. iv−1 contain no id points
-	// (ids are t.scale apart), so they only carve empty slots.
-	pad := t.k - 1 - len(ths)
-	if pad > 0 {
-		// The pad-point search is the same strictly-less threshold count
-		// the routing kernels compute; construction is cold, so it uses
-		// the shared scalar reference (intervalIndex) the kernels are
-		// differentially pinned against.
-		j := intervalIndex(ths, iv)
-		// The slot j currently covers (ths[j-1], ths[j]] and contains iv.
-		// Decide on which side of the pads its child belongs.
-		var side int // -1: ids below the node id; +1: above; 0: empty slot
-		if ch := children[j]; ch != nil {
-			clo, chi := specIDRange(ch)
-			switch {
-			case chi < s.ID:
-				side = -1
-			case clo > s.ID:
-				side = +1
-			default:
-				return 0, fmt.Errorf("core: node %d cannot pad its routing array: child slot %d spans ids %d..%d across the node id", s.ID, j, clo, chi)
-			}
+	// below the node's own id value: cuts iv−pad .. iv−1 contain no id
+	// points (ids are t.scale apart), so they only carve empty slots. They
+	// go in at position j; spec slot j's child then lands left of the pads
+	// (padded slot j) when its ids lie below the node id and right of them
+	// (padded slot j+pad) when they lie above.
+	pad := t.k - 1 - len(s.Thresholds)
+	above := false
+	if pad > 0 && s.Children != nil && s.Children[j] != nil {
+		clo, chi := specIDRange(s.Children[j])
+		if clo <= s.ID && s.ID <= chi {
+			return 0, fmt.Errorf("core: node %d cannot pad its routing array: child slot %d spans ids %d..%d across the node id", s.ID, j, clo, chi)
 		}
-		newThs := make([]int, 0, t.k-1)
-		newChs := make([]*Spec, 0, t.k)
-		newThs = append(newThs, ths[:j]...)
-		newChs = append(newChs, children[:j]...)
-		if side <= 0 {
-			newChs = append(newChs, children[j]) // original child left of pads
-		} else {
-			newChs = append(newChs, nil)
-		}
-		for p := pad; p >= 1; p-- {
-			newThs = append(newThs, iv-p)
-			if p > 1 {
-				newChs = append(newChs, nil)
-			}
-		}
-		if side > 0 {
-			newChs = append(newChs, children[j]) // original child right of pads
-		} else {
-			newChs = append(newChs, nil)
-		}
-		newThs = append(newThs, ths[j:]...)
-		newChs = append(newChs, children[j+1:]...)
-		ths, children = newThs, newChs
+		above = clo > s.ID
 	}
 
 	ix := int32(s.ID)
 	seen[s.ID] = true
 	t.parent[ix] = parent
 	sp := t.span(ix)
-	for i, v := range ths {
-		sp[2*i+1] = int32(v)
+	for i, th := range s.Thresholds {
+		if i >= j {
+			i += pad
+		}
+		sp[2*i+1] = int32(th * t.scale)
 	}
-	slotLo := lo
-	for i, chSpec := range children {
-		slotHi := hi
-		if i < len(ths) {
-			slotHi = ths[i]
+	for p := 0; p < pad; p++ {
+		sp[2*(j+p)+1] = int32(iv - pad + p)
+	}
+	for c, chSpec := range s.Children {
+		if chSpec == nil {
+			continue
 		}
-		if chSpec != nil {
-			if slotLo >= slotHi {
-				return 0, fmt.Errorf("core: node %d has a child in an empty slot", s.ID)
-			}
-			ch, err := t.buildSpec(chSpec, ix, slotLo, slotHi, seen)
-			if err != nil {
-				return 0, err
-			}
-			sp[2*i] = ch
-			t.slot[ch] = int32(i)
+		i := c // padded slot of spec slot c
+		if c > j || c == j && above {
+			i += pad
 		}
-		slotLo = slotHi
+		slotLo, slotHi := lo, hi
+		if i > 0 {
+			slotLo = int(sp[2*i-1])
+		}
+		if i < t.k-1 {
+			slotHi = int(sp[2*i+1])
+		}
+		if slotLo >= slotHi {
+			return 0, fmt.Errorf("core: node %d has a child in an empty slot", s.ID)
+		}
+		ch, err := t.buildSpec(chSpec, ix, slotLo, slotHi, seen)
+		if err != nil {
+			return 0, err
+		}
+		sp[2*i] = ch
+		t.slot[ch] = int32(i)
 	}
 	return ix, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -242,17 +244,31 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		name string
 		k    int
 		spec *Spec
+		want string // the rejection the case must reach
 	}{
-		{"nil spec", 2, nil},
-		{"dup id", 2, &Spec{ID: 1, Thresholds: []int{1}, Children: []*Spec{nil, {ID: 1}}}},
-		{"id out of slot", 2, &Spec{ID: 2, Thresholds: []int{1}, Children: []*Spec{{ID: 3}, nil}}},
-		{"too many thresholds", 2, &Spec{ID: 2, Thresholds: []int{1, 2}, Children: []*Spec{{ID: 1}, nil, {ID: 3}}}},
-		{"slot count mismatch", 3, &Spec{ID: 1, Thresholds: []int{1}, Children: []*Spec{nil}}},
-		{"non-increasing thresholds", 3, &Spec{ID: 2, Thresholds: []int{2, 2}, Children: []*Spec{{ID: 1}, nil, {ID: 3}}}},
+		{"nil spec", 2, nil, "nil spec"},
+		{"arity below 2", 1, &Spec{ID: 1}, "arity"},
+		{"id out of range", 2, &Spec{ID: 5}, "out of range"},
+		{"dup id", 2, &Spec{ID: 1, Thresholds: []int{1}, Children: []*Spec{{ID: 1}, {ID: 2}}}, "duplicate id"},
+		{"id out of slot", 2, &Spec{ID: 2, Thresholds: []int{1}, Children: []*Spec{nil, {ID: 1}}}, "outside its slot"},
+		{"too many thresholds", 2, &Spec{ID: 2, Thresholds: []int{1, 2}, Children: []*Spec{{ID: 1}, nil, {ID: 3}}}, "routing elements"},
+		{"slot count mismatch", 3, &Spec{ID: 1, Thresholds: []int{1}, Children: []*Spec{nil}}, "child slots"},
+		{"non-increasing thresholds", 3, &Spec{ID: 2, Thresholds: []int{2, 2}, Children: []*Spec{{ID: 1}, nil, {ID: 3}}}, "not strictly increasing"},
+		{"threshold beyond its interval", 3, &Spec{ID: 2, Thresholds: []int{2, 5}, Children: []*Spec{{ID: 1}, nil, {ID: 3}}}, "exceeds its interval"},
+		// One threshold at k=3 needs one pad cut below id 2, but slot 0
+		// holds ids on both sides of it.
+		{"padding splits a child slot", 3, &Spec{ID: 2, Thresholds: []int{3}, Children: []*Spec{
+			{ID: 1, Thresholds: []int{1}, Children: []*Spec{nil, {ID: 3}}}, nil}}, "cannot pad"},
+		// The last threshold sits at the slot's upper end, leaving the
+		// open-ended last slot empty.
+		{"child in an empty slot", 2, &Spec{ID: 1, Thresholds: []int{2}, Children: []*Spec{nil, {ID: 2}}}, "empty slot"},
 	}
 	for _, c := range cases {
-		if _, err := Build(c.k, c.spec); err == nil {
+		_, err := Build(c.k, c.spec)
+		if err == nil {
 			t.Errorf("%s: Build accepted an invalid spec", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Build rejected it with %q, want the %q rejection", c.name, err, c.want)
 		}
 	}
 }
@@ -264,6 +280,34 @@ func TestBuildAcceptsLeafWithNilChildren(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildAllocsConstantInN pins the claim of Build's doc comment: the
+// arena is a fixed set of flat slices, so materializing a spec costs the
+// same number of allocations at any node count — with or without padding,
+// and with leaves that leave Children nil (randomSpec's) or spell out
+// their empty slot (BalancedSpec's).
+func TestBuildAllocsConstantInN(t *testing.T) {
+	for _, k := range []int{2, 4, 32} {
+		for _, shape := range []string{"balanced", "random"} {
+			var allocs [2]float64
+			for i, n := range []int{255, 4095} {
+				spec := BalancedSpec(1, n, k)
+				if shape == "random" {
+					spec = randomSpec(1, n, k, rand.New(rand.NewSource(int64(n))))
+				}
+				allocs[i] = testing.AllocsPerRun(5, func() {
+					if _, err := Build(k, spec); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("k=%d %s: Build made %.0f allocs at n=255 but %.0f at n=4095, want the same count",
+					k, shape, allocs[0], allocs[1])
+			}
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func (c *Ctx) ReplaceTree(fresh *core.Tree) int64 {
 	if p.t == nil {
 		panic("policy: ReplaceTree on a net without a core.Tree substrate")
 	}
-	churn := p.linkChurn(p.t, fresh)
+	churn := linkChurn(p.t, fresh)
 	p.retiredEdges += p.t.EdgeChanges()
 	fresh.SetTrackEdges(p.trackEdges)
 	p.t = fresh

@@ -1,66 +1,30 @@
 package policy
 
-import (
-	"slices"
-
-	"github.com/ksan-net/ksan/internal/core"
-)
+import "github.com/ksan-net/ksan/internal/core"
 
 // linkChurn counts links added plus removed between two topologies on
 // the same node set — the model's raw reconfiguration cost, charged by
 // rebuild adjusters. It is the size of the symmetric difference of the
 // two undirected link sets.
 //
-// The computation is sort-based on recycled scratch rather than
-// map-based: each undirected edge packs its endpoint pair (a < b) into
-// one uint64 key, both edge lists are sorted in place, and a linear
-// merge counts the keys present on exactly one side. The former
-// map[[2]int]bool version paid one heap-allocated bucket entry per edge
-// on every rebuild; this path performs zero steady-state allocations
-// (the key slices are owned by the net and reused across rebuilds).
-func (p *Net) linkChurn(old, fresh *core.Tree) int64 {
-	p.edgesOld = packEdges(old, p.edgesOld[:0])
-	p.edgesNew = packEdges(fresh, p.edgesNew[:0])
-	slices.Sort(p.edgesOld)
-	slices.Sort(p.edgesNew)
-	return symmetricDiffSize(p.edgesOld, p.edgesNew)
-}
-
-// packEdges appends one key per undirected edge of t to keys. Node ids
-// are 1..n with n bounded by addressable memory, so both endpoints fit
-// 32 bits and (min<<32 | max) orders pairs lexicographically.
-func packEdges(t *core.Tree, keys []uint64) []uint64 {
-	for id := 1; id <= t.N(); id++ {
-		par := t.NodeByID(id).Parent()
+// Every link of a tree is {x, p(x)} for exactly one child x, so one pass
+// over the old tree's parent array finds the links that survive: {x, p(x)}
+// is in the fresh tree iff it keeps x under p(x) or hangs p(x) under x.
+// Both trees have n−1 links, so each side holds n−1−common the other
+// lacks. The pass is O(n) and allocates nothing.
+func linkChurn(old, fresh *core.Tree) int64 {
+	n := old.N()
+	common := 0
+	for id := 1; id <= n; id++ {
+		par := old.NodeByID(id).Parent()
 		if par == nil {
 			continue
 		}
-		a, b := id, par.ID()
-		if a > b {
-			a, b = b, a
-		}
-		keys = append(keys, uint64(a)<<32|uint64(b))
-	}
-	return keys
-}
-
-// symmetricDiffSize counts the elements present in exactly one of the
-// two sorted, duplicate-free key slices.
-func symmetricDiffSize(a, b []uint64) int64 {
-	var n int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			n++
-			i++
-		default:
-			n++
-			j++
+		if fp := fresh.NodeByID(id).Parent(); fp != nil && fp.ID() == par.ID() {
+			common++
+		} else if fp := fresh.NodeByID(par.ID()).Parent(); fp != nil && fp.ID() == id {
+			common++
 		}
 	}
-	return n + int64(len(a)-i) + int64(len(b)-j)
+	return 2 * int64(n-1-common)
 }

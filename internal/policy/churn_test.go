@@ -8,7 +8,8 @@ import (
 
 // mapLinkChurn is the retired map-based reference implementation of the
 // reconfiguration cost (one heap-allocated bucket entry per edge per
-// call); the sort-based path must match it on every input.
+// call): the literal symmetric difference of the two link sets, which the
+// parent-array count must match on every input.
 func mapLinkChurn(old, fresh *core.Tree) int64 {
 	op := old.Parents()
 	np := fresh.Parents()
@@ -41,7 +42,6 @@ func mapLinkChurn(old, fresh *core.Tree) int64 {
 }
 
 func TestLinkChurnMatchesMapReference(t *testing.T) {
-	p := &Net{}
 	for _, n := range []int{1, 2, 3, 17, 40, 101, 257} {
 		for _, k := range []int{2, 3, 5} {
 			for seed := int64(0); seed < 6; seed++ {
@@ -53,30 +53,43 @@ func TestLinkChurnMatchesMapReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := p.linkChurn(a, b), mapLinkChurn(a, b); got != want {
-					t.Fatalf("n=%d k=%d seed=%d: sort-based churn %d, map reference %d", n, k, seed, got, want)
+				if got, want := linkChurn(a, b), mapLinkChurn(a, b); got != want {
+					t.Fatalf("n=%d k=%d seed=%d: churn %d, map reference %d", n, k, seed, got, want)
 				}
 			}
 		}
 	}
-	// Structured pairs the random sweep may miss.
-	bal, err := core.NewBalanced(64, 3)
-	if err != nil {
-		t.Fatal(err)
+	// Structured pairs the random sweep may miss: balanced against path,
+	// the lazy serving workload's shape (n=4095, k=4), and the two 2-node
+	// trees rooted at 1 and at 2, whose one link survives with parent and
+	// child swapped — churn 0.
+	must := func(tr *core.Tree, err error) *core.Tree {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	path, err := core.NewPath(64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := p.linkChurn(bal, path), mapLinkChurn(bal, path); got != want {
-		t.Fatalf("balanced vs path: %d != reference %d", got, want)
+	rootedAt2 := &core.Spec{ID: 2, Thresholds: []int{1}, Children: []*core.Spec{{ID: 1}, nil}}
+	for _, c := range []struct {
+		name string
+		a, b *core.Tree
+		same bool // the trees share every link
+	}{
+		{"balanced vs path", must(core.NewBalanced(64, 3)), must(core.NewPath(64, 3)), false},
+		{"n=4095 k=4", must(core.NewBalanced(4095, 4)), must(core.NewRandom(4095, 4, 1)), false},
+		{"rooted at 1 vs at 2", must(core.NewPath(2, 2)), must(core.Build(2, rootedAt2)), true},
+	} {
+		got, want := linkChurn(c.a, c.b), mapLinkChurn(c.a, c.b)
+		if got != want || c.same && got != 0 {
+			t.Fatalf("%s: churn %d, map reference %d (shared links only: %v)", c.name, got, want, c.same)
+		}
 	}
 }
 
 func TestLinkChurnProperties(t *testing.T) {
 	// A known-distinct pair must report nonzero churn (random trees below
 	// are almost surely distinct, but only this pair is guaranteed).
-	p := &Net{}
 	bal, err := core.NewBalanced(40, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +98,7 @@ func TestLinkChurnProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.linkChurn(bal, path); got == 0 {
+	if got := linkChurn(bal, path); got == 0 {
 		t.Error("distinct topologies (balanced vs path) reported zero churn")
 	}
 
@@ -111,17 +124,17 @@ func TestLinkChurnProperties(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ab, ba := p.linkChurn(a, b), p.linkChurn(b, a)
+				ab, ba := linkChurn(a, b), linkChurn(b, a)
 				if ab != ba {
 					t.Errorf("n=%d k=%d seed=%d: churn not symmetric: %d vs %d", n, k, seed, ab, ba)
 				}
 				if ab < 0 || ab > int64(2*(n-1)) {
 					t.Errorf("n=%d k=%d seed=%d: churn %d outside [0, 2(n-1)=%d]", n, k, seed, ab, 2*(n-1))
 				}
-				if got := p.linkChurn(a, a); got != 0 {
+				if got := linkChurn(a, a); got != 0 {
 					t.Errorf("n=%d k=%d seed=%d: identical topologies churn %d", n, k, seed, got)
 				}
-				if ac, cb := p.linkChurn(a, c), p.linkChurn(c, b); ab > ac+cb {
+				if ac, cb := linkChurn(a, c), linkChurn(c, b); ab > ac+cb {
 					t.Errorf("n=%d k=%d seed=%d: triangle inequality violated: %d > %d + %d", n, k, seed, ab, ac, cb)
 				}
 			}
@@ -129,14 +142,15 @@ func TestLinkChurnProperties(t *testing.T) {
 	}
 }
 
+// BenchmarkLinkChurnSorted measures linkChurn. The name predates the
+// parent-array count; benchmark baselines key on it.
 func BenchmarkLinkChurnSorted(b *testing.B) {
-	p := &Net{}
 	a, _ := core.NewRandom(1023, 4, 1)
 	c, _ := core.NewRandom(1023, 4, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.linkChurn(a, c)
+		linkChurn(a, c)
 	}
 }
 
@@ -151,7 +165,6 @@ func BenchmarkLinkChurnMapReference(b *testing.B) {
 }
 
 func TestLinkChurnZeroSteadyStateAllocs(t *testing.T) {
-	p := &Net{}
 	a, err := core.NewRandom(200, 3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +173,7 @@ func TestLinkChurnZeroSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.linkChurn(a, b) // grow the scratch to steady-state capacity
-	if avg := testing.AllocsPerRun(200, func() { p.linkChurn(a, b) }); avg != 0 {
-		t.Errorf("%.2f allocs per steady-state linkChurn, want 0 (the scratch must be recycled)", avg)
+	if avg := testing.AllocsPerRun(200, func() { linkChurn(a, b) }); avg != 0 {
+		t.Errorf("%.2f allocs per linkChurn, want 0", avg)
 	}
 }

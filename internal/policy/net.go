@@ -60,9 +60,6 @@ type Net struct {
 	batchOnce   sync.Once
 
 	ctx Ctx
-
-	// Churn scratch (see churn.go), recycled across rebuilds.
-	edgesOld, edgesNew []uint64
 }
 
 // New composes a policy net over a core.Tree substrate. The tree is

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/splaynet"
@@ -266,6 +268,65 @@ func TestDegradedStaleServes(t *testing.T) {
 	if f.DegradedRouting != wantDegraded {
 		t.Errorf("degraded routing = %d, want %d (stale reads on the checkpoint topology)",
 			f.DegradedRouting, wantDegraded)
+	}
+}
+
+// TestStaleOracleBuiltPerCrash pins when the owner builds the stale-read
+// oracle: never at a checkpoint, once per crash, over the checkpoint the
+// crash restores on the spot. Recovery then only replays the log, and
+// lands on the exact pre-crash state.
+func TestStaleOracleBuiltPerCrash(t *testing.T) {
+	const n, crashAt = 64, 150
+	net, err := mkKary(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := net.(recoverable)
+	s := &shard{net: net, recov: rec,
+		plan:   &FaultPlan{CheckpointEvery: 100, Degraded: DegradedStale},
+		events: []FaultEvent{{At: crashAt, Kind: FaultCrash}}}
+	s.checkpoint()
+	var preCrash core.Snapshot
+	for i, rq := range collect(t, workload.TemporalGen(n, crashAt, 0.6, 3)) {
+		if s.stale.Load() != nil {
+			t.Fatalf("a stale oracle exists after %d serves, before any crash", i)
+		}
+		s.net.Serve(rq.Src, rq.Dst)
+		if i+1 == crashAt {
+			preCrash = rec.Tree().Snapshot()
+		}
+		s.afterServe(rq.Src, rq.Dst)
+	}
+	if !s.down || s.faults.Checkpoints != 2 || len(s.wal) != crashAt-100 {
+		t.Fatalf("down=%v after %d checkpoints with %d logged serves, want a crash 50 serves past the second checkpoint",
+			s.down, s.faults.Checkpoints, len(s.wal))
+	}
+	if !reflect.DeepEqual(rec.Tree().Snapshot(), s.cp.Tree) {
+		t.Error("the crash did not restore the last checkpoint")
+	}
+	ix := s.stale.Load()
+	if ix == nil {
+		t.Fatal("the crash built no stale oracle")
+	}
+	cpTree, err := core.FromSnapshot(s.cp.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 1; u <= n; u++ {
+		for v := 1; v <= n; v++ {
+			if got, want := ix.Dist(u, v), int64(cpTree.DistanceID(u, v)); got != want {
+				t.Fatalf("stale Dist(%d,%d) = %d, the checkpoint topology says %d", u, v, got, want)
+			}
+		}
+	}
+	if !s.recover() {
+		t.Fatal("RecoverAfter=0 crash did not recover on the first arrival")
+	}
+	if s.stale.Load() != ix {
+		t.Error("recovery replaced the stale oracle")
+	}
+	if !reflect.DeepEqual(rec.Tree().Snapshot(), preCrash) {
+		t.Error("replaying the log did not rebuild the pre-crash tree")
 	}
 }
 

@@ -77,10 +77,11 @@ type shard struct {
 	localServed   int64
 	down          bool
 	downRemaining int64 // arrivals to reject before recovering; -1 = never
-	// stale is the last-checkpoint distance oracle published for
-	// degraded-mode reads (DegradedStale only). Each publish is a fresh
-	// immutable index, so clients may keep querying one they loaded
-	// while the owner publishes the next.
+	// stale is the distance oracle over the last checkpoint's topology
+	// that degraded-mode reads use (DegradedStale only), built when a
+	// crash restores that checkpoint. Each crash builds a fresh immutable
+	// index, so clients may keep querying one they loaded while the owner
+	// moves on.
 	stale atomic.Pointer[statictree.DistIndex]
 
 	faults FaultStats // owner-side ledger slice (crashes, recoveries, checkpoints, replays, stalls, rejections)
@@ -112,26 +113,40 @@ func (s *shard) run() {
 	}
 }
 
-// checkpoint snapshots the shard's full cost-relevant network state,
-// truncates the replay log (the new checkpoint supersedes it), and — in
-// stale-read mode — publishes a fresh distance oracle over the
-// checkpointed topology. The CheckpointInto error path is unreachable:
-// Run rejects non-checkpointable networks before starting any owner.
+// checkpoint snapshots the shard's full cost-relevant network state and
+// truncates the replay log (the new checkpoint supersedes it). The
+// CheckpointInto error path is unreachable: Run rejects
+// non-checkpointable networks before starting any owner.
 func (s *shard) checkpoint() {
 	if err := s.recov.CheckpointInto(&s.cp); err != nil {
 		panic(fmt.Sprintf("serve: shard %d checkpoint failed after Run-time validation: %v", s.id, err))
 	}
 	s.faults.Checkpoints++
 	s.wal = s.wal[:0]
+}
+
+// crash loses the shard's in-memory network state, so the owner restores
+// the last checkpoint at once — all a restarted shard could load. In
+// stale-read mode it then builds the degraded-read oracle over that
+// topology: one oracle per crash, the only time a client can need one.
+func (s *shard) crash(recoverAfter int64) {
+	s.down = true
+	s.downRemaining = recoverAfter
+	s.faults.Crashes++
+	// The restore error path is unreachable for the same reason as in
+	// checkpoint (the checkpoint came from this very net).
+	if err := s.recov.Restore(&s.cp); err != nil {
+		panic(fmt.Sprintf("serve: shard %d restore failed after Run-time validation: %v", s.id, err))
+	}
 	if s.plan.Degraded == DegradedStale {
 		s.stale.Store(statictree.NewDistIndex(s.recov.Tree()))
 	}
 }
 
 // recover is the downed shard's answer to one arrival: it reports false
-// while the crash still has arrivals to reject, and otherwise restores
-// the last checkpoint and replays the post-checkpoint log — which provably
-// rebuilds the exact pre-crash state (the policy layer's
+// while the crash still has arrivals to reject, and otherwise replays the
+// post-checkpoint log onto the checkpoint the crash restored — which
+// provably rebuilds the exact pre-crash state (the policy layer's
 // checkpoint-restore equivalence), so a recovered shard's subsequent
 // serves are bit-identical to a run that never crashed.
 func (s *shard) recover() bool {
@@ -140,11 +155,6 @@ func (s *shard) recover() bool {
 			s.downRemaining--
 		}
 		return false
-	}
-	// The restore error path is unreachable for the same reason as in
-	// checkpoint (the checkpoint came from this very net).
-	if err := s.recov.Restore(&s.cp); err != nil {
-		panic(fmt.Sprintf("serve: shard %d restore failed after Run-time validation: %v", s.id, err))
 	}
 	for _, r := range s.wal {
 		c := s.net.Serve(r.Src, r.Dst)
@@ -172,9 +182,7 @@ func (s *shard) afterServe(u, v int) {
 		s.events = s.events[1:]
 		switch ev.Kind {
 		case FaultCrash:
-			s.down = true
-			s.downRemaining = ev.RecoverAfter
-			s.faults.Crashes++
+			s.crash(ev.RecoverAfter)
 		case FaultStall:
 			s.faults.Stalls++
 			t := time.NewTimer(ev.Stall)

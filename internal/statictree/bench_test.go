@@ -81,3 +81,16 @@ func BenchmarkSegmentCosts(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWeightBalanced is one rebuild of a lazy net serving hotspot
+// traffic: a 4-ary weight-balanced tree on 4095 nodes for a window of
+// 2300 requests (about what an alpha trigger at 20 000 lets through).
+func BenchmarkWeightBalanced(b *testing.B) {
+	d := workload.DemandFromTrace(workload.MustCollect(workload.HotspotGen(4095, 2300, 0.1, 0.9, 1)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := WeightBalanced(d, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

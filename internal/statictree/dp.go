@@ -103,16 +103,14 @@ func WithSolverWorkers(n int) SolverOption {
 }
 
 // NewSolver builds the shared per-demand state: the flattened triangular
-// boundary-traffic matrix. Memory is Θ(n²) words here plus Θ(n²·k)/2 words
-// of DP table on the first Optimal(k) call (a quarter of the seed DP's two
-// square tables); callers should keep n in the low thousands (the paper
-// itself could not compute the optimum for its 10⁴-node Facebook trace;
-// see Table 3).
+// boundary-traffic matrix. A demand pair naming an id outside 1..N is an
+// error. Memory is Θ(n²) words here plus Θ(n²·k)/2 words of DP table on
+// the first Optimal(k) call (a quarter of the seed DP's two square
+// tables); callers should keep n in the low thousands (the paper itself
+// could not compute the optimum for its 10⁴-node Facebook trace; see
+// Table 3).
 func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 	n := d.N
-	if n < 1 {
-		return nil, fmt.Errorf("statictree: empty demand")
-	}
 	if n > 4096 {
 		return nil, fmt.Errorf("statictree: n=%d too large for the cubic DP (limit 4096); downscale the demand first", n)
 	}

@@ -53,10 +53,10 @@ type segmentCosts struct {
 }
 
 func newSegmentCosts(d *workload.Demand) (*segmentCosts, error) {
-	n := d.N
-	if n < 1 {
-		return nil, fmt.Errorf("statictree: empty demand")
+	if err := checkDemand(d); err != nil {
+		return nil, err
 	}
+	n := d.N
 	// p[i*(n+1)+j] = Σ D[u][v] for u ≤ i, v ≤ j (1-based; row/col 0 zero).
 	stride := n + 1
 	p := make([]int64, stride*stride)
@@ -84,6 +84,20 @@ func newSegmentCosts(d *workload.Demand) (*segmentCosts, error) {
 		}
 	}
 	return sc, nil
+}
+
+// checkDemand rejects a demand the builders cannot index: one without
+// nodes, or one with a pair whose endpoint lies outside 1..N.
+func checkDemand(d *workload.Demand) error {
+	if d.N < 1 {
+		return fmt.Errorf("statictree: empty demand")
+	}
+	for _, pc := range d.Pairs {
+		if pc.Src < 1 || pc.Src > d.N || pc.Dst < 1 || pc.Dst > d.N {
+			return fmt.Errorf("statictree: demand pair %d→%d outside nodes 1..%d", pc.Src, pc.Dst, d.N)
+		}
+	}
+	return nil
 }
 
 // W returns the boundary traffic of segment [i,j]; zero for empty segments.

@@ -10,7 +10,8 @@ import (
 // WeightBalanced builds a demand-aware k-ary search tree in O(n·k·log n) by
 // Mehlhorn-style weighted bisection: each segment picks the root at its
 // weighted median (point weight = total traffic at the node) and splits the
-// remainder into up to k child segments of near-equal weight.
+// remainder into up to k child segments of near-equal weight. A demand
+// pair naming an id outside 1..N is an error.
 //
 // This is an extension beyond the paper, motivated by Table 3/Table 8: the
 // exact DP is out of reach at the Facebook trace's 10⁴ nodes (the paper
@@ -29,113 +30,134 @@ func WeightBalanced(d *workload.Demand, k int) (*core.Tree, int64, error) {
 	if k < 2 {
 		return nil, 0, fmt.Errorf("statictree: arity %d < 2", k)
 	}
+	if err := checkDemand(d); err != nil {
+		return nil, 0, err
+	}
 	n := d.N
-	if n < 1 {
-		return nil, 0, fmt.Errorf("statictree: empty demand")
-	}
 	// Point weights: total traffic with node x as either endpoint, +1 so
-	// untouched nodes still spread evenly.
-	weight := make([]int64, n+2)
+	// untouched nodes still spread evenly, summed in place into prefix.
+	prefix := make([]int64, n+1)
 	for _, pc := range d.Pairs {
-		weight[pc.Src] += pc.Count
-		weight[pc.Dst] += pc.Count
+		prefix[pc.Src] += pc.Count
+		prefix[pc.Dst] += pc.Count
 	}
-	prefix := make([]int64, n+2)
 	for x := 1; x <= n; x++ {
-		prefix[x] = prefix[x-1] + weight[x] + 1
+		prefix[x] += prefix[x-1] + 1
 	}
-	wsum := func(i, j int) int64 {
-		if i > j {
-			return 0
-		}
-		return prefix[j] - prefix[i-1]
+	b := wbBuilder{
+		k:      k,
+		prefix: prefix,
+		specs:  make([]core.Spec, n),
+		ths:    make([]int, n),
+		kids:   make([]*core.Spec, 2*n),
 	}
-	var build func(i, j int) *core.Spec
-	build = func(i, j int) *core.Spec {
-		if i > j {
-			return nil
-		}
-		if i == j {
-			return &core.Spec{ID: i}
-		}
-		// Weighted median of [i,j] as the root.
-		half := wsum(i, j) / 2
-		r := i
-		for r < j && wsum(i, r) < half {
-			r++
-		}
-		spec := &core.Spec{ID: r}
-		// Split each side into near-equal-weight parts, slots proportional
-		// to each side's share (at least one slot per non-empty side).
-		leftN, rightN := r-i, j-r
-		dl, dr := 0, 0
-		switch {
-		case leftN == 0 && rightN == 0:
-		case leftN == 0:
-			dr = minInt(k-1, rightN)
-		case rightN == 0:
-			dl = minInt(k-1, leftN)
-		default:
-			lw, rw := wsum(i, r-1), wsum(r+1, j)
-			dl = int(int64(k) * lw / (lw + rw))
-			dl = clampInt(dl, 1, k-1)
-			dl = minInt(dl, leftN)
-			dr = minInt(k-dl, rightN)
-		}
-		if dl > 0 {
-			parts := weightParts(i, r-1, dl, wsum)
-			for idx, part := range parts {
-				spec.Children = append(spec.Children, build(part[0], part[1]))
-				if idx < len(parts)-1 {
-					spec.Thresholds = append(spec.Thresholds, part[1])
-				} else {
-					spec.Thresholds = append(spec.Thresholds, r)
-				}
-			}
-		} else if dr > 0 {
-			spec.Thresholds = append(spec.Thresholds, r)
-			spec.Children = append(spec.Children, nil)
-		}
-		if dr > 0 {
-			parts := weightParts(r+1, j, dr, wsum)
-			for idx, part := range parts {
-				spec.Children = append(spec.Children, build(part[0], part[1]))
-				if idx < len(parts)-1 {
-					spec.Thresholds = append(spec.Thresholds, part[1])
-				}
-			}
-		} else if dl > 0 {
-			spec.Children = append(spec.Children, nil)
-		}
-		return spec
-	}
-	tree, err := core.Build(k, build(1, n))
+	tree, err := core.Build(k, b.build(1, n))
 	if err != nil {
 		return nil, 0, fmt.Errorf("statictree: weight-balanced construction invalid: %w", err)
 	}
 	return tree, TotalDistance(tree, d), nil
 }
 
-// weightParts splits [i,j] into t contiguous non-empty parts of near-equal
-// weight.
-func weightParts(i, j, t int, wsum func(a, b int) int64) [][2]int {
-	parts := make([][2]int, 0, t)
-	start := i
-	for p := 1; p <= t; p++ {
-		remainingParts := t - p
-		end := start
-		if p < t {
-			target := wsum(start, j) / int64(remainingParts+1)
-			for end < j-remainingParts && wsum(start, end) < target {
-				end++
-			}
-		} else {
-			end = j
-		}
-		parts = append(parts, [2]int{start, end})
-		start = end + 1
+// wbBuilder carves the weight-balanced Spec out of three slabs instead of
+// allocating per node. Each child slot holds one of the n−1 non-root
+// nodes or is the single empty slot beside a node whose ids lie on one
+// side only, and a node has one threshold fewer than slots, so the whole
+// spec needs at most n−1 thresholds and 2(n−1) child slots for any k.
+type wbBuilder struct {
+	k      int
+	prefix []int64 // prefix[x]: point weights of ids 1..x
+	specs  []core.Spec
+	ths    []int
+	kids   []*core.Spec
+}
+
+// wsum is the point weight of the ids in [i,j] (0 for j = i−1).
+func (b *wbBuilder) wsum(i, j int) int64 {
+	return b.prefix[j] - b.prefix[i-1]
+}
+
+// build returns the spec of the non-empty segment [i,j].
+func (b *wbBuilder) build(i, j int) *core.Spec {
+	spec := &b.specs[0]
+	b.specs = b.specs[1:]
+	if i == j {
+		spec.ID = i
+		return spec
 	}
-	return parts
+	// Weighted median of [i,j] as the root.
+	half := b.wsum(i, j) / 2
+	r := i
+	for r < j && b.wsum(i, r) < half {
+		r++
+	}
+	spec.ID = r
+	// Split each side into near-equal-weight parts, slots proportional
+	// to each side's share (at least one slot per non-empty side).
+	leftN, rightN := r-i, j-r
+	dl, dr := 0, 0
+	switch {
+	case leftN == 0:
+		dr = minInt(b.k-1, rightN)
+	case rightN == 0:
+		dl = minInt(b.k-1, leftN)
+	default:
+		lw, rw := b.wsum(i, r-1), b.wsum(r+1, j)
+		dl = int(int64(b.k) * lw / (lw + rw))
+		dl = clampInt(dl, 1, b.k-1)
+		dl = minInt(dl, leftN)
+		dr = minInt(b.k-dl, rightN)
+	}
+	slots := dl + dr
+	if dl == 0 || dr == 0 {
+		slots++ // the empty slot beside the node id
+	}
+	spec.Thresholds, b.ths = b.ths[:0:slots-1], b.ths[slots-1:]
+	spec.Children, b.kids = b.kids[:0:slots], b.kids[slots:]
+
+	if dl > 0 {
+		start := i
+		for p := dl; p > 0; p-- {
+			end := b.partEnd(start, r-1, p)
+			spec.Children = append(spec.Children, b.build(start, end))
+			if p > 1 {
+				spec.Thresholds = append(spec.Thresholds, end)
+			} else {
+				spec.Thresholds = append(spec.Thresholds, r)
+			}
+			start = end + 1
+		}
+	} else {
+		spec.Thresholds = append(spec.Thresholds, r)
+		spec.Children = append(spec.Children, nil)
+	}
+	if dr > 0 {
+		start := r + 1
+		for p := dr; p > 0; p-- {
+			end := b.partEnd(start, j, p)
+			spec.Children = append(spec.Children, b.build(start, end))
+			if p > 1 {
+				spec.Thresholds = append(spec.Thresholds, end)
+			}
+			start = end + 1
+		}
+	} else {
+		spec.Children = append(spec.Children, nil)
+	}
+	return spec
+}
+
+// partEnd is where the next part ends when [start,j] is split into parts
+// contiguous non-empty parts of near-equal weight.
+func (b *wbBuilder) partEnd(start, j, parts int) int {
+	if parts == 1 {
+		return j
+	}
+	target := b.wsum(start, j) / int64(parts)
+	end := start
+	for end < j-(parts-1) && b.wsum(start, end) < target {
+		end++
+	}
+	return end
 }
 
 func minInt(a, b int) int {
