@@ -51,7 +51,7 @@ func AblationPolicyGridCtx(ctx context.Context, eng *engine.Engine, tr workload.
 		{"(periodic semi-splay)", func() policy.Trigger { return policy.EveryM(4) }, policy.SemiSplay},
 		{"(lazy k-ary splay)", func() policy.Trigger { return policy.Alpha(alpha) }, policy.Splay},
 		{"(lazy net)", func() policy.Trigger { return policy.Alpha(alpha) },
-			func() policy.Adjuster { return policy.Rebuild("rebuild-wb", statictree.WeightBalanced) }},
+			func() policy.Adjuster { return policy.Rebuild("rebuild-wb", new(statictree.WeightBalancer).Build) }},
 		{"(frozen after warmup)", func() policy.Trigger { return policy.First(warm) }, policy.Splay},
 		{"(static balanced)", policy.Never, policy.None},
 	}

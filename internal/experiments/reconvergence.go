@@ -71,7 +71,9 @@ func AblationReconvergenceCtx(ctx context.Context, workers int, sc Scale) (repor
 	// cooldown stretch.
 	alpha := int64(mPhase / 2)
 	cooldown := int64(mPhase / 2)
-	rebuildWB := func() policy.Adjuster { return policy.Rebuild("rebuild-wb", statictree.WeightBalanced) }
+	rebuildWB := func() policy.Adjuster {
+		return policy.Rebuild("rebuild-wb", new(statictree.WeightBalancer).Build)
+	}
 	rows := []struct {
 		note string
 		trig func() policy.Trigger

@@ -47,7 +47,7 @@ func New(n, k int, alpha int64) (*Net, error) {
 		return nil, fmt.Errorf("lazynet: %w", err)
 	}
 	net, err := policy.New(fmt.Sprintf("lazy %d-ary net (α=%d)", k, alpha), t,
-		policy.Alpha(alpha), policy.Rebuild("weight-balanced", statictree.WeightBalanced))
+		policy.Alpha(alpha), policy.Rebuild("weight-balanced", new(statictree.WeightBalancer).Build))
 	if err != nil {
 		return nil, fmt.Errorf("lazynet: %w", err)
 	}

@@ -36,7 +36,7 @@ func BenchmarkLoad(b *testing.B) {
 			b.ReportMetric(float64(m)/(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e9), "req/s")
 		})
 	}
-	// The adjusting grid exercises the owner-loop path end to end.
+	// The adjusting grid exercises the token path end to end.
 	for _, s := range []int{1, 4} {
 		b.Run(fmt.Sprintf("adjusting/s=%d", s), func(b *testing.B) {
 			gen := workload.SequentialGen(n, m/4)
@@ -69,7 +69,7 @@ func warmShardNet(b *testing.B, n, prefix int) (sim.Network, recoverable) {
 	return net, net.(recoverable)
 }
 
-// BenchmarkCheckpoint is the owner-loop cost of one periodic snapshot:
+// BenchmarkCheckpoint is the token holder's cost of one periodic snapshot:
 // CheckpointInto with a reused checkpoint, amortized over the interval.
 // The enforced contract is zero allocations per op — the first snapshot
 // grows the backing arrays, every later one reuses them, so a checkpoint
@@ -119,8 +119,8 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // BenchmarkFaultedLoad is the end-to-end serving run with the fault
-// machinery armed: "idle" measures the standing cost of the faulted owner
-// loop and periodic checkpoints with an empty schedule (the overhead a
+// machinery armed: "idle" measures the standing cost of the faulted serve
+// path and periodic checkpoints with an empty schedule (the overhead a
 // run pays just for being recoverable), "crash-recover" adds a scripted
 // lossless crash per shard mid-run. Compare against
 // BenchmarkLoad/adjusting for the disarmed baseline — the nil-plan path

@@ -16,12 +16,6 @@ import (
 // instead of one per request.
 const counterFlush = 256
 
-// replyBuffer is the capacity of a client's reply channel. One slot is
-// all a round trip without a deadline needs; the rest hold late replies
-// of timed-out attempts, so an owner seldom blocks on a client that is
-// busy with another shard.
-const replyBuffer = 8
-
 // shardAcc accumulates one client's view of one shard: the local serves
 // it routed there (warmup included — these are the totals the per-shard
 // sequential-equivalence property compares against a replay).
@@ -113,7 +107,13 @@ func (c *client) sleepStop(d time.Duration) bool {
 func (c *client) run() {
 	p := c.pool
 	c.acc.perShard = make([]shardAcc, p.part.S)
-	c.reply = make(chan response, replyBuffer)
+	// A holder must never block on a reply. Per shard, a client has at
+	// most one pending reply per queue slot (C) plus one being served:
+	// it publishes only when it then waits, and it takes every delivered
+	// reply off its channel before it returns from a deadline or serves a
+	// queue it waited on. S·(C+1) slots therefore hold every reply a
+	// client can have pending at once.
+	c.reply = make(chan response, p.part.S*(p.cfg.Clients+1))
 	if plan := p.cfg.Faults; plan != nil {
 		c.jit = mix64(plan.Seed ^ (uint64(c.id)+1)*0x9e3779b97f4a7c15)
 	}
@@ -222,7 +222,7 @@ func (c *client) run() {
 }
 
 // serveHalf serves one local (half-)request on a shard: lock-free through
-// the distance oracle when the shard is frozen, through the owner loop
+// the distance oracle when the shard is frozen, under the shard's token
 // otherwise. Without a plan that is one round trip. With one armed, down
 // replies are retried up to plan.Retries times with backoff (each attempt
 // ticks the shard's recovery clock), and the configured degraded fallback
@@ -267,23 +267,35 @@ func (c *client) serveHalf(s *shard, a, b int) (sim.Cost, uint8) {
 	}
 }
 
-// roundTrip sends rq to the shard's owner and returns its reply. Without
-// a deadline that is a bare channel send and receive. With plan.Timeout
-// set, the send and the reply together must beat the deadline; ok is
-// false when they do not. An attempt whose send timed out was never
-// delivered; one whose reply timed out stays outstanding until its late
-// reply is consumed here or in drainOutstanding.
+// roundTrip serves rq on an adjusting shard and returns its reply. A
+// client that finds the token free serves rq itself, then every request
+// published meanwhile, and releases the token: no timer, and no select
+// with more than one case. A client that finds the token held publishes
+// rq — publishing is delivery — and waits for its reply, for the token
+// (then it serves the queue, rq included, itself), or for its deadline
+// when plan.Timeout is set; ok is false when the deadline passes first.
+// An attempt whose deadline passed before it could publish was never
+// delivered. One that timed out after publishing stays outstanding until
+// its late reply is consumed here or in drainOutstanding; before it
+// returns it tries the token once, so no published request is left
+// without a holder.
 func (c *client) roundTrip(s *shard, rq request) (resp response, ok bool) {
-	plan := c.pool.cfg.Faults
-	if plan == nil || plan.Timeout <= 0 {
-		s.ch <- rq
-		return <-c.reply, true
-	}
-	c.resetTimer(plan.Timeout)
 	select {
+	case s.token <- struct{}{}:
+		return s.serveOwn(rq.u, rq.v), true
+	default:
+	}
+	var deadline <-chan time.Time
+	if plan := c.pool.cfg.Faults; plan != nil && plan.Timeout > 0 {
+		c.resetTimer(plan.Timeout)
+		deadline = c.timer.C
+	}
+	select {
+	case s.token <- struct{}{}:
+		return s.serveOwn(rq.u, rq.v), true
 	case s.ch <- rq:
 		c.outstanding++
-	case <-c.timer.C:
+	case <-deadline:
 		return response{}, false
 	}
 	for {
@@ -294,13 +306,49 @@ func (c *client) roundTrip(s *shard, rq request) (resp response, ok bool) {
 				return r, true
 			}
 			c.lateReply(r)
-		case <-c.timer.C:
-			return response{}, false
+		case s.token <- struct{}{}:
+			// Empty the reply channel before serving the queue: the
+			// holder replies to its own published requests too.
+			resp, ok = c.consume(rq.seq)
+			s.combine()
+			if ok {
+				return resp, true
+			}
+		case <-deadline:
+			// A reply already delivered still counts. A free token is
+			// taken, so that rq does not wait for a holder that left.
+			select {
+			case s.token <- struct{}{}:
+				resp, ok = c.consume(rq.seq)
+				s.combine()
+			default:
+				resp, ok = c.consume(rq.seq)
+			}
+			return resp, ok
 		}
 	}
 }
 
-// lateReply accounts an owner reply that arrived after its attempt's
+// consume takes every reply already delivered off the client's channel,
+// ledgering late ones, and returns the reply to attempt seq if it was
+// among them.
+func (c *client) consume(seq uint64) (resp response, ok bool) {
+	for {
+		select {
+		case r := <-c.reply:
+			c.outstanding--
+			if r.seq == seq {
+				resp, ok = r, true
+			} else {
+				c.lateReply(r)
+			}
+		default:
+			return resp, ok
+		}
+	}
+}
+
+// lateReply accounts a reply that arrived after its attempt's
 // deadline. The shard did serve the half — exactly once, the delivered
 // request was simply slow — so an OK late half stays in the per-shard
 // serve totals (keeping them equal to what the shards actually did) and
@@ -315,9 +363,10 @@ func (c *client) lateReply(r response) {
 }
 
 // drainOutstanding consumes every delivered-but-unconsumed reply before
-// the client exits. This is the invariant that makes shutdown sound:
-// owners never block forever on a reply to a departed client, so Run's
-// close-and-wait drain always terminates.
+// the client exits. Every published request has a holder that serves it
+// (the last holder rechecks the queue after letting go, a stall sleeper
+// wakes when the pool halts), so the drain always terminates, and the
+// late serves stay in the per-shard totals.
 func (c *client) drainOutstanding() {
 	for c.outstanding > 0 {
 		r := <-c.reply
@@ -355,7 +404,7 @@ type pool struct {
 	cfg      Config
 	part     *Partition
 	shards   []*shard
-	owners   sync.WaitGroup // running owner loops
+	sleepers sync.WaitGroup // running stall sleepers
 	stop     atomic.Bool
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -363,23 +412,10 @@ type pool struct {
 }
 
 // halt flips the stop flag and wakes every client sleeping in pacing or
-// backoff waits and every owner in a stall.
+// backoff waits and every stall sleeper.
 func (p *pool) halt() {
 	p.stopOnce.Do(func() {
 		p.stop.Store(true)
 		close(p.stopCh)
 	})
-}
-
-// shutdownShards closes every started owner loop and waits for each to
-// exit. It tolerates a partially-built pool, which is what makes the
-// mid-construction error path leak-free: owners started for shards built
-// before the failing one are shut down too.
-func (p *pool) shutdownShards() {
-	for _, s := range p.shards {
-		if s != nil && s.ch != nil {
-			close(s.ch)
-		}
-	}
-	p.owners.Wait()
 }

@@ -17,14 +17,16 @@ const DefaultCheckpointEvery = 1024
 type FaultKind uint8
 
 const (
-	// FaultCrash loses the shard's in-memory network state. The owner
+	// FaultCrash loses the shard's in-memory network state. The shard
 	// stays up but answers "down" until recovery, which rebuilds the
 	// exact pre-crash state from the last checkpoint plus a deterministic
 	// replay of the post-checkpoint request log.
 	FaultCrash FaultKind = iota
-	// FaultStall freezes the owner loop for a wall-clock duration without
+	// FaultStall freezes the shard for a wall-clock duration without
 	// losing state — the slow-shard scenario that exercises client
-	// deadlines.
+	// deadlines. A sleeper goroutine holds the shard's token for the
+	// duration, so no request is served; the client whose serve hit the
+	// stall point returns at once.
 	FaultStall
 )
 
@@ -79,8 +81,8 @@ type FaultEvent struct {
 	// the first post-crash arrival (no request is ever lost), -1 never
 	// recovers.
 	RecoverAfter int64
-	// Stall (stalls only) is how long the owner sleeps; a stall ends
-	// early when the run stops.
+	// Stall (stalls only) is how long the shard's token stays with a
+	// sleeper; a stall ends early when the run stops.
 	Stall time.Duration
 }
 
@@ -96,9 +98,11 @@ type FaultPlan struct {
 	// Degraded selects the client policy for down shards once retries
 	// are exhausted.
 	Degraded DegradedMode
-	// Timeout bounds each owner round-trip (send plus reply) per attempt;
-	// 0 disables deadlines. Timed-out requests are never retried: the
-	// request may have been delivered, and a delivered request is served
+	// Timeout bounds, per attempt, the wait for a shard that someone else
+	// is serving: publishing the request plus its reply. A client that
+	// finds the shard free serves at once and arms no deadline. 0
+	// disables deadlines. Timed-out requests are never retried: the
+	// request may have been published, and a published request is served
 	// exactly once (its late reply is drained and ledgered).
 	Timeout time.Duration
 	// Retries is how many times a client re-sends a half-request after a
@@ -202,7 +206,7 @@ type FaultStats struct {
 	ReplayAdjust     int64
 
 	Stalls   int64 // stall events fired
-	Rejected int64 // "down" replies sent by owners
+	Rejected int64 // "down" replies from crashed shards
 
 	Timeouts int64 // attempts that missed their deadline (send or reply)
 	Retries  int64 // re-sends after down replies

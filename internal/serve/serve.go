@@ -4,16 +4,19 @@
 //
 // The node space 1..n is hash-partitioned across S independent shards,
 // each owning a private network instance (its tree, trigger state and
-// demand window) behind a single-writer owner goroutine; a deterministic
-// router maps every request to the shard(s) that serve it, charging
-// cross-shard pairs under a documented inter-shard cost rule; and C
-// closed-loop client routines drive the shards, each iterating its own
-// private pass of the workload stream (workload.SplitGen — the YCSB
-// per-routine-state pattern, no locks on the request hot path). Frozen
-// shards — compositions whose trigger can never fire, detected through
-// the StaticOracle hook — are served lock-free by the clients themselves
-// through the shard's Euler-tour/RMQ distance oracle; every other shard
-// serializes exclusively through its owner loop, preserving the
+// demand window) behind a single-writer token; a deterministic router
+// maps every request to the shard(s) that serve it, charging cross-shard
+// pairs under a documented inter-shard cost rule; and C closed-loop
+// client routines drive the shards, each iterating its own private pass
+// of the workload stream (workload.SplitGen — the YCSB per-routine-state
+// pattern, no locks on the request hot path). Frozen shards —
+// compositions whose trigger can never fire, detected through the
+// StaticOracle hook — are served lock-free by the clients themselves
+// through the shard's Euler-tour/RMQ distance oracle. Every other shard
+// is served by the client that holds its token, on the client's own
+// goroutine; a client that finds the token held hands its request to the
+// holder, which serves every such request before it lets go (flat
+// combining). Each shard thus keeps one serve sequence, preserving the
 // repository-wide single-writer contract on serve paths (DESIGN.md §11).
 //
 // Measurement is bounded-memory by construction: every per-request
@@ -67,9 +70,10 @@ type Config struct {
 	// routing-cost histograms are always exact and unsampled.
 	LatencySample int
 	// RecordLocal makes every shard record the local request sequence it
-	// processed, and forces all shards — frozen included — through their
-	// owner loops so the sequence is well-defined. Test instrumentation
-	// for the sequential-equivalence property; leave off under load.
+	// processed, and forces all shards — frozen included — to be served
+	// under their tokens so the sequence is well-defined. Test
+	// instrumentation for the sequential-equivalence property; leave off
+	// under load.
 	RecordLocal bool
 	// OnRate, when set, receives a live aggregate-throughput sample every
 	// RateEvery (default 1s) from a reporter goroutine.
@@ -79,12 +83,11 @@ type Config struct {
 	// §12): scripted crashes/stalls at logical trigger points, periodic
 	// checkpoints with snapshot+replay recovery, client deadlines/retries,
 	// and degraded-mode serving. nil (the default) disarms everything:
-	// owners neither log nor checkpoint, round trips have no deadline,
-	// and frozen shards are served lock-free. With a plan armed, every
-	// shard — frozen included — is served through its owner loop, and
-	// every shard network must support exact checkpoint/restore
-	// (tree-backed policy compositions do; custom substrates are
-	// rejected).
+	// shards neither log nor checkpoint, waits have no deadline, and
+	// frozen shards are served lock-free. With a plan armed, every shard
+	// — frozen included — is served under its token, and every shard
+	// network must support exact checkpoint/restore (tree-backed policy
+	// compositions do; custom substrates are rejected).
 	Faults *FaultPlan
 }
 
@@ -163,7 +166,7 @@ func (s *Stats) Total() int64 { return s.Routing + s.Adjust }
 // one client and S shards, each shard serves Partition.Project's
 // subsequence in order. With C clients, per-shard arrival order
 // interleaves client substreams nondeterministically — but every shard
-// still serves a single well-defined sequence (single-writer loop), which
+// still serves a single well-defined sequence (single-writer token), which
 // RecordLocal captures for equivalence replay.
 //
 // Cancellation of ctx stops the run and returns the partial Stats
@@ -194,23 +197,21 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 	for i := range p.shards {
 		net, err := mk(part.Size(i))
 		if err != nil {
-			// Owners already started for shards < i must not leak.
-			p.shutdownShards()
 			return nil, fmt.Errorf("serve: building shard %d (%d nodes): %w", i, part.Size(i), err)
 		}
 		s := &shard{id: i, nodes: part.Size(i), net: net, record: cfg.RecordLocal,
-			plan: cfg.Faults, stop: p.stopCh}
+			plan: cfg.Faults, stop: p.stopCh, sleepers: &p.sleepers}
 		p.shards[i] = s
 		switch {
 		case cfg.Faults != nil:
 			// Every shard must support exact checkpoint/restore.
 			rec, ok := net.(recoverable)
 			if !ok || !rec.Checkpointable() {
-				p.shutdownShards()
 				return nil, fmt.Errorf("serve: fault plan armed, but shard %d network %q cannot checkpoint/restore",
 					i, net.Name())
 			}
 			s.recov, s.events = rec, events[i]
+			s.checkpoint() // recovery point for a crash before the first interval
 		case !cfg.RecordLocal:
 			if ss, ok := net.(staticServer); ok {
 				if ix, frozen := ss.StaticOracle(); frozen {
@@ -219,25 +220,30 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			}
 		}
 		if s.oracle == nil {
+			// A client waits on at most one published request at a time,
+			// so with C slots a publish blocks only while requests that
+			// timed out earlier still fill the queue.
+			s.token = make(chan struct{}, 1)
 			s.ch = make(chan request, cfg.Clients)
-			p.owners.Add(1)
-			go func() {
-				defer p.owners.Done()
-				s.run()
-			}()
 		}
 	}
 
 	// Stop signals: wall-clock duration (normal completion) and context
 	// cancellation (error). Both halt the pool, which flips the flag
 	// clients poll and wakes any client sleeping in pacing or backoff and
-	// any owner in a stall.
+	// any stall sleeper.
+	// Run waits for the watcher as for the reporter: a watcher still
+	// parked when Run returns would keep the pool, and with it every
+	// shard's network, reachable until it is scheduled.
 	watchDone := make(chan struct{})
 	if cfg.Duration > 0 {
 		t := time.AfterFunc(cfg.Duration, p.halt)
 		defer t.Stop()
 	}
+	var background sync.WaitGroup // the stop watcher and the rate reporter
+	background.Add(1)
 	go func() {
+		defer background.Done()
 		select {
 		case <-ctx.Done():
 			p.halt()
@@ -245,15 +251,14 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		}
 	}()
 
-	var reporterWG sync.WaitGroup
 	if cfg.OnRate != nil {
 		every := cfg.RateEvery
 		if every <= 0 {
 			every = time.Second
 		}
-		reporterWG.Add(1)
+		background.Add(1)
 		go func() {
-			defer reporterWG.Done()
+			defer background.Done()
 			tick := time.NewTicker(every)
 			defer tick.Stop()
 			start := time.Now()
@@ -293,7 +298,7 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			defer wg.Done()
 			c.run()
 			if looping.Add(-1) == 0 {
-				// No request can follow: halt, so that a stalled owner
+				// No request can follow: halt, so that a stall sleeper
 				// wakes and serves what the clients still wait on.
 				p.halt()
 			}
@@ -301,10 +306,10 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		}(clients[i])
 	}
 	wg.Wait()
-	p.shutdownShards()
+	p.sleepers.Wait()
 	elapsed := time.Since(start)
 	close(watchDone)
-	reporterWG.Wait()
+	background.Wait()
 
 	stats := &Stats{
 		Network: p.shards[0].net.Name(),

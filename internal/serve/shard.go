@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,16 +18,16 @@ import (
 // so concurrent Dist calls need no coordination. policy.Net and
 // statictree.Net implement it; any network that does not (or whose
 // StaticOracle reports false because its trigger can still fire) is
-// served through its shard's owner goroutine instead.
+// served by whichever client holds its shard's token instead.
 type staticServer interface {
 	StaticOracle() (*statictree.DistIndex, bool)
 }
 
-// request is one unit of work sent to a shard's owner loop. It carries
-// the client's attempt sequence number, so a reply that arrives after its
-// deadline can be told apart from the reply being awaited. The reply
-// channel is client-owned and reused across requests, so the closed-loop
-// hot path allocates nothing per request.
+// request is one unit of work a client publishes to a shard it found
+// busy. It carries the client's attempt sequence number, so a reply that
+// arrives after its deadline can be told apart from the reply being
+// awaited. The reply channel is client-owned and reused across requests,
+// so the closed-loop hot path allocates nothing per request.
 type request struct {
 	u, v  int
 	seq   uint64
@@ -39,7 +40,7 @@ const (
 	statusDown       // refused without serving: the shard is crashed
 )
 
-// response is one owner reply.
+// response is the reply to one request.
 type response struct {
 	cost   sim.Cost
 	seq    uint64
@@ -48,28 +49,33 @@ type response struct {
 }
 
 // shard owns one partition of the node space: a private network instance
-// plus the single goroutine allowed to mutate it. All self-adjustment —
-// rotations, trigger state, demand windows, churn scratch — happens
-// inside the owner loop, which is what makes serving concurrent without
-// any locks on network state (the single-writer rule, DESIGN.md §11).
-// Frozen shards additionally carry their distance oracle; clients serve
-// those without ever touching the loop. When a fault plan is armed every
-// shard — frozen included — is served through its owner loop, which then
-// also checkpoints, injects the scripted crashes and stalls, and recovers
-// by snapshot+replay (DESIGN.md §12).
+// and the token that grants the single-writer right to it. Whoever holds
+// the token — a client serving its own request, or a stall sleeper — is
+// the only routine that may touch the network, so all self-adjustment
+// (rotations, trigger state, demand windows, churn scratch) happens
+// without any lock on network state (the single-writer rule, DESIGN.md
+// §11). A client that finds the token held publishes its request on ch
+// instead, and the holder serves every published request before it lets
+// go (flat combining). Frozen shards additionally carry their distance
+// oracle; clients serve those without the token. When a fault plan is
+// armed every shard — frozen included — is served under its token, and
+// the holder also checkpoints, injects the scripted crashes and stalls,
+// and recovers by snapshot+replay (DESIGN.md §12).
 type shard struct {
 	id     int
 	nodes  int
 	net    sim.Network
 	oracle *statictree.DistIndex // non-nil: frozen, clients serve lock-free
-	ch     chan request
+	token  chan struct{}         // capacity 1; holding it is the right to serve
+	ch     chan request          // requests published while the token was held
 	record bool
 	local  []sim.Request // processed local sequence, when record is set
 
-	// Fault state, owner-goroutine-private except stale. plan is nil when
+	// Fault state, token-holder-private except stale. plan is nil when
 	// faults are disarmed, and then nothing below is used.
 	plan          *FaultPlan
 	stop          <-chan struct{} // closed when the pool halts; ends a stall
+	sleepers      *sync.WaitGroup // running stall sleepers, which Run waits for
 	recov         recoverable
 	cp            policy.Checkpoint
 	events        []FaultEvent  // scripted events not yet fired, by At
@@ -80,43 +86,95 @@ type shard struct {
 	// stale is the distance oracle over the last checkpoint's topology
 	// that degraded-mode reads use (DegradedStale only), built when a
 	// crash restores that checkpoint. Each crash builds a fresh immutable
-	// index, so clients may keep querying one they loaded while the owner
-	// moves on.
+	// index, so clients may keep querying one they loaded while the
+	// holder moves on.
 	stale atomic.Pointer[statictree.DistIndex]
 
-	faults FaultStats // owner-side ledger slice (crashes, recoveries, checkpoints, replays, stalls, rejections)
+	faults FaultStats // shard-side ledger slice (crashes, recoveries, checkpoints, replays, stalls, rejections)
 }
 
-// run is the owner loop: the only goroutine that ever calls Serve on this
-// shard's network. It drains the request channel in arrival order, which
-// defines the shard's local request sequence — the sequence the
-// sequential-equivalence property replays. The fault plan is consulted at
-// two fixed points only: the down/recovery check before a serve, and the
-// replay-log append plus checkpoint/event boundary after it.
-func (s *shard) run() {
-	if s.plan != nil {
-		s.checkpoint() // recovery point for a crash before the first interval
+// serve is one step of the shard's serve sequence; the caller holds the
+// token. The order in which holders call it defines the shard's local
+// request sequence — the sequence the sequential-equivalence property
+// replays. The fault plan is consulted at two fixed points only: the
+// down/recovery check before the serve, and the replay-log append plus
+// checkpoint/event boundary after it. serve reports whether a scripted
+// stall passed the token to a sleeper, after which the caller no longer
+// holds it.
+func (s *shard) serve(u, v int) (response, bool) {
+	if s.down && !s.recover() {
+		s.faults.Rejected++
+		return response{shard: int32(s.id), status: statusDown}, false
 	}
-	for rq := range s.ch {
-		if s.down && !s.recover() {
-			s.faults.Rejected++
-			rq.reply <- response{seq: rq.seq, shard: int32(s.id), status: statusDown}
-			continue
-		}
-		if s.record {
-			s.local = append(s.local, sim.Request{Src: rq.u, Dst: rq.v})
-		}
-		rq.reply <- response{cost: s.net.Serve(rq.u, rq.v), seq: rq.seq, shard: int32(s.id)}
-		if s.plan != nil {
-			s.afterServe(rq.u, rq.v)
+	if s.record {
+		s.local = append(s.local, sim.Request{Src: u, Dst: v})
+	}
+	resp := response{cost: s.net.Serve(u, v), shard: int32(s.id)}
+	return resp, s.plan != nil && s.afterServe(u, v)
+}
+
+// serveOwn serves the holder's own request, then every published one,
+// and lets the token go.
+func (s *shard) serveOwn(u, v int) response {
+	resp, slept := s.serve(u, v)
+	if !slept {
+		s.combine()
+	}
+	return resp
+}
+
+// combine serves every published request in channel order, replying to
+// each, and then releases the token; the caller holds it. A client that
+// published after the last receive saw the token still held, so after
+// letting go the holder checks the channel once more and takes the token
+// back if a request arrived in between — or leaves it to whoever took the
+// token first, who serves the queue in turn. A stall ends the pass: the
+// sleeper holds the token and combines when it wakes.
+func (s *shard) combine() {
+	for {
+		select {
+		case rq := <-s.ch:
+			resp, slept := s.serve(rq.u, rq.v)
+			resp.seq = rq.seq
+			rq.reply <- resp
+			if slept {
+				return
+			}
+		default:
+			<-s.token
+			if len(s.ch) == 0 {
+				return
+			}
+			select {
+			case s.token <- struct{}{}:
+			default:
+				return
+			}
 		}
 	}
+}
+
+// sleep holds the token through a scripted stall: it waits until the
+// stall ends or the pool halts, then serves what was published meanwhile
+// and lets go like any holder. It runs on its own goroutine so that the
+// client whose serve hit the stall point returns at once — it may be the
+// only client, and then it is the one that halts the pool when its budget
+// is spent.
+func (s *shard) sleep(d time.Duration) {
+	defer s.sleepers.Done()
+	t := time.NewTimer(d)
+	select {
+	case <-t.C:
+	case <-s.stop:
+		t.Stop()
+	}
+	s.combine()
 }
 
 // checkpoint snapshots the shard's full cost-relevant network state and
 // truncates the replay log (the new checkpoint supersedes it). The
 // CheckpointInto error path is unreachable: Run rejects
-// non-checkpointable networks before starting any owner.
+// non-checkpointable networks before any client starts.
 func (s *shard) checkpoint() {
 	if err := s.recov.CheckpointInto(&s.cp); err != nil {
 		panic(fmt.Sprintf("serve: shard %d checkpoint failed after Run-time validation: %v", s.id, err))
@@ -125,7 +183,7 @@ func (s *shard) checkpoint() {
 	s.wal = s.wal[:0]
 }
 
-// crash loses the shard's in-memory network state, so the owner restores
+// crash loses the shard's in-memory network state, so the holder restores
 // the last checkpoint at once — all a restarted shard could load. In
 // stale-read mode it then builds the degraded-read oracle over that
 // topology: one oracle per crash, the only time a client can need one.
@@ -170,8 +228,9 @@ func (s *shard) recover() bool {
 // afterServe is the post-serve boundary of an armed plan: log the served
 // request for replay, then checkpoint every interval serves, then fire
 // any event scheduled at this point — a crash scheduled on a checkpoint
-// boundary loses nothing and replays nothing.
-func (s *shard) afterServe(u, v int) {
+// boundary loses nothing and replays nothing. It reports whether a stall
+// fired, which hands the token to a new sleeper goroutine.
+func (s *shard) afterServe(u, v int) bool {
 	s.wal = append(s.wal, sim.Request{Src: u, Dst: v})
 	s.localServed++
 	if s.localServed%s.plan.checkpointInterval() == 0 {
@@ -185,12 +244,10 @@ func (s *shard) afterServe(u, v int) {
 			s.crash(ev.RecoverAfter)
 		case FaultStall:
 			s.faults.Stalls++
-			t := time.NewTimer(ev.Stall)
-			select {
-			case <-t.C:
-			case <-s.stop:
-				t.Stop()
-			}
+			s.sleepers.Add(1)
+			go s.sleep(ev.Stall)
+			return true
 		}
 	}
+	return false
 }

@@ -71,7 +71,7 @@ type FaultEventSpec struct {
 	// arrival triggers snapshot+replay recovery; 0 = recover on the
 	// first post-crash arrival, -1 = never recover.
 	RecoverAfter int64 `json:"recover_after,omitempty"`
-	// StallMs (stalls only): how long the owner loop sleeps.
+	// StallMs (stalls only): how long the shard stays stalled.
 	StallMs float64 `json:"stall_ms,omitempty"`
 }
 

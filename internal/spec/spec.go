@@ -489,7 +489,9 @@ func (pd *PolicyDef) treeAdjuster() policy.Adjuster {
 	case "semi-splay":
 		return policy.SemiSplay()
 	case "rebuild-wb":
-		return policy.Rebuild("weight-balanced", statictree.WeightBalanced)
+		// One builder per adjuster: each network keeps its own rebuild
+		// scratch.
+		return policy.Rebuild("weight-balanced", new(statictree.WeightBalancer).Build)
 	case "rebuild-opt":
 		return policy.Rebuild("optimal", statictree.Optimal)
 	case "none":

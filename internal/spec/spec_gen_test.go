@@ -3,6 +3,7 @@ package spec
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/workload"
@@ -132,17 +133,28 @@ func TestStrictValidationRejectsMisuse(t *testing.T) {
 	}
 }
 
+// countCallsOnce guards the registration of the count-calls trace kind,
+// whose builder counts its calls into countCalls.
+var (
+	countCallsOnce sync.Once
+	countCalls     int
+)
+
 // TestResolveConstructsEachGeneratorOnce pins the satellite contract: a
 // custom builder is invoked exactly once per Resolve however many cells
 // its trace feeds.
 func TestResolveConstructsEachGeneratorOnce(t *testing.T) {
-	calls := 0
-	RegisterTrace("count-calls", func(d TraceDef) (workload.Generator, error) {
-		calls++
-		return workload.UniformGen(8, 10, 1), nil
+	// Registration is global and permanent (like sql.Register) and
+	// panics on a duplicate, so the kind — its name unique to this test —
+	// is registered once per process, and a repeated run (go test
+	// -count=2) only resets the count.
+	countCallsOnce.Do(func() {
+		RegisterTrace("count-calls", func(d TraceDef) (workload.Generator, error) {
+			countCalls++
+			return workload.UniformGen(8, 10, 1), nil
+		})
 	})
-	// Registration is global and permanent (like sql.Register); the kind
-	// name is unique to this test.
+	countCalls = 0
 	x := &Experiment{
 		Networks: []NetworkDef{{Kind: "kary", K: 2}, {Kind: "kary", K: 3}, {Kind: "kary", K: 4}},
 		Traces:   []TraceDef{{Kind: "count-calls", Name: "c"}},
@@ -154,8 +166,8 @@ func TestResolveConstructsEachGeneratorOnce(t *testing.T) {
 	if len(nets) != 3 || len(traces) != 1 {
 		t.Fatalf("resolved %d×%d", len(nets), len(traces))
 	}
-	if calls != 1 {
-		t.Errorf("builder called %d times, want exactly once", calls)
+	if countCalls != 1 {
+		t.Errorf("builder called %d times, want exactly once", countCalls)
 	}
 	if traces[0].Gen == nil {
 		t.Error("resolved TraceSpec does not carry the generator factory")

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/engine"
@@ -183,14 +184,21 @@ func TestRegisterRejectsNilAndEmpty(t *testing.T) {
 	}
 }
 
+// customKindsOnce registers TestCustomKindsResolve's kinds once per
+// process: the registry panics on a duplicate, and go test -count=2
+// runs the test twice.
+var customKindsOnce sync.Once
+
 func TestCustomKindsResolve(t *testing.T) {
-	RegisterNetwork("test-fixed", func(d NetworkDef) (engine.NetworkSpec, error) {
-		return engine.NetworkSpec{Name: "fixed", Make: func(n int) sim.Network {
-			return fixedNet{n: n}
-		}}, nil
-	})
-	RegisterTrace("test-pair", func(d TraceDef) (workload.Generator, error) {
-		return workload.Trace{Name: "pair", N: d.N, Reqs: []sim.Request{{Src: 1, Dst: 2}}}, nil
+	customKindsOnce.Do(func() {
+		RegisterNetwork("test-fixed", func(d NetworkDef) (engine.NetworkSpec, error) {
+			return engine.NetworkSpec{Name: "fixed", Make: func(n int) sim.Network {
+				return fixedNet{n: n}
+			}}, nil
+		})
+		RegisterTrace("test-pair", func(d TraceDef) (workload.Generator, error) {
+			return workload.Trace{Name: "pair", N: d.N, Reqs: []sim.Request{{Src: 1, Dst: 2}}}, nil
+		})
 	})
 	x := &Experiment{
 		Networks: []NetworkDef{{Kind: "test-fixed"}},

@@ -94,3 +94,16 @@ func BenchmarkWeightBalanced(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWeightBalancerReused is BenchmarkWeightBalanced on one reused
+// builder, the lazy net's rebuild pattern: only the tree is allocated.
+func BenchmarkWeightBalancerReused(b *testing.B) {
+	d := workload.DemandFromTrace(workload.MustCollect(workload.HotspotGen(4095, 2300, 0.1, 0.9, 1)))
+	var wb WeightBalancer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := wb.Build(d, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package statictree
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -27,6 +28,24 @@ import (
 // on random demands), so that "optimization" would silently return wrong
 // optima.
 func WeightBalanced(d *workload.Demand, k int) (*core.Tree, int64, error) {
+	return new(WeightBalancer).Build(d, k)
+}
+
+// WeightBalancer builds weight-balanced trees and keeps its scratch
+// between builds: the prefix weights and the spec, threshold and child
+// slabs, which core.Build only reads. A network that rebuilds repeatedly
+// (the lazy net's rebuild-wb adjuster) owns one, so each rebuild
+// allocates only the new tree. The zero value is ready to use; a
+// WeightBalancer must not be used by two goroutines at once.
+type WeightBalancer struct {
+	prefix []int64
+	specs  []core.Spec
+	ths    []int
+	kids   []*core.Spec
+}
+
+// Build is WeightBalanced on b's scratch.
+func (b *WeightBalancer) Build(d *workload.Demand, k int) (*core.Tree, int64, error) {
 	if k < 2 {
 		return nil, 0, fmt.Errorf("statictree: arity %d < 2", k)
 	}
@@ -36,7 +55,7 @@ func WeightBalanced(d *workload.Demand, k int) (*core.Tree, int64, error) {
 	n := d.N
 	// Point weights: total traffic with node x as either endpoint, +1 so
 	// untouched nodes still spread evenly, summed in place into prefix.
-	prefix := make([]int64, n+1)
+	prefix := resize(b.prefix, n+1)
 	for _, pc := range d.Pairs {
 		prefix[pc.Src] += pc.Count
 		prefix[pc.Dst] += pc.Count
@@ -44,21 +63,28 @@ func WeightBalanced(d *workload.Demand, k int) (*core.Tree, int64, error) {
 	for x := 1; x <= n; x++ {
 		prefix[x] += prefix[x-1] + 1
 	}
-	b := wbBuilder{
-		k:      k,
-		prefix: prefix,
-		specs:  make([]core.Spec, n),
-		ths:    make([]int, n),
-		kids:   make([]*core.Spec, 2*n),
-	}
-	tree, err := core.Build(k, b.build(1, n))
+	b.prefix = prefix
+	b.specs = resize(b.specs, n) // cleared: a leaf sets only its ID
+	b.ths = resize(b.ths, n)
+	b.kids = resize(b.kids, 2*n)
+	wb := wbBuilder{k: k, prefix: prefix, specs: b.specs, ths: b.ths, kids: b.kids}
+	tree, err := core.Build(k, wb.build(1, n))
 	if err != nil {
 		return nil, 0, fmt.Errorf("statictree: weight-balanced construction invalid: %w", err)
 	}
 	return tree, TotalDistance(tree, d), nil
 }
 
-// wbBuilder carves the weight-balanced Spec out of three slabs instead of
+// resize returns s with length n and every element zero, reusing its
+// backing array when that is large enough.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// wbBuilder is one build's cursor over a WeightBalancer's slabs: it
+// carves the weight-balanced Spec out of three slabs instead of
 // allocating per node. Each child slot holds one of the n−1 non-root
 // nodes or is the single empty slot beside a node whose ids lie on one
 // side only, and a node has one threshold fewer than slots, so the whole

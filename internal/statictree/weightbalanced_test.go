@@ -2,7 +2,9 @@ package statictree
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,6 +152,62 @@ func TestWeightBalancedMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWeightBalancerReuse drives one WeightBalancer through builds that
+// shrink, grow and change arity. Every tree must equal the reference's,
+// so nothing of an earlier build — a leaf's former children, a wider
+// node's thresholds, stale prefix weights — leaks into a later one.
+func TestWeightBalancerReuse(t *testing.T) {
+	var b WeightBalancer
+	for _, n := range []int{4095, 17, 255, 1, 3, 2, 4095} {
+		ds := wbDemands(n)
+		for _, name := range slices.Sorted(maps.Keys(ds)) {
+			d := ds[name]
+			for _, k := range []int{32, 2, 4, 3, 8} {
+				got, cost, err := b.Build(d, k)
+				if err != nil {
+					t.Fatalf("n=%d k=%d %s: %v", n, k, name, err)
+				}
+				want, err := refWeightBalanced(d, k)
+				if err != nil {
+					t.Fatalf("n=%d k=%d %s: reference: %v", n, k, name, err)
+				}
+				if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+					t.Fatalf("n=%d k=%d %s: reused builder's tree differs from the reference", n, k, name)
+				}
+				if ref := TotalDistance(want, d); cost != ref {
+					t.Fatalf("n=%d k=%d %s: cost %d, reference tree costs %d", n, k, name, cost, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestWeightBalancerReuseAllocatesOnlyTheTree pins what the reuse buys:
+// once a builder's slabs have grown, a build of the same size allocates
+// exactly what core.Build allocates for the tree, and none of the
+// scratch.
+func TestWeightBalancerReuseAllocatesOnlyTheTree(t *testing.T) {
+	const n, k = 4095, 4
+	d := wbDemands(n)["hotspot"]
+	var b WeightBalancer
+	reused := testing.AllocsPerRun(5, func() {
+		if _, _, err := b.Build(d, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	wb := wbBuilder{k: k, prefix: b.prefix,
+		specs: make([]core.Spec, n), ths: make([]int, n), kids: make([]*core.Spec, 2*n)}
+	spec := wb.build(1, n)
+	tree := testing.AllocsPerRun(5, func() {
+		if _, err := core.Build(k, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reused != tree {
+		t.Errorf("a reused builder made %.0f allocs per build; core.Build alone makes %.0f", reused, tree)
 	}
 }
 
