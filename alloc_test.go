@@ -12,6 +12,7 @@ package ksan
 // build no per-step slices.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -35,32 +36,46 @@ func assertServeZeroAllocs(t *testing.T, net Network, tr Trace) {
 	}
 }
 
-func TestServeZeroAllocsKAry(t *testing.T) {
-	tr := TemporalWorkload(255, 10000, 0.75, 1)
-	for _, k := range []int{2, 3, 7} {
-		net, err := NewKArySplayNet(255, k)
-		if err != nil {
-			t.Fatal(err)
+// assertKAryServeZeroAllocs runs assertServeZeroAllocs for each arity on
+// both trace families BenchmarkServeKAryGrid measures (its n=1023 traces),
+// one subtest per <trace>/k=<k>.
+func assertKAryServeZeroAllocs(t *testing.T, ks []int) {
+	t.Helper()
+	for _, tc := range []struct {
+		name string
+		tr   Trace
+	}{
+		{"uniform", UniformWorkload(1023, 20000, 2)},
+		{"temporal", TemporalWorkload(1023, 20000, 0.75, 1)},
+	} {
+		for _, k := range ks {
+			t.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(t *testing.T) {
+				net, err := NewKArySplayNet(1023, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertServeZeroAllocs(t, net, tc.tr)
+			})
 		}
-		assertServeZeroAllocs(t, net, tr)
 	}
 }
 
-// TestServeZeroAllocsKAryLarge pins the zero-allocation contract at the
-// arities where the routing kernels and memmove-backed span moves carry
-// the serve path (k−1 = 7 unrolled, 15 and 31 bisect; merges up to 93
-// thresholds): the kernel dispatch is selected once at construction and
-// the rebuild scratch is preallocated, so widening k must not introduce
-// per-request allocations.
+// TestServeZeroAllocsKAry and TestServeZeroAllocsKAryLarge pin the
+// contract across the arity axis BenchmarkServeKAryGrid measures. A serve
+// searches thresholds only in the d=2/d=3 rebuild merges (2(k−1) and
+// 3(k−1) of them), and these arities select every kernel that does so —
+// slot2, slot3, slot4, slot6, SWAR and bisect, up to 93 thresholds — while
+// the rebuilds move spans through both of mov's forms. The kernel
+// dispatch is selected once at construction and the rebuild scratch is
+// preallocated, so no arity may add a per-request allocation.
+func TestServeZeroAllocsKAry(t *testing.T) {
+	assertKAryServeZeroAllocs(t, []int{2, 3, 5, 7})
+}
+
+// TestServeZeroAllocsKAryLarge covers the wide arities, where the bisect
+// kernel and memmove-backed span moves carry the serve path.
 func TestServeZeroAllocsKAryLarge(t *testing.T) {
-	tr := TemporalWorkload(255, 10000, 0.75, 4)
-	for _, k := range []int{8, 16, 32} {
-		net, err := NewKArySplayNet(255, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertServeZeroAllocs(t, net, tr)
-	}
+	assertKAryServeZeroAllocs(t, []int{8, 16, 32})
 }
 
 func TestServeZeroAllocsKArySemiSplayOnly(t *testing.T) {

@@ -27,25 +27,20 @@ func benchServe(b *testing.B, mk func() Network, tr Trace) {
 
 // --- The sequential serve path (the throughput ceiling of the whole
 // evaluation: the determinism contract forbids sharding self-adjusting
-// networks, so ns/Serve is what bounds requests/sec). These four pin the
-// allocation-free fused fast path; EXPERIMENTS.md records their history. ---
+// networks, so ns/Serve is what bounds requests/sec). EXPERIMENTS.md
+// records their history; the TestServeZeroAllocs* tests in alloc_test.go
+// hold these networks at 0 allocs/op. ---
 
 func BenchmarkServeKAryTemporal(b *testing.B) {
 	tr := TemporalWorkload(255, 20000, 0.75, 1)
 	benchServe(b, func() Network { n, _ := NewKArySplayNet(255, 3); return n }, tr)
 }
 
-func BenchmarkServeKAryUniform(b *testing.B) {
-	tr := UniformWorkload(1023, 20000, 2)
-	benchServe(b, func() Network { n, _ := NewKArySplayNet(1023, 5); return n }, tr)
-}
-
 // BenchmarkServeKAryGrid sweeps the serve path across the arity axis the
 // paper generalizes over, on both trace families: exactly the grid where
 // the per-hop routing constant (the threshold search at every visited
 // node) turns from noise into the dominant term as k grows and trees
-// flatten. The k=5 uniform point duplicates BenchmarkServeKAryUniform so
-// the grid and the long-lived flagship key stay comparable.
+// flatten.
 func BenchmarkServeKAryGrid(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -76,8 +71,8 @@ func BenchmarkServeSplayNetTemporal(b *testing.B) {
 // the serve cost of each trigger × adjuster point on the same workload
 // and topology. The deferred-trigger rows (alpha-splay, frozen-*, lazy)
 // are where the static-stretch Euler-tour/RMQ oracle engages; their
-// ns/op against the walk-based history is tracked in EXPERIMENTS.md and
-// BENCH_PR5.json. ---
+// ns/op against the walk-based history is tracked in EXPERIMENTS.md, and
+// TestServeZeroAllocsPolicyCompositions holds them at 0 allocs/op. ---
 
 func BenchmarkPolicyServe(b *testing.B) {
 	tr := TemporalWorkload(1023, 20000, 0.75, 1)

@@ -27,9 +27,9 @@
 // "cell" row per cell plus one "window" row per time-series sample).
 //
 // -cpuprofile file writes a pprof CPU profile covering the whole run
-// (whichever mode), for chasing regressions in the BENCH_PR4.json
-// trajectory: `go tool pprof $(which ksanbench) file`. The profile is
-// flushed even when the run fails.
+// (whichever mode), for chasing performance regressions:
+// `go tool pprof $(which ksanbench) file`. The profile is flushed even
+// when the run fails.
 package main
 
 import (

@@ -1,7 +1,5 @@
 package core
 
-import "math/bits"
-
 // Per-arity routing kernels for the threshold search (ROADMAP item 1,
 // DESIGN.md §13).
 //
@@ -45,13 +43,13 @@ import "math/bits"
 //
 // Layout decision (DESIGN.md §13 records the numbers): the kernels gather
 // thresholds at stride 2 from the interleaved span rather than from a
-// deinterleaved contiguous thresholds plane. The deinterleaved variants
-// below exist to keep that decision honest — BenchmarkSlotFor races both
-// layouts — but the plane lost: its contiguous loads save little at served
-// arities while maintaining it would add k−1 stores per rebuilt node to
-// every rotation and a second parallel array to build, snapshot and
-// restore. The interleaved span is also the line the serve path touches
-// anyway (the chosen child pointer lives between the thresholds).
+// deinterleaved contiguous thresholds plane. BenchmarkSlotFor once raced
+// both layouts (the plane kernels are in git history) and the plane lost:
+// its contiguous loads save little at served arities while maintaining it
+// would add k−1 stores per rebuilt node to every rotation and a second
+// parallel array to build, snapshot and restore. The interleaved span is
+// also the line the serve path touches anyway (the chosen child pointer
+// lives between the thresholds).
 
 // slotKernel returns the child slot the search property assigns to a
 // cut-space value at a node: the number of thresholds (odd offsets of the
@@ -205,83 +203,4 @@ func kernelForCount(c int) slotKernel {
 		return slotSWAR
 	}
 	return slotBisect
-}
-
-// --- Deinterleaved-plane variants -----------------------------------------
-//
-// The same three kernel shapes over a contiguous thresholds slice (stride
-// k−1 per node, no interleaved children). They are NOT used by the Tree:
-// they exist so BenchmarkSlotFor can race the two layouts and so the
-// property tests pin both families to one reference — the evidence behind
-// the §13 decision to keep the interleaved span as the only layout.
-
-// slotScalarPlane is slotScalar over a contiguous thresholds slice.
-func slotScalarPlane(thr []int32, value int32) int {
-	s := 0
-	for _, t := range thr {
-		if t >= value {
-			break
-		}
-		s++
-	}
-	return s
-}
-
-// slotBranchlessPlane is the comparison-counting loop over a contiguous
-// thresholds slice (the unrolled kernels' shape, without the unrolling).
-func slotBranchlessPlane(thr []int32, value int32) int {
-	s := 0
-	for _, t := range thr {
-		s += lt(t, value)
-	}
-	return s
-}
-
-// slotSWARPlane is slotSWAR over a contiguous thresholds slice.
-func slotSWARPlane(thr []int32, value int32) int {
-	vv := uint64(uint32(value))
-	vv |= vv << 32
-	var acc uint64
-	i := 0
-	for ; i+1 < len(thr); i += 2 {
-		w := uint64(uint32(thr[i])) | uint64(uint32(thr[i+1]))<<32 | swarSigns
-		acc += ((w - vv) & swarSigns) >> 31
-	}
-	ge := int(uint32(acc)) + int(acc>>32)
-	if i < len(thr) {
-		ge += 1 - lt(thr[i], value)
-	}
-	return len(thr) - ge
-}
-
-// slotBisectPlane is slotBisect over a contiguous thresholds slice.
-func slotBisectPlane(thr []int32, value int32) int {
-	lo, n := 0, len(thr)
-	for n > 1 {
-		half := n >> 1
-		lo += half & -lt(thr[lo+half-1], value)
-		n -= half
-	}
-	return lo + lt(thr[lo], value)
-}
-
-// slotSWARPopcount is the popcount formulation of the chunked kernel:
-// fold each pair's sign-bit mask with math/bits.OnesCount64 immediately
-// instead of accumulating shifted lane counters. Raced against slotSWAR
-// in BenchmarkSlotFor; kernelForCount selects whichever form the §13
-// decision record shows winning (currently the lane-counter form — one
-// add per pair beats one popcount per pair on the served sizes).
-func slotSWARPopcount(m []int32, value int32) int {
-	vv := uint64(uint32(value))
-	vv |= vv << 32
-	ge := 0
-	i := 1
-	for ; i+2 < len(m); i += 4 {
-		w := uint64(uint32(m[i])) | uint64(uint32(m[i+2]))<<32 | swarSigns
-		ge += bits.OnesCount64((w - vv) & swarSigns)
-	}
-	if i < len(m) { // odd threshold count: one scalar tail lane
-		ge += 1 - lt(m[i], value)
-	}
-	return (len(m)-1)/2 - ge
 }

@@ -8,18 +8,15 @@ import (
 
 // benchFragment builds one interleaved fragment with c ascending
 // thresholds (the arena layout: children at even offsets, thresholds at
-// odd offsets) plus the matching deinterleaved plane, and a probe-value
-// stream whose answers are uniform over the slots — the worst case for
-// the early-exit scan's branch predictor and the average case for
-// routing.
-func benchFragment(c int, rng *rand.Rand) (m []int32, plane []int32, values []int32) {
+// odd offsets) and a probe-value stream whose answers are uniform over
+// the slots — the worst case for the early-exit scan's branch predictor
+// and the average case for routing.
+func benchFragment(c int, rng *rand.Rand) (m []int32, values []int32) {
 	m = make([]int32, 2*c+1)
-	plane = make([]int32, c)
 	v := int32(0)
 	for i := 0; i < c; i++ {
 		v += 1 + rng.Int31n(64)
 		m[2*i+1] = v
-		plane[i] = v
 	}
 	// A long probe stream (1M values, power-of-two length so the cycling
 	// index is a mask) keeps the measurement honest: with a short cycle a
@@ -30,12 +27,12 @@ func benchFragment(c int, rng *rand.Rand) (m []int32, plane []int32, values []in
 	for i := range values {
 		values[i] = rng.Int31n(v + 64)
 	}
-	return m, plane, values
+	return m, values
 }
 
-// BenchmarkSlotFor is the microbenchmark grid behind the kernel selection
-// and the §13 layout decision record: every kernel family × the threshold
-// counts that actually occur at served arities (c = k−1 node spans for
+// BenchmarkSlotFor is the microbenchmark grid behind the kernel
+// selection (DESIGN.md §13): every kernel family × the threshold counts
+// that actually occur at served arities (c = k−1 node spans for
 // k ∈ {2,5,8,16,32}, and 2(k−1)/3(k−1) rebuild merges). The sink defeats
 // dead-code elimination; the value stream cycles so each probe's slot is
 // unpredictable.
@@ -43,7 +40,7 @@ func BenchmarkSlotFor(b *testing.B) {
 	var sink int
 	for _, c := range []int{1, 4, 7, 8, 14, 15, 21, 31, 62, 93} {
 		rng := rand.New(rand.NewSource(int64(c)))
-		m, plane, values := benchFragment(c, rng)
+		m, values := benchFragment(c, rng)
 		run := func(name string, fn func(i int) int) {
 			b.Run(fmt.Sprintf("c=%d/%s", c, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -55,12 +52,7 @@ func BenchmarkSlotFor(b *testing.B) {
 		run("scalar", func(i int) int { return slotScalar(m, values[i%len(values)]) })
 		run("kernel", func(i int) int { return kern(m, values[i%len(values)]) })
 		run("swar", func(i int) int { return slotSWAR(m, values[i%len(values)]) })
-		run("swarpop", func(i int) int { return slotSWARPopcount(m, values[i%len(values)]) })
 		run("bisect", func(i int) int { return slotBisect(m, values[i%len(values)]) })
-		run("plane-scalar", func(i int) int { return slotScalarPlane(plane, values[i%len(values)]) })
-		run("plane-branchless", func(i int) int { return slotBranchlessPlane(plane, values[i%len(values)]) })
-		run("plane-swar", func(i int) int { return slotSWARPlane(plane, values[i%len(values)]) })
-		run("plane-bisect", func(i int) int { return slotBisectPlane(plane, values[i%len(values)]) })
 	}
 	if sink == 1<<62 {
 		b.Log(sink) // keep the accumulator live

@@ -20,7 +20,6 @@ func interleavedVariants(c int) []kernelVariant {
 	vs := []kernelVariant{
 		{"kernelForCount", kernelForCount(c), 1},
 		{"slotSWAR", slotSWAR, 1},
-		{"slotSWARPopcount", slotSWARPopcount, 1},
 		{"slotBisect", slotBisect, 1},
 	}
 	unrolled := []slotKernel{slot1, slot2, slot3, slot4, slot5, slot6, slot7}
@@ -66,10 +65,10 @@ func ascendingThresholds(rng *rand.Rand, c int) []int32 {
 	return thr
 }
 
-// TestKernelMatchesScalarReference pins every kernel family — interleaved
-// and deinterleaved-plane — to the slotScalar reference on random spans at
-// every threshold count the trees can select (k−1, 2(k−1), 3(k−1) for
-// k = 2..32 covers c = 1..93) and on boundary-heavy probe sets.
+// TestKernelMatchesScalarReference pins every kernel family to the
+// slotScalar reference on random spans at every threshold count the trees
+// can select (k−1, 2(k−1), 3(k−1) for k = 2..32 covers c = 1..93) and on
+// boundary-heavy probe sets.
 func TestKernelMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for c := 1; c <= 96; c++ {
@@ -87,19 +86,29 @@ func TestKernelMatchesScalarReference(t *testing.T) {
 						t.Fatalf("c=%d %s(%v, %d) = %d, scalar reference says %d", c, kv.name, thr, v, got, want)
 					}
 				}
-				for _, pv := range []struct {
-					name string
-					fn   func([]int32, int32) int
-				}{
-					{"slotScalarPlane", slotScalarPlane},
-					{"slotBranchlessPlane", slotBranchlessPlane},
-					{"slotSWARPlane", slotSWARPlane},
-					{"slotBisectPlane", slotBisectPlane},
-				} {
-					if got := pv.fn(thr, v); got != want {
-						t.Fatalf("c=%d %s(%v, %d) = %d, scalar reference says %d", c, pv.name, thr, v, got, want)
-					}
-				}
+			}
+		}
+	}
+}
+
+// TestKernelsAllocFree pins that every kernel family, the scalar
+// reference included, searches without allocating at every threshold
+// count the trees can select: a kernel runs in every rebuild merge of
+// every request.
+func TestKernelsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for c := 1; c <= 93; c++ {
+		thr := ascendingThresholds(rng, c)
+		m := fragmentFor(thr)
+		probes := probesFor(thr)
+		for _, kv := range append(interleavedVariants(c), kernelVariant{"slotScalar", slotScalar, 1}) {
+			i := 0
+			search := func() {
+				kv.fn(m, probes[i%len(probes)])
+				i++
+			}
+			if avg := testing.AllocsPerRun(100, search); avg != 0 {
+				t.Errorf("c=%d %s: %.2f allocs per search, want 0", c, kv.name, avg)
 			}
 		}
 	}
@@ -150,12 +159,6 @@ func FuzzKernelDifferential(f *testing.F) {
 				if got := kv.fn(m, pv); got != want {
 					t.Fatalf("c=%d %s(value=%d) = %d, scalar reference says %d (thresholds %v)", c, kv.name, pv, got, want, thr)
 				}
-			}
-			if got := slotBisectPlane(thr, pv); got != want {
-				t.Fatalf("c=%d slotBisectPlane(value=%d) = %d, scalar reference says %d", c, pv, got, want)
-			}
-			if got := slotSWARPlane(thr, pv); got != want {
-				t.Fatalf("c=%d slotSWARPlane(value=%d) = %d, scalar reference says %d", c, pv, got, want)
 			}
 		}
 	})

@@ -199,14 +199,18 @@ func (e *Engine) runOne(ctx context.Context, net sim.Network, gen workload.Gener
 		if e.progress == nil {
 			return
 		}
-		p.Network = res.Name
-		p.Trace = traceName
-		p.Total = total
+		// decorate takes a pointer, so the copy it sees escapes to the
+		// heap; declaring it after the nil check keeps a run without a
+		// callback from allocating one per emit.
+		d := p
+		d.Network = res.Name
+		d.Trace = traceName
+		d.Total = total
 		if decorate != nil {
-			decorate(&p)
+			decorate(&d)
 		}
 		e.mu.Lock()
-		e.progress(p)
+		e.progress(d)
 		e.mu.Unlock()
 	}
 

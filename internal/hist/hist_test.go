@@ -242,3 +242,28 @@ func TestHistEmptyAndNegative(t *testing.T) {
 	mustPanic("ObserveN(-1, 2)", func() { h.ObserveN(-1, 2) })
 	mustPanic("ObserveN(1, -2)", func() { h.ObserveN(1, -2) })
 }
+
+// TestHistZeroAllocs pins the measurement paths' contract: once the
+// bucket array covers the observed range, Observe (once per request),
+// Merge (once per client at the end of a run) and Percentile allocate
+// nothing.
+func TestHistZeroAllocs(t *testing.T) {
+	var h, src Hist
+	for v := int64(0); v < 1<<20; v += 97 {
+		src.Observe(v)
+	}
+	h.Merge(&src) // grows h's buckets to src's range
+	i := int64(0)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Observe", func() { h.Observe(i & 0xfffff); i++ }},
+		{"Merge", func() { h.Merge(&src) }},
+		{"Percentile", func() { _ = h.Percentile(0.99) }},
+	} {
+		if avg := testing.AllocsPerRun(1000, tc.op); avg != 0 {
+			t.Errorf("%s: %.2f allocs per call, want 0", tc.name, avg)
+		}
+	}
+}

@@ -142,9 +142,8 @@ func TestLinkChurnProperties(t *testing.T) {
 	}
 }
 
-// BenchmarkLinkChurnSorted measures linkChurn. The name predates the
-// parent-array count; benchmark baselines key on it.
-func BenchmarkLinkChurnSorted(b *testing.B) {
+// BenchmarkLinkChurn measures linkChurn.
+func BenchmarkLinkChurn(b *testing.B) {
 	a, _ := core.NewRandom(1023, 4, 1)
 	c, _ := core.NewRandom(1023, 4, 2)
 	b.ReportAllocs()

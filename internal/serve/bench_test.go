@@ -123,8 +123,8 @@ func BenchmarkRecovery(b *testing.B) {
 // path and periodic checkpoints with an empty schedule (the overhead a
 // run pays just for being recoverable), "crash-recover" adds a scripted
 // lossless crash per shard mid-run. Compare against
-// BenchmarkLoad/adjusting for the disarmed baseline — the nil-plan path
-// itself is gated by benchdiff to stay bit-identical to PR 8.
+// BenchmarkLoad/adjusting for the disarmed baseline.
+// TestRunAllocsConstantInRequests holds both paths' allocation profiles.
 func BenchmarkFaultedLoad(b *testing.B) {
 	const n, m = 1024, 50_000
 	const shards = 4

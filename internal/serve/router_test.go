@@ -184,3 +184,21 @@ func TestProject(t *testing.T) {
 		t.Errorf("projected %d halves, want %d requests + %d cross halves", total, len(reqs), cross)
 	}
 }
+
+// TestRouteZeroAllocs pins the router's per-request contract: the serve
+// path calls Route once per request, so it must not allocate.
+func TestRouteZeroAllocs(t *testing.T) {
+	p, err := NewPartition(1024, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Route
+	i := 0
+	route := func() {
+		p.Route(1+i%1024, 1+(i*7)%1024, &r)
+		i++
+	}
+	if avg := testing.AllocsPerRun(1000, route); avg != 0 {
+		t.Errorf("%.2f allocs per Route, want 0", avg)
+	}
+}

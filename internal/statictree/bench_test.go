@@ -13,9 +13,8 @@ func benchDemand(n int) *workload.Demand {
 	return workload.DemandFromTrace(workload.Zipf(n, 20*n, 1.2, 7))
 }
 
-// BenchmarkOptimal is the PR 4 perf-trajectory grid: one cubic-DP solve per
-// (n, k). BENCH_PR4.json at the repo root records this machine's baseline;
-// future PRs diff against it (scripts/bench_pr4.sh regenerates it).
+// BenchmarkOptimal is the perf-trajectory grid: one cubic-DP solve per
+// (n, k). EXPERIMENTS.md records its history.
 func BenchmarkOptimal(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		d := benchDemand(n)

@@ -4,39 +4,31 @@ import (
 	"testing"
 )
 
-// BenchmarkGenerate measures one full streaming pass per op for every
-// generator kind: 100k requests over a mid-sized node space. The
-// machine-independent contract (enforced by benchdiff in CI) is the
-// allocation profile — a pass allocates its rng, permutations and
-// samplers once, never per request — so a generator that starts
-// allocating in its inner loop fails the gate regardless of host speed.
-func BenchmarkGenerate(b *testing.B) {
-	const n, m = 256, 100_000
-	hist := func() Generator {
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = float64(n - i)
-		}
-		g, err := HistogramGen(n, m, w, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return g
-	}()
-	phased := func() Generator {
-		g, err := PhasedGen("drift", []Phase{
-			{Gen: HotspotGen(n, m/2, 0.1, 0.9, 1), M: m / 2},
-			{Gen: HotspotGen(n, m/2, 0.1, 0.9, 2), M: m / 2},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return g
-	}()
-	gens := []struct {
-		name string
-		gen  Generator
-	}{
+// namedGen is one generator of a kind, for tables over every kind.
+type namedGen struct {
+	name string
+	gen  Generator
+}
+
+// everyKind builds one generator of every kind over n nodes and m
+// requests.
+func everyKind(tb testing.TB, n, m int) []namedGen {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(n - i)
+	}
+	hist, err := HistogramGen(n, m, w, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	phased, err := PhasedGen("drift", []Phase{
+		{Gen: HotspotGen(n, m/2, 0.1, 0.9, 1), M: m / 2},
+		{Gen: HotspotGen(n, m/2, 0.1, 0.9, 2), M: m / 2},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []namedGen{
 		{"uniform", UniformGen(n, m, 1)},
 		{"temporal", TemporalGen(n, m, 0.75, 1)},
 		{"hpc", HPCGen(n, m, 1)},
@@ -50,18 +42,32 @@ func BenchmarkGenerate(b *testing.B) {
 		{"histogram", hist},
 		{"phased", phased},
 	}
-	for _, tc := range gens {
+}
+
+// pass runs one full pass of g and reports how many requests it yielded.
+func pass(tb testing.TB, g Generator) int {
+	count := 0
+	for _, err := range g.Requests() {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		count++
+	}
+	return count
+}
+
+// BenchmarkGenerate measures one full streaming pass per op for every
+// generator kind: 100k requests over a mid-sized node space.
+// TestGeneratorAllocsConstantInRequests holds the allocation profile: a
+// pass allocates its rng, permutations and samplers once, never per
+// request.
+func BenchmarkGenerate(b *testing.B) {
+	const n, m = 256, 100_000
+	for _, tc := range everyKind(b, n, m) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				count := 0
-				for _, err := range tc.gen.Requests() {
-					if err != nil {
-						b.Fatal(err)
-					}
-					count++
-				}
-				if count != m {
+				if count := pass(b, tc.gen); count != m {
 					b.Fatalf("pass yielded %d requests, want %d", count, m)
 				}
 			}
