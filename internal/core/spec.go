@@ -33,33 +33,74 @@ type Spec struct {
 //
 // Build allocates the whole arena up front (a handful of flat slices
 // instead of one heap object per node) and nothing per node, so spec
-// materialization — including the DP solver's result construction and
-// every lazy-rebuild tree swap — costs O(1) allocations in the node count
-// (TestBuildAllocsConstantInN pins it).
+// materialization — including the DP solver's result construction —
+// costs O(1) allocations in the node count (TestBuildAllocsConstantInN
+// pins it). It is BuildInto(nil, k, spec).
 func Build(k int, spec *Spec) (*Tree, error) {
+	return BuildInto(nil, k, spec)
+}
+
+// BuildInto is Build materializing into dst's arena instead of a new
+// one, and returns dst; a nil dst allocates a new arena. A non-nil dst
+// must have arity k and fixes the node count: the spec must cover
+// exactly ids 1..dst.N(). Whatever dst held is overwritten, and its
+// counters, edge tracking and block policy return to a new tree's
+// defaults. The arena keeps its build marks, so building into the same
+// dst again allocates nothing: this is how a rebuilding network swaps
+// topologies without garbage. On error dst holds no valid tree but may
+// be built into again.
+func BuildInto(dst *Tree, k int, spec *Spec) (*Tree, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("core: nil spec")
 	}
-	n := countSpec(spec)
+	var n int
+	if dst != nil {
+		n = dst.n
+	} else {
+		n = countSpec(spec)
+	}
 	if err := checkIDRange(n, k); err != nil {
 		return nil, err
 	}
 	if n > math.MaxInt32/k {
 		return nil, fmt.Errorf("core: n·k = %d·%d overflows the int32 cut space", n, k)
 	}
-	t := newArena(n, k)
-	seen := make([]bool, n+1)
-	root, err := t.buildSpec(spec, 0, 0, n*k, seen)
+	t := dst
+	if t == nil {
+		t = newArena(n, k)
+	} else {
+		if t.k != k {
+			return nil, fmt.Errorf("core: cannot build arity %d into a %d-ary arena", k, t.k)
+		}
+		t.reset()
+	}
+	if len(t.seen) != n+1 {
+		t.seen = make([]bool, n+1)
+	}
+	root, err := t.buildSpec(spec, 0, 0, n*k, t.seen)
 	if err != nil {
 		return nil, err
 	}
 	t.root = root
 	for id := 1; id <= n; id++ {
-		if !seen[id] {
+		if !t.seen[id] {
 			return nil, fmt.Errorf("core: spec is missing id %d", id)
 		}
 	}
 	return t, nil
+}
+
+// reset returns a built arena to a new one's state: no links, no
+// routing elements, no build marks, zero counters, default settings.
+func (t *Tree) reset() {
+	t.root = 0
+	clear(t.parent)
+	clear(t.rc)
+	clear(t.slot)
+	clear(t.seen)
+	t.rotations, t.edgeChanges = 0, 0
+	t.trackEdges = false
+	t.blockPolicy = BlockCentered
 }
 
 // MustBuild is Build for specs known to be valid; it panics on error.

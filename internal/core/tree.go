@@ -66,6 +66,11 @@ type Tree struct {
 	// routeBuf backs RoutePath results (grown to the longest path seen,
 	// never shrunk); same single-owner, non-reentrant rules as scratch.
 	routeBuf []int
+
+	// seen holds BuildInto's per-id marks, kept so that building into
+	// this arena again allocates nothing (nil on a FromSnapshot tree
+	// until its first BuildInto).
+	seen []bool
 }
 
 // span returns node ix's interleaved child/threshold span of the packed
@@ -215,6 +220,22 @@ func (t *Tree) DistanceLCA(a, b *Node) (int, *Node) {
 		dist += 2
 	}
 	return dist, &t.nodes[ia]
+}
+
+// SharedLinks returns how many links t and o have in common, for two
+// trees on the same node set. Every link is {x, p(x)} for exactly one
+// child x, so one pass over t's parent array finds them: {x, p(x)} is in
+// o iff o keeps x under p(x) or hangs p(x) under x. It reads the two
+// parent arrays directly, in O(n), and allocates nothing.
+func (t *Tree) SharedLinks(o *Tree) int {
+	tp, op := t.parent[:t.n+1], o.parent[:t.n+1]
+	shared := 0
+	for x := 1; x <= t.n; x++ {
+		if p := tp[x]; p != 0 && (op[x] == p || op[p] == int32(x)) {
+			shared++
+		}
+	}
+	return shared
 }
 
 // DistanceID is Distance on node identifiers.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -270,6 +271,105 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Build rejected it with %q, want the %q rejection", c.name, err, c.want)
 		}
+		// Built into a used arena of the node count Build would have
+		// made, the spec must meet the same rejection.
+		dst := dirtyArena(t, max(countSpec(c.spec), 1), max(c.k, 2), 1)
+		if _, err := BuildInto(dst, c.k, c.spec); err == nil {
+			t.Errorf("%s: BuildInto accepted an invalid spec", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: BuildInto rejected it with %q, want the %q rejection", c.name, err, c.want)
+		}
+	}
+}
+
+// dirtyArena returns a random n-node k-ary tree that has been splayed
+// with edge tracking on and the leftmost block policy set: an arena
+// holding everything BuildInto must reset.
+func dirtyArena(t *testing.T, n, k int, seed int64) *Tree {
+	t.Helper()
+	tr, err := NewRandom(n, k, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetTrackEdges(true)
+	tr.SetBlockPolicy(BlockLeftmost)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 3*n; i++ {
+		tr.SplayUntilParent(tr.NodeByID(1+rng.Intn(n)), nil)
+	}
+	return tr
+}
+
+// TestBuildIntoMatchesBuild pins BuildInto to Build: built into a used
+// arena (splayed, with edge tracking and the leftmost block policy on),
+// and again after a rejected spec left it half written, a spec yields
+// the same snapshot and slot cache as a new arena, zero counters and
+// default settings, and the second build into the same arena allocates
+// nothing.
+func TestBuildIntoMatchesBuild(t *testing.T) {
+	const n = 300
+	for _, k := range []int{2, 3, 4, 8} {
+		for _, shape := range []string{"balanced", "random"} {
+			spec := BalancedSpec(1, n, k)
+			if shape == "random" {
+				spec = randomSpec(1, n, k, rand.New(rand.NewSource(int64(k))))
+			}
+			want := MustBuild(k, spec)
+			dst := dirtyArena(t, n, k, int64(k))
+			if dst.Rotations() == 0 || dst.EdgeChanges() == 0 {
+				t.Fatal("the dirty arena was never splayed; the test is vacuous")
+			}
+			for _, step := range []string{"used arena", "after a rejected spec"} {
+				if step == "after a rejected spec" {
+					// Valid down to the last node, whose id repeats.
+					bad := randomSpec(1, n, k, rand.New(rand.NewSource(7)))
+					leaf := bad
+					for len(leaf.Children) > 0 {
+						for _, ch := range leaf.Children {
+							if ch != nil {
+								leaf = ch
+							}
+						}
+					}
+					leaf.ID = bad.ID
+					if _, err := BuildInto(dst, k, bad); err == nil {
+						t.Fatalf("k=%d %s: BuildInto accepted a spec with a duplicate id", k, shape)
+					}
+				}
+				got, err := BuildInto(dst, k, spec)
+				if err != nil {
+					t.Fatalf("k=%d %s %s: %v", k, shape, step, err)
+				}
+				if got != dst {
+					t.Fatalf("k=%d %s %s: BuildInto returned a new tree, not its destination", k, shape, step)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("k=%d %s %s: %v", k, shape, step, err)
+				}
+				if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+					t.Fatalf("k=%d %s %s: snapshot differs from Build's", k, shape, step)
+				}
+				for id := 1; id <= n; id++ {
+					if id != int(got.root) && got.slot[id] != want.slot[id] {
+						t.Fatalf("k=%d %s %s: slot cache of %d is %d, Build's is %d", k, shape, step, id, got.slot[id], want.slot[id])
+					}
+				}
+				if got.Rotations() != 0 || got.EdgeChanges() != 0 || got.trackEdges || got.blockPolicy != BlockCentered {
+					t.Fatalf("k=%d %s %s: rotations %d, edge changes %d, tracking %v, block policy %v; want a new tree's",
+						k, shape, step, got.Rotations(), got.EdgeChanges(), got.trackEdges, got.blockPolicy)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := BuildInto(dst, k, spec); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("k=%d %s: building into a used arena made %.0f allocs, want 0", k, shape, allocs)
+			}
+		}
+	}
+	if _, err := BuildInto(MustNewBalanced(7, 3), 4, BalancedSpec(1, 7, 4)); err == nil {
+		t.Error("BuildInto built a 4-ary tree into a 3-ary arena")
 	}
 }
 
@@ -307,6 +407,34 @@ func TestBuildAllocsConstantInN(t *testing.T) {
 			}
 			if allocs[0] != allocs[1] {
 				t.Errorf("k=%d %s: Build made %.0f allocs at n=255 but %.0f at n=4095, want the same count",
+					k, shape, allocs[0], allocs[1])
+			}
+		}
+	}
+}
+
+// TestFromSnapshotAllocsConstantInN is TestBuildAllocsConstantInN for
+// FromSnapshot, whose validation used to allocate a search path per
+// node: a restore now costs the same number of allocations at any node
+// count and shape.
+func TestFromSnapshotAllocsConstantInN(t *testing.T) {
+	for _, k := range []int{2, 4, 32} {
+		for _, shape := range []string{"balanced", "random"} {
+			var allocs [2]float64
+			for i, n := range []int{255, 4095} {
+				tr := MustNewBalanced(n, k)
+				if shape == "random" {
+					tr = MustBuild(k, randomSpec(1, n, k, rand.New(rand.NewSource(int64(n)))))
+				}
+				snap := tr.Snapshot()
+				allocs[i] = testing.AllocsPerRun(10, func() {
+					if _, err := FromSnapshot(snap); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("k=%d %s: FromSnapshot made %.0f allocs at n=255 but %.0f at n=4095, want the same count",
 					k, shape, allocs[0], allocs[1])
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/report"
-	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
@@ -51,7 +50,7 @@ func AblationPolicyGridCtx(ctx context.Context, eng *engine.Engine, tr workload.
 		{"(periodic semi-splay)", func() policy.Trigger { return policy.EveryM(4) }, policy.SemiSplay},
 		{"(lazy k-ary splay)", func() policy.Trigger { return policy.Alpha(alpha) }, policy.Splay},
 		{"(lazy net)", func() policy.Trigger { return policy.Alpha(alpha) },
-			func() policy.Adjuster { return policy.Rebuild("rebuild-wb", new(statictree.WeightBalancer).Build) }},
+			func() policy.Adjuster { return policy.RebuildWeightBalanced("rebuild-wb") }},
 		{"(frozen after warmup)", func() policy.Trigger { return policy.First(warm) }, policy.Splay},
 		{"(static balanced)", policy.Never, policy.None},
 	}

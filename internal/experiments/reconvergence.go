@@ -8,7 +8,6 @@ import (
 	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/report"
-	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
@@ -72,7 +71,7 @@ func AblationReconvergenceCtx(ctx context.Context, workers int, sc Scale) (repor
 	alpha := int64(mPhase / 2)
 	cooldown := int64(mPhase / 2)
 	rebuildWB := func() policy.Adjuster {
-		return policy.Rebuild("rebuild-wb", new(statictree.WeightBalancer).Build)
+		return policy.RebuildWeightBalanced("rebuild-wb")
 	}
 	rows := []struct {
 		note string

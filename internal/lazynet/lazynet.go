@@ -9,7 +9,7 @@
 //
 // Since the policy refactor the lazy network is the canonical composition
 //
-//	balanced k-ary tree × (policy.Alpha(α), policy.Rebuild(weight-balanced))
+//	balanced k-ary tree × (policy.Alpha(α), policy.RebuildWeightBalanced)
 //
 // and Net is internal/policy's Net: the α-threshold is a Trigger, the
 // demand-aware recomputation is an Adjuster, and variations — the exact
@@ -26,7 +26,6 @@ import (
 
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/policy"
-	"github.com/ksan-net/ksan/internal/statictree"
 )
 
 // Builder computes a static demand-aware topology for a demand window.
@@ -47,7 +46,7 @@ func New(n, k int, alpha int64) (*Net, error) {
 		return nil, fmt.Errorf("lazynet: %w", err)
 	}
 	net, err := policy.New(fmt.Sprintf("lazy %d-ary net (α=%d)", k, alpha), t,
-		policy.Alpha(alpha), policy.Rebuild("weight-balanced", new(statictree.WeightBalancer).Build))
+		policy.Alpha(alpha), policy.RebuildWeightBalanced("weight-balanced"))
 	if err != nil {
 		return nil, fmt.Errorf("lazynet: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/sim"
+	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
@@ -71,8 +72,10 @@ func (c *Ctx) Demand() *workload.Demand {
 // churn of the swap (links added plus removed, the model's raw
 // reconfiguration cost) — the adjustment-cost currency of rebuild-style
 // adjusters. It increments the net's rebuild counter, carries the edge-
-// tracking setting over to the fresh tree, and invalidates the static-
-// stretch distance oracle. It panics on a custom-substrate net.
+// tracking setting over to the fresh tree, invalidates the static-
+// stretch distance oracle, and keeps the retired tree as the net's
+// spare arena, which RebuildWeightBalanced builds its next tree into.
+// It panics on a custom-substrate net.
 func (c *Ctx) ReplaceTree(fresh *core.Tree) int64 {
 	p := c.net
 	if p.t == nil {
@@ -81,6 +84,9 @@ func (c *Ctx) ReplaceTree(fresh *core.Tree) int64 {
 	churn := linkChurn(p.t, fresh)
 	p.retiredEdges += p.t.EdgeChanges()
 	fresh.SetTrackEdges(p.trackEdges)
+	if fresh != p.t {
+		p.spare = p.t
+	}
 	p.t = fresh
 	c.Tree = fresh
 	p.oracleLive = false
@@ -148,8 +154,10 @@ func (noneAdjuster) NeedsTree() bool   { return false }
 func (noneAdjuster) Adjust(*Ctx) int64 { return 0 }
 
 // Builder computes a static demand-aware topology of the given arity
-// for a demand window (statictree.WeightBalanced and statictree.Optimal
-// are the stock implementations).
+// for a demand window, and its cost for that demand
+// (statictree.WeightBalanced and statictree.Optimal are the stock
+// implementations; RebuildWeightBalanced rebuilds weight-balanced trees
+// without one).
 type Builder func(d *workload.Demand, k int) (*core.Tree, int64, error)
 
 // Rebuild recomputes the whole topology from the demand observed since
@@ -177,6 +185,50 @@ func (r *rebuildAdjuster) NeedsTree() bool   { return true }
 func (r *rebuildAdjuster) Adjust(ctx *Ctx) int64 {
 	t := ctx.Tree
 	fresh, _, err := r.b(ctx.Demand(), t.K())
+	if err != nil {
+		ctx.Fail(fmt.Errorf("policy: %s rebuild failed, topology unchanged: %w", r.name, err))
+		return 0
+	}
+	return ctx.ReplaceTree(fresh)
+}
+
+// RebuildWeightBalanced is Rebuild(name, statictree.WeightBalanced)
+// doing only the work its decision depends on: the weight-balanced rule
+// reads point weights, not pairs, and Adjust charges link churn, not
+// the builder's cost. So it sums the point weights of the window and
+// the compacted aggregate in O(window + aggregate pairs) instead of
+// sorting them into a pair list, never evaluates the new tree's total
+// distance, and builds into the tree the net's last swap retired (its
+// spare arena). Trees, churn and failures are bit-identical to
+// Rebuild's, and a steady-state firing allocates nothing. Each adjuster
+// keeps its own scratch, so a net needs its own adjuster.
+func RebuildWeightBalanced(name string) Adjuster {
+	return &wbAdjuster{name: name}
+}
+
+type wbAdjuster struct {
+	name string
+	wb   statictree.WeightBalancer
+}
+
+func (r *wbAdjuster) Name() string      { return r.name }
+func (r *wbAdjuster) NeedsWindow() bool { return true }
+func (r *wbAdjuster) NeedsTree() bool   { return true }
+func (r *wbAdjuster) Adjust(ctx *Ctx) int64 {
+	p := ctx.net
+	// The point weights of Ctx.Demand, summed without aggregating pairs.
+	w := r.wb.Weights(p.t.N())
+	for _, rq := range ctx.Window {
+		w[rq.Src]++
+		w[rq.Dst]++
+	}
+	if p.pending != nil {
+		for _, pc := range p.pending.Pairs {
+			w[pc.Src] += pc.Count
+			w[pc.Dst] += pc.Count
+		}
+	}
+	fresh, err := r.wb.BuildWeights(p.spare, w, p.t.K())
 	if err != nil {
 		ctx.Fail(fmt.Errorf("policy: %s rebuild failed, topology unchanged: %w", r.name, err))
 		return 0

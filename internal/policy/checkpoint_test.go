@@ -6,6 +6,7 @@ import (
 
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
+	"github.com/ksan-net/ksan/internal/workload"
 )
 
 // checkpointCases are the compositions the recovery ladder must cover:
@@ -180,6 +181,33 @@ func TestCheckpointReuseAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state serve+checkpoint allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRebuildReuseAllocFree pins the steady-state cost of a rebuild-wb
+// firing on the lazy serving workload's shape (n=4095, k=4, alpha 20000,
+// hotspot traffic): once the window, the builder's scratch and the spare
+// arena have grown to size, serving a stretch through its firing
+// allocates nothing.
+func TestRebuildReuseAllocFree(t *testing.T) {
+	const n, k = 4095, 4
+	net, err := New("lazy", mustTree(t, n, k), Alpha(20000), RebuildWeightBalanced("weight-balanced"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := workload.MustCollect(workload.HotspotGen(n, 100_000, 0.1, 0.9, 1)).Reqs
+	i := 0
+	stretch := func() {
+		for before := net.Rebuilds(); net.Rebuilds() == before; i++ {
+			rq := reqs[i%len(reqs)]
+			net.Serve(rq.Src, rq.Dst)
+		}
+	}
+	for range 3 {
+		stretch()
+	}
+	if allocs := testing.AllocsPerRun(20, stretch); allocs != 0 {
+		t.Errorf("a steady-state stretch and its firing allocate %.1f objects, want 0", allocs)
 	}
 }
 

@@ -34,6 +34,11 @@ type Net struct {
 	t   *core.Tree // tree substrate (nil when top is set)
 	top Topology   // custom substrate
 
+	// spare is the tree the last ReplaceTree retired, kept as an arena
+	// the next rebuild can build into (RebuildWeightBalanced); never the
+	// current tree, nil before the first swap.
+	spare *core.Tree
+
 	needsWindow  bool
 	window       []sim.Request
 	compactAfter int              // window length that forces compaction
@@ -128,7 +133,11 @@ func (p *Net) K() int {
 
 // Tree exposes the current tree substrate for inspection and
 // validation (nil for custom substrates). Mutating it directly voids
-// the static-stretch oracle's soundness.
+// the static-stretch oracle's soundness. Serving may change it (splay
+// adjusters rotate it in place); a rebuild swaps in another tree and
+// keeps this one as the spare arena the next rebuild may build into, so
+// a returned tree stays unchanged until the second rebuild attempt after
+// it was returned. Copy it (Snapshot) to keep it longer.
 func (p *Net) Tree() *core.Tree { return p.t }
 
 // Trigger returns the composed trigger.

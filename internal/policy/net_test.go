@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/core"
@@ -112,32 +113,102 @@ func (r *refLazy) serve(u, v int) sim.Cost {
 	return cost
 }
 
+// lazyAdjusters are the two compositions of the lazy net's rebuild that
+// must match refLazy: the generic Rebuild over statictree.WeightBalanced
+// (the window sorted into pairs, the builder's cost discarded, a new
+// arena per firing) and RebuildWeightBalanced, which rebuild-wb uses
+// (point weights, no cost, built into the spare arena).
+var lazyAdjusters = []struct {
+	name string
+	mk   func() Adjuster
+}{
+	{"demand-builder", func() Adjuster { return Rebuild("weight-balanced", statictree.WeightBalanced) }},
+	{"point-weights", func() Adjuster { return RebuildWeightBalanced("weight-balanced") }},
+}
+
+// checkAgainstRefLazy serves reqs on an alpha × adj net and on refLazy
+// side by side and fails t unless every cost, the rebuild and churn
+// counts and the final tree are bit-identical. The net tracks edges,
+// compacts its window every compactAfter requests (0: never), and at
+// the middle of the stream takes a checkpoint, serves a quarter more,
+// restores it and replays that quarter, which must cost exactly what it
+// cost the first time: the restore and the rebuilds after it run with
+// spare arenas the checkpoint knows nothing of.
+func checkAgainstRefLazy(t *testing.T, n, k int, alpha int64, compactAfter int, adj Adjuster, reqs []sim.Request) {
+	t.Helper()
+	ref := &refLazy{n: n, k: k, alpha: alpha, t: mustTree(t, n, k)}
+	net, err := New("lazy", mustTree(t, n, k), Alpha(alpha), adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetTrackEdges(true)
+	if compactAfter > 0 {
+		net.compactAfter = compactAfter
+	}
+	cut, rewind := len(reqs)/2, 3*len(reqs)/4
+	costs := make([]sim.Cost, len(reqs))
+	var cp Checkpoint
+	var rebuildsAtCut, churnAtCut, replayedRebuilds, replayedChurn int64
+	for i, rq := range reqs {
+		switch i {
+		case cut:
+			if err := net.CheckpointInto(&cp); err != nil {
+				t.Fatal(err)
+			}
+			rebuildsAtCut, churnAtCut = net.Rebuilds(), net.LinkChurn()
+		case rewind:
+			replayedRebuilds, replayedChurn = net.Rebuilds()-rebuildsAtCut, net.LinkChurn()-churnAtCut
+			if replayedRebuilds == 0 {
+				t.Fatal("no rebuilds between checkpoint and restore; the replay is vacuous")
+			}
+			if err := net.Restore(&cp); err != nil {
+				t.Fatal(err)
+			}
+			for j := cut; j < rewind; j++ {
+				if got := net.Serve(reqs[j].Src, reqs[j].Dst); got != costs[j] {
+					t.Fatalf("replayed request %d (%d→%d): %+v, first served %+v", j, reqs[j].Src, reqs[j].Dst, got, costs[j])
+				}
+			}
+		}
+		got, want := net.Serve(rq.Src, rq.Dst), ref.serve(rq.Src, rq.Dst)
+		if got != want {
+			t.Fatalf("request %d (%d→%d): policy %+v, reference %+v", i, rq.Src, rq.Dst, got, want)
+		}
+		costs[i] = got
+	}
+	if net.Rebuilds() == 0 {
+		t.Fatal("trace produced no rebuilds; the equivalence test is vacuous")
+	}
+	if net.Rebuilds() != ref.rebuilds+replayedRebuilds || net.LinkChurn() != ref.churn+replayedChurn {
+		t.Errorf("rebuilds/churn %d/%d, reference %d/%d plus %d/%d replayed",
+			net.Rebuilds(), net.LinkChurn(), ref.rebuilds, ref.churn, replayedRebuilds, replayedChurn)
+	}
+	if !reflect.DeepEqual(net.Tree().Snapshot(), ref.t.Snapshot()) {
+		t.Error("final trees differ from the reference's")
+	}
+	if err := net.Tree().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLazyCompositionBitIdenticalToReferenceLoop(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		n, k, alpha := 60, 3, int64(900)
-		ref := &refLazy{n: n, k: k, alpha: alpha, t: mustTree(t, n, k)}
-		net, err := New("lazy", mustTree(t, n, k), Alpha(alpha),
-			Rebuild("weight-balanced", statictree.WeightBalanced))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 12000; i++ {
-			u, v := 1+rng.Intn(n), 1+rng.Intn(n)
-			if i%37 == 0 {
-				v = u // self-loops must be free and invisible to the policy
+	const n, alpha = 60, 900
+	for _, a := range lazyAdjusters {
+		for _, k := range []int{2, 3, 4, 8} {
+			for seed := int64(0); seed < 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				reqs := make([]sim.Request, 12000)
+				for i := range reqs {
+					u, v := 1+rng.Intn(n), 1+rng.Intn(n)
+					if i%37 == 0 {
+						v = u // self-loops must be free and invisible to the policy
+					}
+					reqs[i] = sim.Request{Src: u, Dst: v}
+				}
+				t.Run(fmt.Sprintf("%s/k=%d/seed=%d", a.name, k, seed), func(t *testing.T) {
+					checkAgainstRefLazy(t, n, k, alpha, 0, a.mk(), reqs)
+				})
 			}
-			got, want := net.Serve(u, v), ref.serve(u, v)
-			if got != want {
-				t.Fatalf("seed=%d request %d (%d→%d): policy %+v, reference %+v", seed, i, u, v, got, want)
-			}
-		}
-		if net.Rebuilds() == 0 {
-			t.Fatal("trace produced no rebuilds; the equivalence test is vacuous")
-		}
-		if net.Rebuilds() != ref.rebuilds || net.LinkChurn() != ref.churn {
-			t.Errorf("seed=%d: rebuilds/churn %d/%d, reference %d/%d",
-				seed, net.Rebuilds(), net.LinkChurn(), ref.rebuilds, ref.churn)
 		}
 	}
 }
@@ -368,24 +439,61 @@ func TestCompactedWindowBitIdenticalToUnbounded(t *testing.T) {
 	// Chunk-wise demand compaction must not change a single rebuild: a
 	// net forced to compact every 64 requests serves bit-identically to
 	// the unbounded-window reference loop.
-	n, k, alpha := 48, 3, int64(2500)
-	ref := &refLazy{n: n, k: k, alpha: alpha, t: mustTree(t, n, k)}
-	net, err := New("compacting", mustTree(t, n, k), Alpha(alpha),
-		Rebuild("weight-balanced", statictree.WeightBalanced))
+	const n, alpha = 48, 2500
+	rng := rand.New(rand.NewSource(17))
+	reqs := make([]sim.Request, 10000)
+	for i := range reqs {
+		reqs[i] = sim.Request{Src: 1 + rng.Intn(n), Dst: 1 + rng.Intn(n)}
+	}
+	for _, a := range lazyAdjusters {
+		for _, k := range []int{2, 3, 4, 8} {
+			t.Run(fmt.Sprintf("%s/k=%d", a.name, k), func(t *testing.T) {
+				checkAgainstRefLazy(t, n, k, alpha, 64, a.mk(), reqs)
+			})
+		}
+	}
+}
+
+// TestSpareArenaLifetime pins the lifetime Net.Tree documents on a
+// rebuild-wb net: the tree it returns survives the next rebuild
+// unchanged, as the spare, and the rebuild after that builds into its
+// arena. The spare is never the current tree.
+func TestSpareArenaLifetime(t *testing.T) {
+	net, err := New("lazy", mustTree(t, 60, 3), EveryM(100), RebuildWeightBalanced("weight-balanced"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.compactAfter = 64
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 10000; i++ {
-		u, v := 1+rng.Intn(n), 1+rng.Intn(n)
-		got, want := net.Serve(u, v), ref.serve(u, v)
-		if got != want {
-			t.Fatalf("request %d (%d→%d): compacting net %+v, reference %+v", i, u, v, got, want)
+	rng := rand.New(rand.NewSource(5))
+	fire := func() {
+		t.Helper()
+		before := net.Rebuilds()
+		for i := 0; i < 100; i++ {
+			u := 1 + rng.Intn(60)
+			net.Serve(u, 1+u%60)
+		}
+		if net.Rebuilds() != before+1 {
+			t.Fatalf("100 requests made %d rebuilds, want 1", net.Rebuilds()-before)
+		}
+		if net.spare == net.Tree() {
+			t.Fatal("the spare arena is the current tree")
 		}
 	}
-	if net.Rebuilds() == 0 {
-		t.Fatal("no rebuilds; compaction was never consumed")
+	fire()
+	held := net.Tree()
+	snap := held.Snapshot()
+	fire()
+	if net.Tree() == held {
+		t.Fatal("the rebuild kept the current tree")
+	}
+	if !reflect.DeepEqual(held.Snapshot(), snap) {
+		t.Fatal("the first rebuild after Tree returned changed the tree it returned")
+	}
+	fire()
+	if net.Tree() != held {
+		t.Error("the second rebuild did not build into the retired arena")
+	}
+	if err := net.Tree().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

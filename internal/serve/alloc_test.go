@@ -49,15 +49,15 @@ func assertConstantInRequests(t *testing.T, m int, slackAllocs, perReq int64, ru
 // deadlines, the replay log and periodic checkpoints), the contended
 // path, where clients publish to a shard someone else is serving, the
 // lock-free frozen path at every shard count, and crashes that fire, are
-// restored and replayed at the same logical points at both run lengths.
-// The crash row has one client: a restore re-validates the checkpointed
-// tree, whose allocations depend on its shape, and with several clients
-// the shape at the checkpoint depends on how their requests interleaved.
-// Over repeated runs on a 2-vCPU host (30 plain, 15 under CPU load, 3
-// under -race) the four-client adjusting rows drifted by up to 80
-// allocations between the two lengths and the others by up to 24; each
-// slack sits above its row's drift and below the 234 that one allocation
-// every 256 requests adds.
+// restored and replayed at the same logical points at both run lengths,
+// with one client and with four. A restore re-validates the checkpointed
+// tree, whose shape depends on how the clients' requests interleaved;
+// validation makes the same allocations at every shape, so the crash
+// rows do not depend on the interleaving. Over repeated runs on a 2-vCPU
+// host (30 plain, 15 under CPU load, 3 under -race) the four-client
+// adjusting rows drifted by up to 80 allocations between the two lengths
+// and the others by up to 24; each slack sits above its row's drift and
+// below the 234 that one allocation every 256 requests adds.
 func TestRunAllocsConstantInRequests(t *testing.T) {
 	const n, m = 1024, 20_000
 	crashes := &FaultPlan{CheckpointEvery: 1024}
@@ -77,6 +77,7 @@ func TestRunAllocsConstantInRequests(t *testing.T) {
 		{"s=4/c=4", Config{Shards: 4, Clients: 4}, mkKary, 128},
 		{"s=4/c=4/idle", Config{Shards: 4, Clients: 4, Faults: &FaultPlan{CheckpointEvery: 1024}}, mkKary, 128},
 		{"s=4/c=1/crash-recover", Config{Shards: 4, Clients: 1, Faults: crashes}, mkKary, 64},
+		{"s=4/c=4/crash-recover", Config{Shards: 4, Clients: 4, Faults: crashes}, mkKary, 128},
 		{"frozen/s=1/c=1", Config{Shards: 1, Clients: 1}, mkFrozen, 64},
 		{"frozen/s=2/c=2", Config{Shards: 2, Clients: 2}, mkFrozen, 64},
 		{"frozen/s=4/c=4", Config{Shards: 4, Clients: 4}, mkFrozen, 64},

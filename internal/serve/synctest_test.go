@@ -8,8 +8,29 @@ import (
 	"testing/synctest"
 	"time"
 
+	"github.com/ksan-net/ksan/internal/lazynet"
+	"github.com/ksan-net/ksan/internal/sim"
+	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
+
+// runInBubble is Run inside a synctest bubble. The result leaves the
+// bubble over a channel: read straight from variables the bubble's root
+// goroutine wrote, it raced under -race on Go 1.24, whose detector saw
+// no ordering between those writes and synctest.Run returning.
+func runInBubble(cfg Config, mk func(n int) (sim.Network, error), gen workload.Generator) (*Stats, error) {
+	type result struct {
+		stats *Stats
+		err   error
+	}
+	done := make(chan result, 1)
+	synctest.Run(func() {
+		stats, err := Run(context.Background(), cfg, mk, gen)
+		done <- result{stats, err}
+	})
+	r := <-done
+	return r.stats, r.err
+}
 
 // TestSynctestStallLedgers pins the wall-clock fault schedules exactly.
 // Inside a synctest bubble the clock moves only when every goroutine of
@@ -66,11 +87,7 @@ func TestSynctestStallLedgers(t *testing.T) {
 				Timeout: 20 * time.Millisecond,
 				Events:  []FaultEvent{{Shard: 0, At: 10, Kind: FaultStall, Stall: tc.stall}},
 			}
-			var stats *Stats
-			var err error
-			synctest.Run(func() {
-				stats, err = Run(context.Background(), cfg, mkKary, workload.TemporalGen(64, tc.m, 0.6, 13))
-			})
+			stats, err := runInBubble(cfg, mkKary, workload.TemporalGen(64, tc.m, 0.6, 13))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,5 +104,85 @@ func TestSynctestStallLedgers(t *testing.T) {
 				t.Errorf("Elapsed = %v, want %v of virtual time", stats.Elapsed, tc.duration)
 			}
 		})
+	}
+}
+
+// TestSynctestLossyOutageLedger pins the whole ledger of a lossy outage
+// with retries and stale reads on an alpha × rebuild-wb net, in the
+// fault-plan shape of the benchmark's lazy workload: checkpoints every
+// 2 000 serves, a crash on a checkpoint boundary and one mid-interval
+// (both lossless), then a crash that rejects 30 arrivals. One client
+// with two retries per request and backoff between them turns those 30
+// rejections into 10 requests served degraded through the stale
+// checkpoint oracle, and the 20 backoff sleeps are the run's only
+// virtual time. The oracle is built over the tree the crash restored,
+// whose arena the rebuild after next reuses; the test checks the
+// replayed and degraded costs against a sequential run of the same
+// stream, so a degraded read that saw the reused arena would show.
+//
+// Run with GOEXPERIMENT=synctest on Go 1.24.
+func TestSynctestLossyOutageLedger(t *testing.T) {
+	const n, m, alpha = 1023, 20_000, 3000
+	const lossyAt = 4*m/5 + 123
+	mk := func(n int) (sim.Network, error) { return lazynet.New(n, 4, alpha) }
+	cfg := Config{Shards: 1, Clients: 1, Faults: &FaultPlan{
+		CheckpointEvery: 2000,
+		Degraded:        DegradedStale,
+		Timeout:         time.Second,
+		Retries:         2,
+		Backoff:         time.Millisecond,
+		BackoffCap:      4 * time.Millisecond,
+		Seed:            7,
+		Events: []FaultEvent{
+			{At: 4000, Kind: FaultCrash},
+			{At: m/2 + 777, Kind: FaultCrash},
+			{At: lossyAt, Kind: FaultCrash, RecoverAfter: 30},
+		},
+	}}
+	gen := workload.HotspotGen(n, m, 0.1, 0.9, 7)
+	stats, err := runInBubble(cfg, mk, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FaultStats{Crashes: 3, Recoveries: 3, Checkpoints: 10,
+		ReplayedRequests: 777 + 123, ReplayRouting: 6404, ReplayAdjust: 2976,
+		Rejected: 30, Retries: 20, DegradedRequests: 10, DegradedRouting: 74}
+	if *stats.Faults != want {
+		t.Errorf("fault ledger\n got %+v\nwant %+v", *stats.Faults, want)
+	}
+	if stats.Requests != m-10 {
+		t.Errorf("healthy requests = %d, want %d", stats.Requests, m-10)
+	}
+	if want := 23213296 * time.Nanosecond; stats.Elapsed != want {
+		t.Errorf("Elapsed = %v, want %v of virtual time", stats.Elapsed, want)
+	}
+
+	// The sequential run: serve i (1-based) is request i, replays re-serve
+	// (10000, 10777] and (16000, 16123], and the 10 degraded requests
+	// after serve 16123 are read on the tree checkpointed at serve 16000.
+	ref, err := lazynet.New(n, 4, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := workload.MustCollect(gen).Reqs
+	var replay sim.Cost
+	var stale *statictree.DistIndex
+	for i, rq := range reqs[:lossyAt] {
+		c := ref.Serve(rq.Src, rq.Dst)
+		if serve := i + 1; serve > m/2 && serve <= m/2+777 || serve > 4*m/5 {
+			replay.Routing += c.Routing
+			replay.Adjust += c.Adjust
+		}
+		if i+1 == 4*m/5 {
+			stale = statictree.NewDistIndex(ref.Tree())
+		}
+	}
+	var degraded int64
+	for _, rq := range reqs[lossyAt : lossyAt+10] {
+		degraded += stale.Dist(rq.Src, rq.Dst)
+	}
+	if replay.Routing != want.ReplayRouting || replay.Adjust != want.ReplayAdjust || degraded != want.DegradedRouting {
+		t.Errorf("sequential run: replay %d/%d, degraded routing %d; the pinned ledger says %d/%d and %d",
+			replay.Routing, replay.Adjust, degraded, want.ReplayRouting, want.ReplayAdjust, want.DegradedRouting)
 	}
 }

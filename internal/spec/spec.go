@@ -489,9 +489,7 @@ func (pd *PolicyDef) treeAdjuster() policy.Adjuster {
 	case "semi-splay":
 		return policy.SemiSplay()
 	case "rebuild-wb":
-		// One builder per adjuster: each network keeps its own rebuild
-		// scratch.
-		return policy.Rebuild("weight-balanced", new(statictree.WeightBalancer).Build)
+		return policy.RebuildWeightBalanced("weight-balanced")
 	case "rebuild-opt":
 		return policy.Rebuild("optimal", statictree.Optimal)
 	case "none":

@@ -32,11 +32,12 @@ func WeightBalanced(d *workload.Demand, k int) (*core.Tree, int64, error) {
 }
 
 // WeightBalancer builds weight-balanced trees and keeps its scratch
-// between builds: the prefix weights and the spec, threshold and child
+// between builds: the point weights and the spec, threshold and child
 // slabs, which core.Build only reads. A network that rebuilds repeatedly
-// (the lazy net's rebuild-wb adjuster) owns one, so each rebuild
-// allocates only the new tree. The zero value is ready to use; a
-// WeightBalancer must not be used by two goroutines at once.
+// (the lazy net's rebuild-wb adjuster) owns one and builds from point
+// weights into its retired arena (Weights, BuildWeights), so a rebuild
+// allocates nothing. The zero value is ready to use; a WeightBalancer
+// must not be used by two goroutines at once.
 type WeightBalancer struct {
 	prefix []int64
 	specs  []core.Spec
@@ -44,7 +45,8 @@ type WeightBalancer struct {
 	kids   []*core.Spec
 }
 
-// Build is WeightBalanced on b's scratch.
+// Build is WeightBalanced on b's scratch: BuildWeights over the demand's
+// point weights into a new arena, plus the tree's TotalDistance.
 func (b *WeightBalancer) Build(d *workload.Demand, k int) (*core.Tree, int64, error) {
 	if k < 2 {
 		return nil, 0, fmt.Errorf("statictree: arity %d < 2", k)
@@ -52,27 +54,56 @@ func (b *WeightBalancer) Build(d *workload.Demand, k int) (*core.Tree, int64, er
 	if err := checkDemand(d); err != nil {
 		return nil, 0, err
 	}
-	n := d.N
-	// Point weights: total traffic with node x as either endpoint, +1 so
-	// untouched nodes still spread evenly, summed in place into prefix.
-	prefix := resize(b.prefix, n+1)
+	w := b.Weights(d.N)
 	for _, pc := range d.Pairs {
-		prefix[pc.Src] += pc.Count
-		prefix[pc.Dst] += pc.Count
+		w[pc.Src] += pc.Count
+		w[pc.Dst] += pc.Count
 	}
+	tree, err := b.BuildWeights(nil, w, k)
+	if err != nil {
+		return nil, 0, err
+	}
+	return tree, TotalDistance(tree, d), nil
+}
+
+// Weights returns b's point-weight scratch for n nodes, zeroed, to be
+// filled and passed to BuildWeights: w[x], for x in 1..n, is the traffic
+// with node x as either endpoint. It is valid until b's next Weights or
+// Build.
+func (b *WeightBalancer) Weights(n int) []int64 {
+	b.prefix = resize(b.prefix, n+1)
+	return b.prefix
+}
+
+// BuildWeights is the construction behind Build, from point weights: it
+// builds the weight-balanced tree of arity k over the nodes 1..n, with
+// n = len(w)−1 and w[x] node x's point weight (w[0] is ignored), into
+// dst's arena (core.BuildInto; nil allocates a new one). It needs no
+// pair list, so a caller that keeps point weights skips the sort that
+// aggregating requests into pairs costs. It overwrites w with its
+// prefix sums.
+func (b *WeightBalancer) BuildWeights(dst *core.Tree, w []int64, k int) (*core.Tree, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("statictree: arity %d < 2", k)
+	}
+	n := len(w) - 1
+	if n < 1 {
+		return nil, fmt.Errorf("statictree: empty demand")
+	}
+	// +1 per node so untouched nodes still spread evenly.
+	w[0] = 0
 	for x := 1; x <= n; x++ {
-		prefix[x] += prefix[x-1] + 1
+		w[x] += w[x-1] + 1
 	}
-	b.prefix = prefix
 	b.specs = resize(b.specs, n) // cleared: a leaf sets only its ID
 	b.ths = resize(b.ths, n)
 	b.kids = resize(b.kids, 2*n)
-	wb := wbBuilder{k: k, prefix: prefix, specs: b.specs, ths: b.ths, kids: b.kids}
-	tree, err := core.Build(k, wb.build(1, n))
+	wb := wbBuilder{k: k, prefix: w, specs: b.specs, ths: b.ths, kids: b.kids}
+	tree, err := core.BuildInto(dst, k, wb.build(1, n))
 	if err != nil {
-		return nil, 0, fmt.Errorf("statictree: weight-balanced construction invalid: %w", err)
+		return nil, fmt.Errorf("statictree: weight-balanced construction invalid: %w", err)
 	}
-	return tree, TotalDistance(tree, d), nil
+	return tree, nil
 }
 
 // resize returns s with length n and every element zero, reusing its
