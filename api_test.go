@@ -66,6 +66,19 @@ func TestPublicAPINetworksImplementInterface(t *testing.T) {
 	}
 }
 
+func TestRunPanicsOnInvalidTrace(t *testing.T) {
+	net, err := NewKArySplayNet(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run accepted an out-of-range endpoint")
+		}
+	}()
+	Run(net, []Request{{Src: 1, Dst: 7}})
+}
+
 func TestPublicAPITraceRoundTrip(t *testing.T) {
 	tr := HPCWorkload(50, 300, 4)
 	var buf bytes.Buffer

@@ -7,6 +7,7 @@ package ksan
 // in ns/op).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -248,6 +249,8 @@ func BenchmarkTableRegeneration(b *testing.B) {
 	tr := ProjecToRWorkload(sc.ProjNodes, sc.Requests, sc.Seed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.KAryTable("bench", tr, sc)
+		if _, err := experiments.KAryTableCtx(context.Background(), NewEngine(), "bench", tr, sc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -14,9 +15,10 @@ import (
 
 // runExperiment loads a JSON experiment document, resolves it through the
 // spec registries, streams the grid, and writes results to stdout in the
-// requested format. Cells flow to the json/csv sinks as they finish; the
-// table format collects and renders once the stream drains.
-func runExperiment(ctx context.Context, path, format string, workers int, progress bool) error {
+// requested format and progress lines to stderr. Cells flow to the
+// json/csv sinks as they finish; the table format collects and renders
+// once the stream drains.
+func runExperiment(ctx context.Context, stdout, stderr io.Writer, path, format string, workers int, progress bool) error {
 	switch format {
 	case "table", "json", "csv":
 		// validated before any trace materializes: a format typo must not
@@ -52,10 +54,10 @@ func runExperiment(ctx context.Context, path, format string, workers int, progre
 		// report Total < 0 and stay live until the completion line.
 		opts = append(opts, engine.WithProgress(func(p engine.Progress) {
 			if p.Total < 0 {
-				fmt.Fprintf(os.Stderr, "[%8s] %s on %s: %d requests\n",
+				fmt.Fprintf(stderr, "[%8s] %s on %s: %d requests\n",
 					time.Since(start).Round(time.Millisecond), p.Network, p.Trace, p.Requests)
 			} else if p.Requests < p.Total {
-				fmt.Fprintf(os.Stderr, "[%8s] %s on %s: %d/%d requests\n",
+				fmt.Fprintf(stderr, "[%8s] %s on %s: %d/%d requests\n",
 					time.Since(start).Round(time.Millisecond), p.Network, p.Trace, p.Requests, p.Total)
 			}
 		}))
@@ -66,9 +68,9 @@ func runExperiment(ctx context.Context, path, format string, workers int, progre
 	var cells []engine.Cell
 	switch format {
 	case "json":
-		sink = report.NewJSONLSink(os.Stdout)
+		sink = report.NewJSONLSink(stdout)
 	case "csv":
-		sink = report.NewCSVSink(os.Stdout)
+		sink = report.NewCSVSink(stdout)
 	case "table":
 		// collected below
 	}
@@ -79,7 +81,7 @@ func runExperiment(ctx context.Context, path, format string, workers int, progre
 	for c, err := range eng.Stream(ctx, nets, traces) {
 		done++
 		if progress {
-			fmt.Fprintf(os.Stderr, "[%8s] %s on %s done (%d/%d cells)\n",
+			fmt.Fprintf(stderr, "[%8s] %s on %s done (%d/%d cells)\n",
 				time.Since(start).Round(time.Millisecond), c.Result.Name, c.Result.Trace, done, total)
 		}
 		if err != nil && firstErr == nil {
@@ -101,7 +103,7 @@ func runExperiment(ctx context.Context, path, format string, workers int, progre
 			return err
 		}
 	} else {
-		fmt.Print(experimentTable(x, cells).Render())
+		fmt.Fprint(stdout, experimentTable(x, cells).Render())
 	}
 	if firstErr != nil {
 		return firstErr

@@ -54,8 +54,8 @@ func New(n, k int) (*Net, error) {
 // adjuster is always this package's region-aware centroid splay (with
 // policy.Never it simply never runs, freezing the topology).
 func Compose(label string, n, k int, trig policy.Trigger) (*Net, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("centroidnet: arity %d < 2", k)
+	if err := core.CheckIDRange(n, k); err != nil {
+		return nil, fmt.Errorf("centroidnet: %w", err)
 	}
 	if n < 3 {
 		return nil, fmt.Errorf("centroidnet: need at least 3 nodes, got %d", n)

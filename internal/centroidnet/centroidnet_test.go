@@ -1,10 +1,12 @@
 package centroidnet
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/ksan-net/ksan/internal/engine"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/splaynet"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -181,11 +183,18 @@ func TestLowLocalityBeatsSplayNetHighLocalityLoses(t *testing.T) {
 	// RELATIVE ordering of the two ratios rather than absolute wins, which
 	// depend on trace details.
 	n, m := 255, 30000
+	total := func(net sim.Network, reqs []sim.Request) int64 {
+		res, err := engine.New().Run(context.Background(), net, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Total()
+	}
 	ratio := func(p float64) float64 {
 		tr := workload.Temporal(n, m, p, 11)
-		cen := sim.Run(MustNew(n, 2), tr.Reqs)
-		spl := sim.Run(splaynet.MustNew(n), tr.Reqs)
-		return float64(cen.Total()) / float64(spl.Total())
+		cen := total(MustNew(n, 2), tr.Reqs)
+		spl := total(splaynet.MustNew(n), tr.Reqs)
+		return float64(cen) / float64(spl)
 	}
 	low, high := ratio(0.25), ratio(0.9)
 	if low >= high {

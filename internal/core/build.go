@@ -9,7 +9,7 @@ import (
 // the last, which is packed to the left) k-ary search tree network on ids
 // 1..n. This is the usual demand-oblivious initial topology.
 func NewBalanced(n, k int) (*Tree, error) {
-	if err := checkIDRange(n, k); err != nil {
+	if err := CheckIDRange(n, k); err != nil {
 		return nil, err
 	}
 	return Build(k, BalancedSpec(1, n, k))
@@ -89,7 +89,7 @@ func WeaklyCompleteSizes(c, k int) []int {
 // single child). It is the worst-case initial network used by the initial-
 // topology ablation.
 func NewPath(n, k int) (*Tree, error) {
-	if err := checkIDRange(n, k); err != nil {
+	if err := CheckIDRange(n, k); err != nil {
 		return nil, err
 	}
 	var spec *Spec
@@ -108,7 +108,7 @@ func NewPath(n, k int) (*Tree, error) {
 // ids into a random number of contiguous child intervals. Used by property
 // tests and the initial-topology ablation.
 func NewRandom(n, k int, seed int64) (*Tree, error) {
-	if err := checkIDRange(n, k); err != nil {
+	if err := CheckIDRange(n, k); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Snapshot is the flat wire form of a Tree: the arena's backing arrays,
 // copied verbatim. Because the arena already stores the whole topology in
@@ -55,11 +52,8 @@ func (t *Tree) SnapshotInto(s *Snapshot) {
 // never served). The round trip Snapshot → FromSnapshot yields a tree whose
 // Render, Parents and distance answers are bit-identical to the original's.
 func FromSnapshot(s Snapshot) (*Tree, error) {
-	if err := checkIDRange(s.N, s.K); err != nil {
+	if err := CheckIDRange(s.N, s.K); err != nil {
 		return nil, err
-	}
-	if s.N > math.MaxInt32/s.K {
-		return nil, fmt.Errorf("core: n·k = %d·%d overflows the int32 cut space", s.N, s.K)
 	}
 	if len(s.Parent) != s.N+1 {
 		return nil, fmt.Errorf("core: snapshot has %d parent entries, want %d", len(s.Parent), s.N+1)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Spec is a declarative description of a k-ary search tree used by the
 // static builders (full tree, DP optimum, centroid tree) and by tests.
@@ -59,11 +56,8 @@ func BuildInto(dst *Tree, k int, spec *Spec) (*Tree, error) {
 	} else {
 		n = countSpec(spec)
 	}
-	if err := checkIDRange(n, k); err != nil {
+	if err := CheckIDRange(n, k); err != nil {
 		return nil, err
-	}
-	if n > math.MaxInt32/k {
-		return nil, fmt.Errorf("core: n·k = %d·%d overflows the int32 cut space", n, k)
 	}
 	t := dst
 	if t == nil {

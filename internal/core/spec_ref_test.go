@@ -14,7 +14,7 @@ import (
 // must match arena for arena.
 func refBuild(k int, spec *Spec) (*Tree, error) {
 	n := countSpec(spec)
-	if err := checkIDRange(n, k); err != nil {
+	if err := CheckIDRange(n, k); err != nil {
 		return nil, err
 	}
 	t := newArena(n, k)

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tree is a k-ary search tree network on nodes with identifiers 1..n.
 //
@@ -305,14 +308,20 @@ func (t *Tree) AverageDepth() float64 {
 	return float64(sum) / float64(cnt)
 }
 
-// checkIDRange verifies the basic construction parameters shared by all
-// tree constructors.
-func checkIDRange(n, k int) error {
+// CheckIDRange verifies the construction parameters shared by all tree
+// constructors: at least one node, arity at least 2, and ids that fit
+// the int32 cut space (n·k). Constructors run it before they allocate
+// or loop over anything of size k, so an absurd arity is an error, not
+// an out-of-memory crash.
+func CheckIDRange(n, k int) error {
 	if n < 1 {
 		return fmt.Errorf("core: need at least one node, got n=%d", n)
 	}
 	if k < 2 {
 		return fmt.Errorf("core: arity must be at least 2, got k=%d", k)
+	}
+	if n > math.MaxInt32/k {
+		return fmt.Errorf("core: n·k = %d·%d overflows the int32 cut space", n, k)
 	}
 	return nil
 }

@@ -54,7 +54,7 @@ func TestRunGenAllocsConstantInRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := statictree.NewNet("full", full)
+	static := frozen("full", full)
 	for _, tc := range []struct {
 		name   string
 		eng    *Engine

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -18,13 +19,13 @@ import (
 // request even on one core, and the chunked trace shards across the
 // worker pool on multicore machines.
 
-func benchTrace(b *testing.B) (*statictree.Net, []sim.Request) {
+func benchTrace(b *testing.B) (*policy.Net, []sim.Request) {
 	b.Helper()
 	tr, err := statictree.Full(1023, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return statictree.NewNet("full", tr), workload.Uniform(1023, 200_000, 1).Reqs
+	return frozen("full", tr), workload.Uniform(1023, 200_000, 1).Reqs
 }
 
 // BenchmarkStaticTraceSequential is the baseline: the seed-style
@@ -83,7 +84,7 @@ func BenchmarkStaticGridSharded(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				return statictree.NewNet("full", tr)
+				return frozen("full", tr)
 			},
 		})
 	}

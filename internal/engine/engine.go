@@ -1,7 +1,7 @@
 // Package engine is the streaming, sharded experiment engine behind the
-// paper's evaluation: it serves communication traces on network topologies
-// under the Section 2 cost model (like the seed internal/sim loop it
-// replaces) and adds the machinery a production-scale evaluation harness
+// paper's evaluation and the one way to serve a trace: it serves
+// communication traces on network topologies under the Section 2 cost
+// model and adds the machinery a production-scale evaluation harness
 // needs — context cancellation, warmup/measurement windows, per-window
 // cost time-series, per-request routing percentiles, link-churn and
 // wall-clock throughput reporting, progress callbacks, and deterministic
@@ -25,23 +25,16 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/hist"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
 // ChurnReporter is an optional Network extension for designs that account
-// their own physical link churn (e.g. lazynet, whose topology object is
-// replaced wholesale on every rebuild).
+// their own physical link churn (policy nets, whose rebuild adjusters
+// replace the topology object wholesale).
 type ChurnReporter interface {
 	LinkChurn() int64
-}
-
-// treeHolder matches networks backed by a stable core.Tree, whose built-in
-// edge-churn counters the engine can enable and read.
-type treeHolder interface {
-	Tree() *core.Tree
 }
 
 // edgeTracking matches networks that manage their own per-rotation
@@ -114,9 +107,9 @@ func WithValidation(on bool) Option {
 }
 
 // WithLinkChurn enables physical link-churn accounting on networks that
-// expose it (a ChurnReporter, or a stable core.Tree whose edge tracking
-// the engine can switch on). Off by default because tracking allocates on
-// every rotation.
+// report it (a ChurnReporter), switching on their per-rotation edge
+// tracking first. Off by default because tracking allocates on every
+// rotation.
 func WithLinkChurn(on bool) Option {
 	return func(e *Engine) { e.churn = on }
 }
@@ -169,28 +162,18 @@ func (e *Engine) runOne(ctx context.Context, net sim.Network, gen workload.Gener
 	res := Result{Result: sim.Result{Name: net.Name()}, Trace: traceName}
 
 	// Unified churn accounting: first switch rotation-level edge tracking
-	// on (through the network's own toggle when it has one, so the
-	// setting survives rebuild swaps), then pick the counter to read — a
-	// ChurnReporter subsumes the tree counter (policy nets fold both
-	// rebuild churn and rotation churn into LinkChurn), the bare tree
-	// counter covers the rest.
+	// on through the network's own toggle, so the setting survives
+	// rebuild swaps, then read the ChurnReporter (policy nets fold both
+	// rebuild churn and rotation churn into LinkChurn).
 	var churner ChurnReporter
-	var churnTree *core.Tree
 	var churnBase int64
 	if e.churn {
-		switch n := net.(type) {
-		case edgeTracking:
+		if n, ok := net.(edgeTracking); ok {
 			n.SetTrackEdges(true)
-		case treeHolder:
-			n.Tree().SetTrackEdges(true)
 		}
-		switch n := net.(type) {
-		case ChurnReporter:
+		if n, ok := net.(ChurnReporter); ok {
 			churner = n
 			churnBase = n.LinkChurn()
-		case treeHolder:
-			churnTree = n.Tree()
-			churnBase = churnTree.EdgeChanges()
 		}
 	}
 
@@ -236,12 +219,8 @@ func (e *Engine) runOne(ctx context.Context, net sim.Network, gen workload.Gener
 	if secs := res.Elapsed.Seconds(); secs > 0 {
 		res.Throughput = float64(res.Requests+res.WarmupRequests) / secs
 	}
-	if e.churn {
-		if churner != nil {
-			res.LinkChurn = churner.LinkChurn() - churnBase
-		} else if churnTree != nil {
-			res.LinkChurn = churnTree.EdgeChanges() - churnBase
-		}
+	if churner != nil {
+		res.LinkChurn = churner.LinkChurn() - churnBase
 	}
 	res.P50Routing = h.Percentile(0.50)
 	res.P99Routing = h.Percentile(0.99)
@@ -329,7 +308,7 @@ func (e *Engine) runSequential(ctx context.Context, net sim.Network, gen workloa
 	return h, nil
 }
 
-// validateReq is the inline form of sim.Validate: one request checked as
+// validateReq is the engine's request validation: one request checked as
 // it is drawn from the stream.
 func validateReq(rq sim.Request, i, n int) error {
 	if rq.Src < 1 || rq.Src > n || rq.Dst < 1 || rq.Dst > n {

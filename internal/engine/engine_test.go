@@ -7,11 +7,41 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/ksan-net/ksan/internal/karynet"
+	"github.com/ksan-net/ksan/internal/core"
+	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
+
+// kary builds the k-ary SplayNet; it panics on bad parameters.
+func kary(n, k int) *policy.Net {
+	net, err := policy.NewKArySplayNet(n, k)
+	if err != nil {
+		panic(err)
+	}
+	return net
+}
+
+// frozen serves t as a static network, the never × none composition.
+func frozen(name string, t *core.Tree) *policy.Net {
+	net, err := policy.New(name, t, policy.Never(), policy.None())
+	if err != nil {
+		panic(err)
+	}
+	return net
+}
+
+// seedLoop is the plain serve loop the engine must reproduce.
+func seedLoop(net sim.Network, reqs []sim.Request) sim.Result {
+	res := sim.Result{Name: net.Name(), Requests: int64(len(reqs))}
+	for _, rq := range reqs {
+		c := net.Serve(rq.Src, rq.Dst)
+		res.Routing += c.Routing
+		res.Adjust += c.Adjust
+	}
+	return res
+}
 
 // fakeNet is a deterministic sequential Network: request (u,v) costs u+v
 // routing and v adjustment.
@@ -39,7 +69,7 @@ func TestRunMatchesSeedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Run(&fakeNet{n: 32, name: "fake"}, rs)
+	want := seedLoop(&fakeNet{n: 32, name: "fake"}, rs)
 	if got.Result != want {
 		t.Fatalf("engine result %+v != seed loop %+v", got.Result, want)
 	}
@@ -55,7 +85,7 @@ func TestGridDeterministicAcrossWorkers(t *testing.T) {
 		k := k
 		nets = append(nets, NetworkSpec{
 			Name: "kary",
-			Make: func(n int) sim.Network { return karynet.MustNew(n, k) },
+			Make: func(n int) sim.Network { return kary(n, k) },
 		})
 	}
 	traces := []TraceSpec{
@@ -155,11 +185,11 @@ func TestWarmupAccounting(t *testing.T) {
 	if got.WarmupRequests != 300 || got.Requests != 700 {
 		t.Fatalf("warmup split %d/%d, want 300/700", got.WarmupRequests, got.Requests)
 	}
-	all := sim.Run(&fakeNet{n: 16, name: "warm"}, rs)
+	all := seedLoop(&fakeNet{n: 16, name: "warm"}, rs)
 	if got.Routing+got.WarmupRouting != all.Routing || got.Adjust+got.WarmupAdjust != all.Adjust {
 		t.Errorf("warmup+measured != total: %+v vs %+v", got, all)
 	}
-	head := sim.Run(&fakeNet{n: 16, name: "warm"}, rs[:300])
+	head := seedLoop(&fakeNet{n: 16, name: "warm"}, rs[:300])
 	if got.WarmupRouting != head.Routing || got.WarmupAdjust != head.Adjust {
 		t.Errorf("warmup window misaccounted: %+v vs %+v", got, head)
 	}
@@ -234,12 +264,14 @@ func (s *scriptNet) Serve(u, v int) sim.Cost {
 }
 
 func TestValidationRejectsBadTrace(t *testing.T) {
-	bad := []sim.Request{{Src: 1, Dst: 99}}
-	if _, err := New().Run(context.Background(), &fakeNet{n: 4, name: "v"}, bad); err == nil {
-		t.Fatal("out-of-range endpoint accepted")
-	}
-	if _, err := New(WithValidation(false)).Run(context.Background(), &fakeNet{n: 4, name: "v"}, bad); err != nil {
-		t.Fatalf("validation off must not reject: %v", err)
+	for _, bad := range []sim.Request{{Src: 1, Dst: 99}, {Src: 0, Dst: 1}} {
+		reqs := []sim.Request{{Src: 1, Dst: 2}, bad}
+		if _, err := New().Run(context.Background(), &fakeNet{n: 4, name: "v"}, reqs); err == nil {
+			t.Fatalf("out-of-range endpoint %+v accepted", bad)
+		}
+		if _, err := New(WithValidation(false)).Run(context.Background(), &fakeNet{n: 4, name: "v"}, reqs); err != nil {
+			t.Fatalf("validation off must not reject: %v", err)
+		}
 	}
 }
 
@@ -249,12 +281,12 @@ func TestBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := reqs(200, 40_000, 8)
-	batch, err := New(WithWorkers(8), WithWindow(5000)).Run(context.Background(), statictree.NewNet("full", full), rs)
+	batch, err := New(WithWorkers(8), WithWindow(5000)).Run(context.Background(), frozen("full", full), rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reference: the per-request Serve path on a plain (non-batch) wrapper.
-	seq, err := New().Run(context.Background(), &serveOnly{net: statictree.NewNet("full", full)}, rs)
+	seq, err := New().Run(context.Background(), &serveOnly{net: frozen("full", full)}, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +308,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 // serveOnly hides a static net's ServeBatch (no embedding, so nothing is
 // promoted) to force the engine onto the sequential path.
-type serveOnly struct{ net *statictree.Net }
+type serveOnly struct{ net sim.Network }
 
 func (s *serveOnly) Name() string            { return s.net.Name() }
 func (s *serveOnly) N() int                  { return s.net.N() }
@@ -284,7 +316,7 @@ func (s *serveOnly) Serve(u, v int) sim.Cost { return s.net.Serve(u, v) }
 
 func TestLinkChurnReporting(t *testing.T) {
 	tr := workload.Temporal(32, 3000, 0.5, 9)
-	res, err := New(WithLinkChurn(true)).Run(context.Background(), karynet.MustNew(32, 3), tr.Reqs)
+	res, err := New(WithLinkChurn(true)).Run(context.Background(), kary(32, 3), tr.Reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +325,7 @@ func TestLinkChurnReporting(t *testing.T) {
 			res.LinkChurn, res.Adjust)
 	}
 	// Without the option the field stays zero.
-	off, err := New().Run(context.Background(), karynet.MustNew(32, 3), tr.Reqs)
+	off, err := New().Run(context.Background(), kary(32, 3), tr.Reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +456,7 @@ func TestWorkerPoolRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets := []NetworkSpec{
-		{Name: "static", Make: func(n int) sim.Network { return statictree.NewNet("full", full) }},
+		{Name: "static", Make: func(n int) sim.Network { return frozen("full", full) }},
 		{Name: "fake", Make: func(n int) sim.Network { return &fakeNet{n: n, name: "fake"} }},
 	}
 	var traces []TraceSpec

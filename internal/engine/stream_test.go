@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -47,7 +46,7 @@ func TestStreamMatchesRunGridAcrossWorkers(t *testing.T) {
 		k := k
 		nets = append(nets, NetworkSpec{
 			Name: "kary",
-			Make: func(n int) sim.Network { return karynet.MustNew(n, k) },
+			Make: func(n int) sim.Network { return kary(n, k) },
 		})
 	}
 	full, err := statictree.Full(48, 3)
@@ -56,7 +55,7 @@ func TestStreamMatchesRunGridAcrossWorkers(t *testing.T) {
 	}
 	nets = append(nets, NetworkSpec{
 		Name: "full",
-		Make: func(n int) sim.Network { return statictree.NewNet("full", full) },
+		Make: func(n int) sim.Network { return frozen("full", full) },
 	})
 	traces := []TraceSpec{
 		{Name: tr.Name, N: tr.N, Reqs: tr.Reqs},
@@ -214,7 +213,7 @@ func TestBatchProgressFromWorkers(t *testing.T) {
 	rs := workload.Uniform(64, 40_000, 3).Reqs
 	var events []Progress
 	eng := New(WithWorkers(4), WithProgress(func(p Progress) { events = append(events, p) }))
-	if _, err := eng.Run(context.Background(), statictree.NewNet("full", full), rs); err != nil {
+	if _, err := eng.Run(context.Background(), frozen("full", full), rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) < 2 {
@@ -244,7 +243,7 @@ func TestBatchProgressFromWorkers(t *testing.T) {
 	// Warmup prefix: worker progress counts from the end of the warmup.
 	events = events[:0]
 	eng = New(WithWorkers(4), WithWarmup(10_000), WithProgress(func(p Progress) { events = append(events, p) }))
-	if _, err := eng.Run(context.Background(), statictree.NewNet("full", full), rs); err != nil {
+	if _, err := eng.Run(context.Background(), frozen("full", full), rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 || events[len(events)-1].Requests != len(rs) {
@@ -262,7 +261,7 @@ func TestBatchProgressMatchesChunkCount(t *testing.T) {
 	rs := workload.Uniform(32, 10_000, 5).Reqs
 	var events []Progress
 	eng := New(WithWorkers(3), WithWindow(1024), WithProgress(func(p Progress) { events = append(events, p) }))
-	if _, err := eng.Run(context.Background(), statictree.NewNet("full", full), rs); err != nil {
+	if _, err := eng.Run(context.Background(), frozen("full", full), rs); err != nil {
 		t.Fatal(err)
 	}
 	want := (len(rs) + 1023) / 1024

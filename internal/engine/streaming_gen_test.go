@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -21,7 +20,7 @@ func staticNet(t *testing.T, n int) sim.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return statictree.NewNet("full", full)
+	return frozen("full", full)
 }
 
 // TestRunGenMatchesRunOnCollectedTrace pins the tentpole's determinism
@@ -35,7 +34,7 @@ func TestRunGenMatchesRunOnCollectedTrace(t *testing.T) {
 		name string
 		make func() sim.Network
 	}{
-		{"sequential", func() sim.Network { return karynet.MustNew(48, 3) }},
+		{"sequential", func() sim.Network { return kary(48, 3) }},
 		{"batch", func() sim.Network { return staticNet(t, 48) }},
 	} {
 		eng := New(WithWindow(1500))
@@ -80,7 +79,7 @@ func TestEngineServesUnknownLengthStream(t *testing.T) {
 		name string
 		make func() sim.Network
 	}{
-		{"sequential", func() sim.Network { return karynet.MustNew(24, 3) }},
+		{"sequential", func() sim.Network { return kary(24, 3) }},
 		{"batch", func() sim.Network { return staticNet(t, 24) }},
 	} {
 		eng := New(WithWindow(500))
@@ -124,7 +123,7 @@ func TestUnknownLengthProgressReportsNegativeTotal(t *testing.T) {
 			t.Errorf("progress event %d has Total=%d, want -1 for an unknown-length stream", events, p.Total)
 		}
 	}))
-	if _, err := eng.RunGen(context.Background(), karynet.MustNew(16, 3), gen); err != nil {
+	if _, err := eng.RunGen(context.Background(), kary(16, 3), gen); err != nil {
 		t.Fatal(err)
 	}
 	if events == 0 {
@@ -145,7 +144,7 @@ func TestGridSharesOneGeneratorAcrossCells(t *testing.T) {
 		k := k
 		nets = append(nets, NetworkSpec{
 			Name: "kary",
-			Make: func(n int) sim.Network { return karynet.MustNew(n, k) },
+			Make: func(n int) sim.Network { return kary(n, k) },
 		})
 	}
 	var streaming, materialized []TraceSpec

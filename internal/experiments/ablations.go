@@ -6,34 +6,26 @@ import (
 
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/engine"
-	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/report"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// AblationCostAccounting (A1 in DESIGN.md) quantifies the gap between the
-// paper's "one unit per rotation" adjustment accounting and the model's raw
-// definition (links added/removed): for each k it reports routing cost,
-// rotation count and actual edge churn of k-ary SplayNet on a trace.
-func AblationCostAccounting(tr workload.Trace, ks []int) report.Table {
-	t, err := AblationCostAccountingCtx(context.Background(), engine.New(), tr, ks)
-	if err != nil {
-		// The historical signature has no error path; fail as loudly as the
-		// seed code did.
-		panic(err)
-	}
-	return t
-}
-
-// AblationCostAccountingCtx is AblationCostAccounting with cancellation.
+// AblationCostAccountingCtx (A1 in DESIGN.md) quantifies the gap between
+// the paper's "one unit per rotation" adjustment accounting and the
+// model's raw definition (links added/removed): for each k it reports
+// routing cost, rotation count and actual edge churn of k-ary SplayNet on
+// a trace.
 func AblationCostAccountingCtx(ctx context.Context, eng *engine.Engine, tr workload.Trace, ks []int) (report.Table, error) {
 	t := report.Table{
 		Title:  fmt.Sprintf("Ablation A1: rotation count vs link churn (%s, n=%d, m=%d)", tr.Name, tr.N, tr.Len()),
 		Header: []string{"k", "routing", "rotations", "links changed", "links/rotation"},
 	}
 	for _, k := range ks {
-		net := karynet.MustNew(tr.N, k)
+		net, err := policy.NewKArySplayNet(tr.N, k)
+		if err != nil {
+			return t, err
+		}
 		net.Tree().SetTrackEdges(true)
 		res, err := eng.Run(ctx, net, tr.Reqs)
 		if err != nil {
@@ -50,29 +42,24 @@ func AblationCostAccountingCtx(ctx context.Context, eng *engine.Engine, tr workl
 	return t, nil
 }
 
-// AblationSemiSplayOnly (A2) measures the value of the double k-splay step:
-// it compares the full rotation repertoire against k-semi-splay-only
-// self-adjustment.
-func AblationSemiSplayOnly(tr workload.Trace, ks []int) report.Table {
-	t, err := AblationSemiSplayOnlyCtx(context.Background(), engine.New(), tr, ks)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// AblationSemiSplayOnlyCtx is AblationSemiSplayOnly with cancellation.
+// AblationSemiSplayOnlyCtx (A2) measures the value of the double k-splay
+// step: it compares the full rotation repertoire against
+// k-semi-splay-only self-adjustment.
 func AblationSemiSplayOnlyCtx(ctx context.Context, eng *engine.Engine, tr workload.Trace, ks []int) (report.Table, error) {
 	t := report.Table{
 		Title:  fmt.Sprintf("Ablation A2: full k-splay vs k-semi-splay only (%s, total cost)", tr.Name),
 		Header: []string{"k", "k-splay total", "semi-only total", "semi/full"},
 	}
 	for _, k := range ks {
-		full, err := eng.Run(ctx, karynet.MustNew(tr.N, k), tr.Reqs)
+		splay, err := policy.NewKArySplayNet(tr.N, k)
 		if err != nil {
 			return t, err
 		}
-		semi, err := karynet.Compose(fmt.Sprintf("%d-ary semi-splay", k), tr.N, k,
+		full, err := eng.Run(ctx, splay, tr.Reqs)
+		if err != nil {
+			return t, err
+		}
+		semi, err := policy.NewBalanced(fmt.Sprintf("%d-ary semi-splay", k), tr.N, k,
 			policy.Always(), policy.SemiSplay())
 		if err != nil {
 			return t, err
@@ -87,28 +74,26 @@ func AblationSemiSplayOnlyCtx(ctx context.Context, eng *engine.Engine, tr worklo
 	return t, nil
 }
 
-// AblationBlockPolicy (A3) compares the id-centered block placement of the
-// rebuild against the leftmost feasible placement.
-func AblationBlockPolicy(tr workload.Trace, ks []int) report.Table {
-	t, err := AblationBlockPolicyCtx(context.Background(), engine.New(), tr, ks)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// AblationBlockPolicyCtx is AblationBlockPolicy with cancellation.
+// AblationBlockPolicyCtx (A3) compares the id-centered block placement of
+// the rebuild against the leftmost feasible placement.
 func AblationBlockPolicyCtx(ctx context.Context, eng *engine.Engine, tr workload.Trace, ks []int) (report.Table, error) {
 	t := report.Table{
 		Title:  fmt.Sprintf("Ablation A3: centered vs leftmost routing-element blocks (%s, total cost)", tr.Name),
 		Header: []string{"k", "centered", "leftmost", "leftmost/centered"},
 	}
 	for _, k := range ks {
-		centered, err := eng.Run(ctx, karynet.MustNew(tr.N, k), tr.Reqs)
+		center, err := policy.NewKArySplayNet(tr.N, k)
 		if err != nil {
 			return t, err
 		}
-		left := karynet.MustNew(tr.N, k)
+		centered, err := eng.Run(ctx, center, tr.Reqs)
+		if err != nil {
+			return t, err
+		}
+		left, err := policy.NewKArySplayNet(tr.N, k)
+		if err != nil {
+			return t, err
+		}
 		left.Tree().SetBlockPolicy(core.BlockLeftmost)
 		l, err := eng.Run(ctx, left, tr.Reqs)
 		if err != nil {
@@ -120,45 +105,40 @@ func AblationBlockPolicyCtx(ctx context.Context, eng *engine.Engine, tr workload
 	return t, nil
 }
 
-// AblationInitialTopology (A4) measures how much the initial network
+// AblationInitialTopologyCtx (A4) measures how much the initial network
 // matters to k-ary SplayNet: balanced vs path vs random starts (the model
 // allows an arbitrary G0; self-adjustment should largely erase it).
-func AblationInitialTopology(tr workload.Trace, k int) report.Table {
-	t, err := AblationInitialTopologyCtx(context.Background(), engine.New(), tr, k)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// AblationInitialTopologyCtx is AblationInitialTopology with cancellation.
 func AblationInitialTopologyCtx(ctx context.Context, eng *engine.Engine, tr workload.Trace, k int) (report.Table, error) {
 	t := report.Table{
 		Title:  fmt.Sprintf("Ablation A4: initial topology sensitivity (%s, k=%d, total cost)", tr.Name, k),
 		Header: []string{"initial", "total cost", "vs balanced"},
 	}
-	balanced, err := eng.Run(ctx, karynet.MustNew(tr.N, k), tr.Reqs)
-	if err != nil {
-		return t, err
+	starts := []struct {
+		name string
+		tree func() (*core.Tree, error)
+	}{
+		{"balanced", func() (*core.Tree, error) { return core.NewBalanced(tr.N, k) }},
+		{"path", func() (*core.Tree, error) { return core.NewPath(tr.N, k) }},
+		{"random", func() (*core.Tree, error) { return core.NewRandom(tr.N, k, 99) }},
 	}
-	t.AddRow("balanced", report.Count(balanced.Total()), "1.00x")
-	path, err := core.NewPath(tr.N, k)
-	if err != nil {
-		return t, err
+	var balanced int64
+	for i, st := range starts {
+		tree, err := st.tree()
+		if err != nil {
+			return t, err
+		}
+		net, err := policy.New(policy.KArySplayNetName(k), tree, policy.Always(), policy.Splay())
+		if err != nil {
+			return t, err
+		}
+		res, err := eng.Run(ctx, net, tr.Reqs)
+		if err != nil {
+			return t, err
+		}
+		if i == 0 {
+			balanced = res.Total()
+		}
+		t.AddRow(st.name, report.Count(res.Total()), report.Ratio(res.Total(), balanced))
 	}
-	p, err := eng.Run(ctx, karynet.NewFromTree(path), tr.Reqs)
-	if err != nil {
-		return t, err
-	}
-	t.AddRow("path", report.Count(p.Total()), report.Ratio(p.Total(), balanced.Total()))
-	rnd, err := core.NewRandom(tr.N, k, 99)
-	if err != nil {
-		return t, err
-	}
-	r, err := eng.Run(ctx, karynet.NewFromTree(rnd), tr.Reqs)
-	if err != nil {
-		return t, err
-	}
-	t.AddRow("random", report.Count(r.Total()), report.Ratio(r.Total(), balanced.Total()))
 	return t, nil
 }

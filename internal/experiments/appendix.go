@@ -6,31 +6,19 @@ import (
 	"math"
 
 	"github.com/ksan-net/ksan/internal/engine"
-	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/report"
-	"github.com/ksan-net/ksan/internal/sim"
+	"github.com/ksan-net/ksan/internal/spec"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// CentroidOptimality reproduces the observation of Remark 10/37: on the
+// CentroidOptimalityCtx reproduces the observation of Remark 10/37: on the
 // uniform workload the centroid k-ary search tree matches the DP-optimal
 // tree exactly for all tested n < 10³ and k ≤ 10. For each (n,k) the table
 // reports centroid/optimal total-distance ratios (1.00x = optimal) and the
-// full tree's ratio for contrast.
-func CentroidOptimality(ns []int, ks []int) (report.Table, bool) {
-	t, all, err := CentroidOptimalityCtx(context.Background(), 0, ns, ks)
-	if err != nil {
-		// The historical signature has no error path; fail as loudly as the
-		// seed code did.
-		panic(err)
-	}
-	return t, all
-}
-
-// CentroidOptimalityCtx is CentroidOptimality with cancellation and an
-// explicit worker bound (0 = GOMAXPROCS): the (n,k) cells are independent
-// DP solves, so they shard across the pool.
+// full tree's ratio for contrast. workers bounds the pool (0 =
+// GOMAXPROCS): the (n,k) cells are independent DP solves, so they shard
+// across it.
 func CentroidOptimalityCtx(ctx context.Context, workers int, ns []int, ks []int) (report.Table, bool, error) {
 	t := report.Table{
 		Title:  "Remark 10: centroid tree vs uniform-workload optimum (total distance ratios)",
@@ -93,21 +81,12 @@ func CentroidOptimalityCtx(ctx context.Context, workers int, ns []int, ks []int)
 	return t, allOptimal, nil
 }
 
-// Lemma9Scaling reproduces the asymptotic claim of Lemma 9/36: the total
+// Lemma9ScalingCtx reproduces the asymptotic claim of Lemma 9/36: the total
 // uniform distance of both the full k-ary tree and the centroid tree is
 // n²·log_k n + O(n²). The table reports total distance divided by
-// n²·log_k n, which must approach 1 from either side as n grows.
-func Lemma9Scaling(ns []int, ks []int) report.Table {
-	t, err := Lemma9ScalingCtx(context.Background(), 0, ns, ks)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Lemma9ScalingCtx is Lemma9Scaling with cancellation and an explicit
-// worker bound; the per-(n,k) total-distance evaluations shard across the
-// pool.
+// n²·log_k n, which must approach 1 from either side as n grows. The
+// per-(n,k) total-distance evaluations shard across a pool of workers
+// (0 = GOMAXPROCS).
 func Lemma9ScalingCtx(ctx context.Context, workers int, ns []int, ks []int) (report.Table, error) {
 	t := report.Table{
 		Title:  "Lemma 9: total distance / (n² log_k n) for full and centroid trees",
@@ -148,20 +127,12 @@ func Lemma9ScalingCtx(ctx context.Context, workers int, ns []int, ks []int) (rep
 	return t, nil
 }
 
-// EntropyBoundCheck relates measured k-ary SplayNet cost to the Theorem 13
+// EntropyBoundCheckCtx relates measured k-ary SplayNet cost to the Theorem 13
 // entropy bound on each workload: the measured/bound ratio must stay below
 // a modest constant across workloads if the implementation matches the
-// analysis (the bound is asymptotic, so the constant is not 1).
-func EntropyBoundCheck(w Workloads, k int) report.Table {
-	t, err := EntropyBoundCheckCtx(context.Background(), engine.New(), w, k)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// EntropyBoundCheckCtx is EntropyBoundCheck as a declarative grid: one
-// k-ary network row crossed with the seven workloads.
+// analysis (the bound is asymptotic, so the constant is not 1). It runs
+// as a declarative grid on eng: one k-ary network row crossed with the
+// seven workloads.
 func EntropyBoundCheckCtx(ctx context.Context, eng *engine.Engine, w Workloads, k int) (report.Table, error) {
 	t := report.Table{
 		Title:  fmt.Sprintf("Theorem 13 sanity: %d-ary SplayNet total cost vs entropy bound", k),
@@ -182,11 +153,11 @@ func EntropyBoundCheckCtx(ctx context.Context, eng *engine.Engine, w Workloads, 
 		traces = append(traces, namedSpec(fmt.Sprintf("temporal-%.2f", p), tr))
 		bounds = append(bounds, workload.EntropyBound(tr))
 	}
-	nets := []engine.NetworkSpec{{
-		Name: fmt.Sprintf("%d-ary SplayNet", k),
-		Make: func(n int) sim.Network { return karynet.MustNew(n, k) },
-	}}
-	grid, err := eng.RunGrid(ctx, nets, traces)
+	ns, err := spec.NetworkDef{Kind: "kary", K: k}.Spec()
+	if err != nil {
+		return t, err
+	}
+	grid, err := eng.RunGrid(ctx, []engine.NetworkSpec{ns}, traces)
 	if err != nil {
 		return t, err
 	}

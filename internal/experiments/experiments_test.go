@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/ksan-net/ksan/internal/engine"
+	"github.com/ksan-net/ksan/internal/report"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
@@ -16,7 +20,10 @@ import (
 func TestKAryTableShapes(t *testing.T) {
 	sc := Quick
 	tr := workload.Temporal(sc.TemporalNodes, sc.Requests, 0.5, 3)
-	res := KAryTable("shape", tr, sc)
+	res, err := KAryTableCtx(context.Background(), engine.New(), "shape", tr, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Row 1 trend: routing cost decreases as k grows (Tables 1-7).
 	if !(res.Routing[10] < res.Routing[3] && res.Routing[3] < res.Routing[2]) {
@@ -45,7 +52,10 @@ func TestKAryTableSkipsOptimalBeyondLimit(t *testing.T) {
 	sc := Quick
 	sc.OptMaxN = 10 // force the skip
 	tr := workload.Uniform(32, 2000, 1)
-	res := KAryTable("skip", tr, sc)
+	res, err := KAryTableCtx(context.Background(), engine.New(), "skip", tr, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range sc.Ks {
 		if res.OptDist[k] != 0 {
 			t.Errorf("k=%d: optimal computed despite the limit", k)
@@ -61,7 +71,10 @@ func TestKAryTableSkipsOptimalBeyondLimit(t *testing.T) {
 func TestTable8LocalityTrend(t *testing.T) {
 	sc := Quick
 	w := MakeWorkloads(sc)
-	rows, tbl := Table8(w, sc)
+	rows, tbl, err := Table8Ctx(context.Background(), engine.New(), w, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("Table 8 must have 8 workloads, got %d", len(rows))
 	}
@@ -101,7 +114,10 @@ func TestTable8LocalityTrend(t *testing.T) {
 }
 
 func TestCentroidOptimalityExperiment(t *testing.T) {
-	tbl, all := CentroidOptimality([]int{5, 17, 40, 100}, []int{2, 3, 7})
+	tbl, all, err := CentroidOptimalityCtx(context.Background(), 0, []int{5, 17, 40, 100}, []int{2, 3, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !all {
 		t.Error("Remark 10 violated: centroid tree not optimal on a tested instance")
 	}
@@ -119,7 +135,10 @@ func TestCentroidOptimalityExperiment(t *testing.T) {
 }
 
 func TestLemma9ScalingExperiment(t *testing.T) {
-	tbl := Lemma9Scaling([]int{128, 512}, []int{2, 4})
+	tbl, err := Lemma9ScalingCtx(context.Background(), 0, []int{128, 512}, []int{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows %d", len(tbl.Rows))
 	}
@@ -140,7 +159,10 @@ func TestLemma9ScalingExperiment(t *testing.T) {
 func TestEntropyBoundCheckExperiment(t *testing.T) {
 	sc := Quick
 	w := MakeWorkloads(sc)
-	tbl := EntropyBoundCheck(w, 3)
+	tbl, err := EntropyBoundCheckCtx(context.Background(), engine.New(), w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tbl.Rows) != 3+len(TemporalPs) {
 		t.Errorf("rows %d", len(tbl.Rows))
 	}
@@ -158,20 +180,22 @@ func TestEntropyBoundCheckExperiment(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
+	ctx, eng := context.Background(), engine.New()
 	tr := workload.Temporal(64, 5000, 0.5, 5)
 	ks := []int{2, 4}
-	for _, tbl := range []struct {
-		name string
-		rows int
-	}{
-		{"cost", len(AblationCostAccounting(tr, ks).Rows)},
-		{"semi", len(AblationSemiSplayOnly(tr, ks).Rows)},
-		{"block", len(AblationBlockPolicy(tr, ks).Rows)},
-		{"initial", len(AblationInitialTopology(tr, 3).Rows)},
-		{"policy", len(AblationPolicyGrid(tr, 3).Rows)},
+	for name, ablation := range map[string]func() (report.Table, error){
+		"cost":    func() (report.Table, error) { return AblationCostAccountingCtx(ctx, eng, tr, ks) },
+		"semi":    func() (report.Table, error) { return AblationSemiSplayOnlyCtx(ctx, eng, tr, ks) },
+		"block":   func() (report.Table, error) { return AblationBlockPolicyCtx(ctx, eng, tr, ks) },
+		"initial": func() (report.Table, error) { return AblationInitialTopologyCtx(ctx, eng, tr, 3) },
+		"policy":  func() (report.Table, error) { return AblationPolicyGridCtx(ctx, eng, tr, 3) },
 	} {
-		if tbl.rows < 2 {
-			t.Errorf("ablation %s has %d rows", tbl.name, tbl.rows)
+		tbl, err := ablation()
+		if err != nil {
+			t.Fatalf("ablation %s: %v", name, err)
+		}
+		if len(tbl.Rows) < 2 {
+			t.Errorf("ablation %s has %d rows", name, len(tbl.Rows))
 		}
 	}
 }
@@ -183,7 +207,10 @@ func TestAblationPolicyGridShapes(t *testing.T) {
 	// reactive net beats the frozen topology on routing, the frozen rows
 	// charge no adjustment, and only rebuild rows report rebuild counts.
 	tr := workload.Temporal(64, 6000, 0.75, 8)
-	tbl := AblationPolicyGrid(tr, 3)
+	tbl, err := AblationPolicyGridCtx(context.Background(), engine.New(), tr, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("policy grid has %d rows, want 8", len(tbl.Rows))
 	}
@@ -231,7 +258,10 @@ func TestAblationLinkChurnExceedsRotations(t *testing.T) {
 	// links/rotation strictly above 1 (the paper's unit-cost rotation
 	// assumption understates physical churn).
 	tr := workload.Temporal(64, 5000, 0.5, 6)
-	tbl := AblationCostAccounting(tr, []int{2, 6})
+	tbl, err := AblationCostAccountingCtx(context.Background(), engine.New(), tr, []int{2, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range tbl.Rows {
 		var perRot float64
 		if _, err := sscanF(row[4], &perRot); err != nil {
@@ -265,18 +295,50 @@ func TestMakeWorkloadsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunAllQuickProducesAllSections(t *testing.T) {
+func TestRunSuiteQuickProducesAllSections(t *testing.T) {
 	var buf bytes.Buffer
-	RunAll(&buf, Quick)
+	if err := RunSuite(context.Background(), &buf, Quick, Options{}); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"Table 1", "Table 2", "Table 3", "Table 4", "Table 5", "Table 6", "Table 7", "Table 8",
 		"Remark 10", "Lemma 9", "Theorem 13",
-		"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A4", "Ablation A5",
+		"Ablation A1", "Ablation A2", "Ablation A3", "Ablation A4", "Ablation A5", "Ablation A6",
+		"fully reactive vs partially reactive",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("suite output missing %q", want)
 		}
+	}
+}
+
+func TestRunSectionsSelectsAndRejects(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RunSections(context.Background(), &buf, Quick, Options{}, []string{"lazy", "5"}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"Table 5", "fully reactive vs partially reactive"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("selected output missing %q", want)
+		}
+	}
+	for _, other := range []string{"Table 4", "Table 8", "Remark 10", "Ablation", "== ksan"} {
+		if strings.Contains(out, other) {
+			t.Errorf("selected output has unselected %q", other)
+		}
+	}
+	if i, j := strings.Index(out, "Table 5"), strings.Index(out, "fully reactive"); i > j {
+		t.Error("sections ran out of paper order")
+	}
+	buf.Reset()
+	err := RunSections(context.Background(), &buf, Quick, Options{}, []string{"8", "ablatoins"})
+	if !errors.Is(err, ErrUnknownSection) || !strings.Contains(err.Error(), "lazy") {
+		t.Errorf("unknown name: err %v, want ErrUnknownSection listing the valid names", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("a rejected selection printed %q", buf.String())
 	}
 }
 

@@ -29,7 +29,7 @@ func traceSpec(tr workload.Trace) engine.TraceSpec {
 	return engine.TraceSpec{Name: tr.Name, N: tr.N, Reqs: tr.Reqs}
 }
 
-// KAryTable reproduces the layout of Tables 1–7 on one trace:
+// KAryTableCtx reproduces the layout of Tables 1–7 on one trace:
 //
 //	row 1 — total routing cost of 2-ary SplayNet (absolute), then the
 //	        relative routing cost of k-ary SplayNet for k=3..10,
@@ -40,19 +40,8 @@ func traceSpec(tr workload.Trace) engine.TraceSpec {
 //	        Facebook column).
 //
 // A supplementary row reports total (routing+rotation) cost ratios for
-// transparency about adjustment overhead.
-func KAryTable(title string, tr workload.Trace, sc Scale) KAryTableResult {
-	res, err := KAryTableCtx(context.Background(), engine.New(), title, tr, sc)
-	if err != nil {
-		// The historical signature has no error path; fail as loudly as the
-		// seed code did.
-		panic(err)
-	}
-	return res
-}
-
-// KAryTableCtx is KAryTable on an explicit engine: the k sweep is one
-// declarative grid (one k-ary network per column, one trace), and the
+// transparency about adjustment overhead. The k sweep is one declarative
+// grid (one k-ary network per column, one trace) on eng, and the
 // static-tree distances are computed on the same bounded pool.
 func KAryTableCtx(ctx context.Context, eng *engine.Engine, title string, tr workload.Trace, sc Scale) (KAryTableResult, error) {
 	res := KAryTableResult{
@@ -155,17 +144,8 @@ func KAryTableCtx(ctx context.Context, eng *engine.Engine, title string, tr work
 	return res, nil
 }
 
-// Tables1Through7 runs the whole k-ary sweep suite: the three trace-like
-// workloads and the four temporal workloads.
-func Tables1Through7(w Workloads, sc Scale) []KAryTableResult {
-	out, err := Tables1Through7Ctx(context.Background(), engine.New(), w, sc)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// Tables1Through7Ctx is Tables1Through7 on an explicit engine and context.
+// Tables1Through7Ctx runs the whole k-ary sweep suite on eng: the three
+// trace-like workloads and the four temporal workloads.
 func Tables1Through7Ctx(ctx context.Context, eng *engine.Engine, w Workloads, sc Scale) ([]KAryTableResult, error) {
 	type spec struct {
 		title string

@@ -5,57 +5,55 @@ import (
 	"fmt"
 
 	"github.com/ksan-net/ksan/internal/engine"
-	"github.com/ksan-net/ksan/internal/karynet"
-	"github.com/ksan-net/ksan/internal/lazynet"
+	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/report"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// LazyVsReactive compares the fully reactive k-ary SplayNet against the
-// partially reactive meta-algorithm (lazynet) across reconfiguration
-// thresholds α, using the model's raw link-churn cost for the lazy
-// rebuilds. This extends the paper's introduction discussion of lazy SANs
-// ([13]) to the k-ary setting.
-func LazyVsReactive(tr workload.Trace, k int, alphas []int64) report.Table {
-	t, err := LazyVsReactiveCtx(context.Background(), engine.New(), tr, k, alphas)
-	if err != nil {
-		// The historical signature has no error path; fail as loudly as the
-		// seed code did.
-		panic(err)
-	}
-	return t
-}
-
-// LazyVsReactiveCtx is LazyVsReactive on an explicit engine and context.
-// The lazy networks replay their observed traffic into rebuilds
-// internally, so each network instance must see the trace strictly in
-// order: the engine serves each row sequentially and the rows themselves
-// run one after another.
+// LazyVsReactiveCtx compares the fully reactive k-ary SplayNet against the
+// partially reactive meta-algorithm (policy.NewLazy) across
+// reconfiguration thresholds α, using the model's raw link-churn cost for
+// the lazy rebuilds. This extends the paper's introduction discussion of
+// lazy SANs ([13]) to the k-ary setting. The lazy networks replay their
+// observed traffic into rebuilds internally, so each network instance
+// must see the trace strictly in order: the engine serves each row
+// sequentially and the rows themselves run one after another.
 func LazyVsReactiveCtx(ctx context.Context, eng *engine.Engine, tr workload.Trace, k int, alphas []int64) (report.Table, error) {
 	t := report.Table{
 		Title:  fmt.Sprintf("Extension: fully reactive vs partially reactive (lazy) networks (%s, k=%d)", tr.Name, k),
 		Header: []string{"network", "routing", "adjustment", "total", "rebuilds"},
 	}
-	reactive, err := eng.Run(ctx, karynet.MustNew(tr.N, k), tr.Reqs)
+	splay, err := policy.NewKArySplayNet(tr.N, k)
 	if err != nil {
 		return t, err
 	}
-	t.AddRow(fmt.Sprintf("%d-ary SplayNet (reactive)", k),
+	reactive, err := eng.Run(ctx, splay, tr.Reqs)
+	if err != nil {
+		return t, err
+	}
+	t.AddRow(reactive.Name+" (reactive)",
 		report.Count(reactive.Routing), report.Count(reactive.Adjust),
 		report.Count(reactive.Total()), "-")
 	full, err := statictree.Full(tr.N, k)
 	if err != nil {
 		return t, err
 	}
-	static, err := eng.Run(ctx, statictree.NewNet("full", full), tr.Reqs)
+	frozen, err := policy.New("full", full, policy.Never(), policy.None())
+	if err != nil {
+		return t, err
+	}
+	static, err := eng.Run(ctx, frozen, tr.Reqs)
 	if err != nil {
 		return t, err
 	}
 	t.AddRow("full tree (never adjusts)",
 		report.Count(static.Routing), "0", report.Count(static.Total()), "0")
 	for _, a := range alphas {
-		lazy := lazynet.MustNew(tr.N, k, a)
+		lazy, err := policy.NewLazy(tr.N, k, a)
+		if err != nil {
+			return t, err
+		}
 		res, err := eng.Run(ctx, lazy, tr.Reqs)
 		if err != nil {
 			return t, err

@@ -5,13 +5,12 @@ import (
 	"fmt"
 
 	"github.com/ksan-net/ksan/internal/engine"
-	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/report"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// AblationPolicyGrid (A5 in DESIGN.md) sweeps the trigger × adjuster
+// AblationPolicyGridCtx (A5 in DESIGN.md) sweeps the trigger × adjuster
 // plane of the policy layer on the k-ary topology: the canonical corners
 // (the fully reactive k-ary SplayNet, the lazy rebuild net, the frozen
 // balanced tree) next to the compositions the decoupling makes free —
@@ -19,17 +18,6 @@ import (
 // but by splaying instead of rebuilding), periodic semi-splay, and
 // frozen-after-warmup. One row per composition, same trace, total-cost
 // accounting.
-func AblationPolicyGrid(tr workload.Trace, k int) report.Table {
-	t, err := AblationPolicyGridCtx(context.Background(), engine.New(), tr, k)
-	if err != nil {
-		// The historical table signatures have no error path; fail as
-		// loudly as the seed code did.
-		panic(err)
-	}
-	return t
-}
-
-// AblationPolicyGridCtx is AblationPolicyGrid with cancellation.
 func AblationPolicyGridCtx(ctx context.Context, eng *engine.Engine, tr workload.Trace, k int) (report.Table, error) {
 	t := report.Table{
 		Title: fmt.Sprintf("Ablation A5: the trigger × adjuster policy plane (%s, n=%d, m=%d, k=%d)",
@@ -57,7 +45,7 @@ func AblationPolicyGridCtx(ctx context.Context, eng *engine.Engine, tr workload.
 	for _, r := range rows {
 		trig, adj := r.trig(), r.adj()
 		label := fmt.Sprintf("%s×%s", trig.Name(), adj.Name())
-		net, err := karynet.Compose(label, tr.N, k, trig, adj)
+		net, err := policy.NewBalanced(label, tr.N, k, trig, adj)
 		if err != nil {
 			return t, err
 		}

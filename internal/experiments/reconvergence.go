@@ -5,13 +5,12 @@ import (
 	"fmt"
 
 	"github.com/ksan-net/ksan/internal/engine"
-	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/report"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// AblationReconvergence (A6 in DESIGN.md) measures how fast each policy
+// AblationReconvergenceCtx (A6 in DESIGN.md) measures how fast each policy
 // composition re-converges after demand drift. The trace is a phased
 // hot-set drift: three hotspot phases over the same nodes whose hot sets
 // are re-drawn (different seeds) at each boundary, so the tree a policy
@@ -21,19 +20,8 @@ import (
 // state. This is the regime where triggers separate: always-on splaying
 // tracks the drift within a window, periodic splaying lags by its period,
 // a bare cost-threshold rebuild thrashes on the boundary spike, and the
-// same threshold with a cooldown rebuilds once and settles.
-func AblationReconvergence(sc Scale) report.Table {
-	t, err := AblationReconvergenceCtx(context.Background(), 0, sc)
-	if err != nil {
-		// The historical table signatures have no error path; fail as
-		// loudly as the seed code did.
-		panic(err)
-	}
-	return t
-}
-
-// AblationReconvergenceCtx is AblationReconvergence with cancellation and
-// a worker bound.
+// same threshold with a cooldown rebuilds once and settles. workers
+// bounds the engine's pool (0 = GOMAXPROCS).
 func AblationReconvergenceCtx(ctx context.Context, workers int, sc Scale) (report.Table, error) {
 	const (
 		k       = 4
@@ -89,7 +77,7 @@ func AblationReconvergenceCtx(ctx context.Context, workers int, sc Scale) (repor
 	for _, r := range rows {
 		trig, adj := r.trig(), r.adj()
 		label := fmt.Sprintf("%s×%s", trig.Name(), adj.Name())
-		net, err := karynet.Compose(label, n, k, trig, adj)
+		net, err := policy.NewBalanced(label, n, k, trig, adj)
 		if err != nil {
 			return t, err
 		}

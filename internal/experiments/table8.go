@@ -25,21 +25,10 @@ type Table8Row struct {
 	OptApproxima bool // true when the optimal tree fell back to WeightBalanced
 }
 
-// Table8 reproduces the paper's Table 8: the centroid heuristic case study
-// for k=2 across all eight workloads.
-func Table8(w Workloads, sc Scale) ([]Table8Row, report.Table) {
-	rows, t, err := Table8Ctx(context.Background(), engine.New(), w, sc)
-	if err != nil {
-		// The historical signature has no error path; fail as loudly as the
-		// seed code did.
-		panic(err)
-	}
-	return rows, t
-}
-
-// Table8Ctx is Table8 on an explicit engine: the two self-adjusting
-// networks × eight workloads run as one declarative grid on the bounded
-// pool, and the static-tree distances are computed alongside.
+// Table8Ctx reproduces the paper's Table 8: the centroid heuristic case
+// study for k=2 across all eight workloads. The two self-adjusting
+// networks × eight workloads run as one declarative grid on eng's
+// bounded pool, and the static-tree distances are computed alongside.
 func Table8Ctx(ctx context.Context, eng *engine.Engine, w Workloads, sc Scale) ([]Table8Row, report.Table, error) {
 	traces := []engine.TraceSpec{
 		namedSpec("Uniform", w.Uniform),

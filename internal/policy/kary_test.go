@@ -1,20 +1,42 @@
-package karynet
+package policy_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/ksan-net/ksan/internal/core"
+	"github.com/ksan-net/ksan/internal/engine"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/splaynet"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
+// mustKary builds the k-ary SplayNet on n nodes for a test.
+func mustKary(t testing.TB, n, k int) *policy.Net {
+	t.Helper()
+	net, err := policy.NewKArySplayNet(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// run serves reqs on net through the engine.
+func run(t testing.TB, net sim.Network, reqs []sim.Request) sim.Result {
+	t.Helper()
+	res, err := engine.New().Run(context.Background(), net, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Result
+}
+
 func TestServeMakesPairAdjacent(t *testing.T) {
 	for _, k := range []int{2, 3, 4, 5, 8, 10} {
-		net := MustNew(200, k)
+		net := mustKary(t, 200, k)
 		rng := rand.New(rand.NewSource(int64(k)))
 		for i := 0; i < 250; i++ {
 			u, v := 1+rng.Intn(200), 1+rng.Intn(200)
@@ -33,14 +55,14 @@ func TestServeMakesPairAdjacent(t *testing.T) {
 }
 
 func TestServeSelfRequestFree(t *testing.T) {
-	net := MustNew(30, 3)
+	net := mustKary(t, 30, 3)
 	if c := net.Serve(7, 7); c.Routing != 0 || c.Adjust != 0 {
 		t.Errorf("self request cost %+v", c)
 	}
 }
 
 func TestServeRoutingCostIsOldDistance(t *testing.T) {
-	net := MustNew(100, 4)
+	net := mustKary(t, 100, 4)
 	u, v := 1, 100
 	want := int64(net.Tree().DistanceID(u, v))
 	if c := net.Serve(u, v); c.Routing != want {
@@ -50,7 +72,7 @@ func TestServeRoutingCostIsOldDistance(t *testing.T) {
 
 func TestRepeatedRequestCheap(t *testing.T) {
 	for _, k := range []int{2, 5, 9} {
-		net := MustNew(300, k)
+		net := mustKary(t, 300, k)
 		net.Serve(17, 250)
 		c := net.Serve(17, 250)
 		if c.Routing != 1 || c.Adjust != 0 {
@@ -60,7 +82,7 @@ func TestRepeatedRequestCheap(t *testing.T) {
 }
 
 func TestIdentifierPermanenceUnderServes(t *testing.T) {
-	net := MustNew(150, 4)
+	net := mustKary(t, 150, 4)
 	objs := make(map[int]*core.Node)
 	for id := 1; id <= 150; id++ {
 		objs[id] = net.Tree().NodeByID(id)
@@ -93,7 +115,7 @@ func TestHigherKLowersRoutingCost(t *testing.T) {
 	}
 	cost := map[int]int64{}
 	for _, k := range []int{2, 4, 10} {
-		res := sim.Run(MustNew(n, k), reqs)
+		res := run(t, mustKary(t, n, k), reqs)
 		cost[k] = res.Routing
 	}
 	if !(cost[10] < cost[4] && cost[4] < cost[2]) {
@@ -118,8 +140,8 @@ func TestBinaryKAryTracksSplayNet(t *testing.T) {
 		}
 		reqs[i] = sim.Request{Src: u, Dst: v}
 	}
-	kary := sim.Run(MustNew(n, 2), reqs)
-	bin := sim.Run(splaynet.MustNew(n), reqs)
+	kary := run(t, mustKary(t, n, 2), reqs)
+	bin := run(t, splaynet.MustNew(n), reqs)
 	ratio := float64(kary.Total()) / float64(bin.Total())
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("2-ary SplayNet total %d vs SplayNet %d (ratio %.3f) diverge too much",
@@ -148,7 +170,7 @@ func TestQuickBinaryKAryMatchesSplayNetRoutingCosts(t *testing.T) {
 		default:
 			tr = workload.Zipf(n, m, 1.2, seed)
 		}
-		kary := MustNew(n, 2)
+		kary := mustKary(t, n, 2)
 		bin := splaynet.MustNew(n)
 		var kr, br int64
 		for i, rq := range tr.Reqs {
@@ -178,7 +200,7 @@ func TestQuickBinaryKAryMatchesSplayNetRoutingCosts(t *testing.T) {
 }
 
 func TestSemiSplayOnlyStillCorrect(t *testing.T) {
-	net, err := Compose("3-ary semi-splay", 100, 3, policy.Always(), policy.SemiSplay())
+	net, err := policy.NewBalanced("3-ary semi-splay", 100, 3, policy.Always(), policy.SemiSplay())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +225,10 @@ func TestServeFromArbitraryInitialTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewFromTree(tr)
+	net, err := policy.New(policy.KArySplayNetName(3), tr, policy.Always(), policy.Splay())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
 		u, v := 1+rng.Intn(60), 1+rng.Intn(60)
@@ -222,8 +247,8 @@ func TestServeFromArbitraryInitialTopology(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	if got := MustNew(10, 7).Name(); got != "7-ary SplayNet" {
+func TestKArySplayNetName(t *testing.T) {
+	if got := mustKary(t, 10, 7).Name(); got != "7-ary SplayNet" {
 		t.Errorf("Name()=%q", got)
 	}
 }
@@ -232,7 +257,7 @@ func TestQuickServeKeepsSearchProperty(t *testing.T) {
 	f := func(seed int64, kRaw uint8, ops []uint32) bool {
 		k := 2 + int(kRaw%9)
 		n := 48
-		net := MustNew(n, k)
+		net := mustKary(t, n, k)
 		if len(ops) > 60 {
 			ops = ops[:60]
 		}

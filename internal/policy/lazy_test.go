@@ -1,4 +1,4 @@
-package lazynet
+package policy_test
 
 import (
 	"testing"
@@ -10,19 +10,29 @@ import (
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-func TestNewRejectsBadParams(t *testing.T) {
-	if _, err := New(10, 3, 0); err == nil {
+// mustLazy builds the lazy k-ary net on n nodes for a test.
+func mustLazy(t testing.TB, n, k int, alpha int64) *policy.Net {
+	t.Helper()
+	net, err := policy.NewLazy(n, k, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+func TestNewLazyRejectsBadParams(t *testing.T) {
+	if _, err := policy.NewLazy(10, 3, 0); err == nil {
 		t.Error("alpha=0 accepted")
 	}
-	if _, err := New(0, 3, 10); err == nil {
+	if _, err := policy.NewLazy(0, 3, 10); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
 
 func TestNoRebuildBelowThreshold(t *testing.T) {
-	net := MustNew(50, 3, 1<<40)
+	net := mustLazy(t, 50, 3, 1<<40)
 	tr := workload.Uniform(50, 2000, 1)
-	res := sim.Run(net, tr.Reqs)
+	res := run(t, net, tr.Reqs)
 	if net.Rebuilds() != 0 {
 		t.Errorf("rebuilt %d times below threshold", net.Rebuilds())
 	}
@@ -32,9 +42,9 @@ func TestNoRebuildBelowThreshold(t *testing.T) {
 }
 
 func TestRebuildTriggersAtThreshold(t *testing.T) {
-	net := MustNew(50, 3, 500)
+	net := mustLazy(t, 50, 3, 500)
 	tr := workload.Zipf(50, 5000, 1.3, 2)
-	res := sim.Run(net, tr.Reqs)
+	res := run(t, net, tr.Reqs)
 	if net.Rebuilds() == 0 {
 		t.Error("never rebuilt despite a low threshold")
 	}
@@ -48,7 +58,7 @@ func TestRebuildTriggersAtThreshold(t *testing.T) {
 
 func TestRebuildAdaptsToSkew(t *testing.T) {
 	// After rebuilds driven by a skewed demand, the hot pair must sit close.
-	net := MustNew(60, 2, 2000)
+	net := mustLazy(t, 60, 2, 2000)
 	reqs := make([]sim.Request, 4000)
 	for i := range reqs {
 		if i%4 == 0 {
@@ -60,7 +70,7 @@ func TestRebuildAdaptsToSkew(t *testing.T) {
 			}
 		}
 	}
-	sim.Run(net, reqs)
+	run(t, net, reqs)
 	if net.Rebuilds() == 0 {
 		t.Fatal("expected rebuilds")
 	}
@@ -92,13 +102,17 @@ func TestLazyBeatsStaticUnderDrift(t *testing.T) {
 			reqs = append(reqs, sim.Request{Src: u, Dst: v})
 		}
 	}
-	lazy := MustNew(n, 2, 4000)
-	lres := sim.Run(lazy, reqs)
+	lazy := mustLazy(t, n, 2, 4000)
+	lres := run(t, lazy, reqs)
 	full, err := statictree.Full(n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres := sim.Run(statictree.NewNet("full", full), reqs)
+	static, err := policy.New("full", full, policy.Never(), policy.None())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fres := run(t, static, reqs)
 	if lres.Routing >= fres.Routing {
 		t.Errorf("lazy routing %d not below static full tree %d under drift", lres.Routing, fres.Routing)
 	}
@@ -117,7 +131,7 @@ func TestExactBuilderForSmallNetworks(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := workload.ProjecToRLike(24, 3000, 3)
-	sim.Run(net, tr.Reqs)
+	run(t, net, tr.Reqs)
 	if net.Rebuilds() == 0 {
 		t.Fatal("expected rebuilds with the exact builder")
 	}
@@ -126,8 +140,8 @@ func TestExactBuilderForSmallNetworks(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	if got := MustNew(10, 4, 100).Name(); got != "lazy 4-ary net (α=100)" {
+func TestLazyName(t *testing.T) {
+	if got := mustLazy(t, 10, 4, 100).Name(); got != "lazy 4-ary net (α=100)" {
 		t.Errorf("Name()=%q", got)
 	}
 }

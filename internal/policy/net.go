@@ -15,8 +15,8 @@ import (
 // the running demand (demand aggregation is associative, so chunk-wise
 // compaction is bit-identical to retaining every request) and recycled
 // in place. This caps window memory at O(windowCompactLen + distinct
-// pairs) however rare rebuilds are — the former lazynet kept every raw
-// request since the last rebuild, growing without bound under a large α.
+// pairs) however rare rebuilds are, where keeping every raw request
+// since the last rebuild would grow without bound under a large α.
 const windowCompactLen = 1 << 15
 
 // Net is a trigger × adjuster composition over a routed topology. It
@@ -25,7 +25,8 @@ const windowCompactLen = 1 << 15
 // (sim.BatchServer + sim.BatchGate).
 //
 // Serve is not safe for concurrent use (see the package comment); a
-// frozen net's ServeBatch is, matching statictree.Net.
+// frozen net's ServeBatch is. A frozen net (Never × None) is the static
+// network of a tree.
 type Net struct {
 	name string
 	trig Trigger
@@ -87,6 +88,52 @@ func NewCustom(name string, top Topology, trig Trigger, adj Adjuster) (*Net, err
 		return nil, fmt.Errorf("policy: adjuster %q requires a core.Tree-backed substrate", adj.Name())
 	}
 	return compose(name, nil, top, trig, adj)
+}
+
+// NewBalanced composes trig × adj over the weakly-complete balanced k-ary
+// tree on n nodes, the default starting topology of the experiments and
+// the plane the trigger × adjuster ablations sweep.
+func NewBalanced(label string, n, k int, trig Trigger, adj Adjuster) (*Net, error) {
+	t, err := core.NewBalanced(n, k)
+	if err != nil {
+		return nil, fmt.Errorf("policy: %w", err)
+	}
+	return New(label, t, trig, adj)
+}
+
+// KArySplayNetName is the report name of the k-ary SplayNet of arity k,
+// whatever its initial topology.
+func KArySplayNetName(k int) string { return fmt.Sprintf("%d-ary SplayNet", k) }
+
+// NewKArySplayNet constructs the k-ary SplayNet of Section 4.1 of the
+// paper on nodes 1..n: a request (u,v) is routed along the tree path,
+// then u moves to the position of the lowest common ancestor and v to a
+// child of u by the identifier-preserving k-splay and k-semi-splay
+// rotations of internal/core, so a repeated request costs one hop. It
+// is the composition balanced k-ary tree × (Always, Splay); start it
+// from another topology with New, Always, Splay and KArySplayNetName.
+func NewKArySplayNet(n, k int) (*Net, error) {
+	return NewBalanced(KArySplayNetName(k), n, k, Always(), Splay())
+}
+
+// LazyName is the report name of the lazy k-ary net with threshold
+// alpha.
+func LazyName(k int, alpha int64) string { return fmt.Sprintf("lazy %d-ary net (α=%d)", k, alpha) }
+
+// NewLazy constructs the partially reactive net the paper's introduction
+// describes (after Feder et al.'s lazy self-adjusting networks): the
+// topology stays static until the routing cost accumulated since the
+// last reconfiguration reaches alpha, then a weight-balanced topology is
+// rebuilt from the traffic observed meanwhile and swapped in, charging
+// the links added plus removed. It is the composition balanced k-ary
+// tree × (Alpha(alpha), RebuildWeightBalanced); other builders,
+// hysteresis or periodic rebuilds are other compositions over the same
+// substrate.
+func NewLazy(n, k int, alpha int64) (*Net, error) {
+	if alpha <= 0 {
+		return nil, fmt.Errorf("policy: lazy threshold must be positive, got %d", alpha)
+	}
+	return NewBalanced(LazyName(k, alpha), n, k, Alpha(alpha), RebuildWeightBalanced("weight-balanced"))
 }
 
 func compose(name string, t *core.Tree, top Topology, trig Trigger, adj Adjuster) (*Net, error) {
@@ -272,8 +319,8 @@ func (p *Net) Batchable() bool {
 
 // ServeBatch implements sim.BatchServer for frozen compositions: the
 // topology can never change, so disjoint request shards are served
-// concurrently against the O(1) distance oracle, exactly like
-// statictree.Net. It panics on a composition that can adjust.
+// concurrently against the O(1) distance oracle. It panics on a
+// composition that can adjust.
 func (p *Net) ServeBatch(reqs []sim.Request) sim.BatchCost {
 	ix, ok := p.StaticOracle()
 	if !ok {

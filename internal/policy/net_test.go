@@ -76,7 +76,7 @@ func TestCanonicalSplayComposition(t *testing.T) {
 	}
 }
 
-// refLazy replays the pre-policy lazynet serve loop verbatim (DistanceID
+// refLazy replays the pre-policy lazy net serve loop verbatim (DistanceID
 // routing, map-based link churn, window and threshold bookkeeping): the
 // alpha × rebuild composition must be bit-identical to it, request by
 // request.

@@ -18,7 +18,10 @@
 //
 // and every other cell of the plane — lazy k-ary splay, periodic
 // semi-splay, frozen-after-warmup — is a new network design that costs
-// one composition instead of one package.
+// one composition instead of one package. NewKArySplayNet and NewLazy
+// construct the two canonical k-ary designs, NewBalanced any other
+// composition on the balanced k-ary tree, and New with Never × None
+// serves any tree as a static network.
 //
 // # Contract
 //

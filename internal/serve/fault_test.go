@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"github.com/ksan-net/ksan/internal/core"
-	"github.com/ksan-net/ksan/internal/karynet"
+	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/splaynet"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -574,7 +574,7 @@ func TestServeMkFailureShutsDownOwners(t *testing.T) {
 			return nil, boom
 		}
 		built++
-		return karynet.New(n, 4)
+		return policy.NewKArySplayNet(n, 4)
 	}
 	before := runtime.NumGoroutine()
 	_, err := Run(context.Background(), Config{Shards: 4, Clients: 2}, mk, gen)

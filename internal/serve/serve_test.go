@@ -6,7 +6,6 @@ import (
 	"iter"
 	"testing"
 
-	"github.com/ksan-net/ksan/internal/karynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -15,13 +14,13 @@ import (
 // mkKary builds the canonical fully-reactive 4-ary SplayNet sized to a
 // shard — the adjusting network the equivalence properties exercise.
 func mkKary(n int) (sim.Network, error) {
-	return karynet.New(n, 4)
+	return policy.NewKArySplayNet(n, 4)
 }
 
 // mkFrozen builds a frozen 4-ary composition (never × none): Batchable,
 // so the serving layer serves it lock-free through the distance oracle.
 func mkFrozen(n int) (sim.Network, error) {
-	return karynet.Compose("frozen-4ary", n, 4, policy.Never(), policy.None())
+	return policy.NewBalanced("frozen-4ary", n, 4, policy.Never(), policy.None())
 }
 
 // collect materializes a generator stream.

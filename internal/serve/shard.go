@@ -15,10 +15,10 @@ import (
 // is provably static (a frozen composition) exposes its Euler-tour/RMQ
 // distance oracle, and the serving layer then answers its requests
 // lock-free from the client routines themselves — the oracle is immutable,
-// so concurrent Dist calls need no coordination. policy.Net and
-// statictree.Net implement it; any network that does not (or whose
-// StaticOracle reports false because its trigger can still fire) is
-// served by whichever client holds its shard's token instead.
+// so concurrent Dist calls need no coordination. policy.Net implements
+// it; any network that does not (or whose StaticOracle reports false
+// because its trigger can still fire) is served by whichever client
+// holds its shard's token instead.
 type staticServer interface {
 	StaticOracle() (*statictree.DistIndex, bool)
 }

@@ -8,7 +8,7 @@ import (
 	"testing/synctest"
 	"time"
 
-	"github.com/ksan-net/ksan/internal/lazynet"
+	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -124,7 +124,7 @@ func TestSynctestStallLedgers(t *testing.T) {
 func TestSynctestLossyOutageLedger(t *testing.T) {
 	const n, m, alpha = 1023, 20_000, 3000
 	const lossyAt = 4*m/5 + 123
-	mk := func(n int) (sim.Network, error) { return lazynet.New(n, 4, alpha) }
+	mk := func(n int) (sim.Network, error) { return policy.NewLazy(n, 4, alpha) }
 	cfg := Config{Shards: 1, Clients: 1, Faults: &FaultPlan{
 		CheckpointEvery: 2000,
 		Degraded:        DegradedStale,
@@ -160,7 +160,7 @@ func TestSynctestLossyOutageLedger(t *testing.T) {
 	// The sequential run: serve i (1-based) is request i, replays re-serve
 	// (10000, 10777] and (16000, 16123], and the 10 degraded requests
 	// after serve 16123 are read on the tree checkpointed at serve 16000.
-	ref, err := lazynet.New(n, 4, alpha)
+	ref, err := policy.NewLazy(n, 4, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

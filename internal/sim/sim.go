@@ -1,5 +1,7 @@
-// Package sim defines the cost model of the paper (Section 2) and a small
-// simulation engine that serves communication traces on network topologies.
+// Package sim defines the cost model of the paper (Section 2): the
+// network interface every design implements, the per-request cost, and
+// the aggregates the engine (internal/engine) reports when it serves a
+// communication trace on a network.
 //
 // Serving request σ_t=(u,v) on topology G_{t-1} costs the u–v path length
 // (routing cost) plus the reconfiguration performed afterwards (adjustment
@@ -8,13 +10,7 @@
 // separately for the cost-accounting ablation.
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"github.com/ksan-net/ksan/internal/hist"
-)
+import "github.com/ksan-net/ksan/internal/hist"
 
 // Cost is the price of serving a single communication request.
 type Cost struct {
@@ -115,59 +111,4 @@ type BatchServer interface {
 // BatchServer without this interface is an unconditional commitment.
 type BatchGate interface {
 	Batchable() bool
-}
-
-// Run serves every request of the trace on the network and returns the
-// aggregated cost. It is the compatibility wrapper around the historical
-// seed loop; the richer streaming engine lives in internal/engine.
-//
-// Run panics with the Validate error if any endpoint falls outside
-// 1..net.N(). Returning an error would break the historical signature every
-// experiment builds on, and silently skipping bad requests would corrupt
-// results, so rejecting at the boundary with a descriptive panic replaces
-// the old behavior of panicking (or corrupting routing state) deep inside a
-// network. engine.Run returns the error instead.
-func Run(net Network, reqs []Request) Result {
-	if err := Validate(reqs, net.N()); err != nil {
-		panic(err)
-	}
-	res := Result{Name: net.Name(), Requests: int64(len(reqs))}
-	for _, rq := range reqs {
-		c := net.Serve(rq.Src, rq.Dst)
-		res.Routing += c.Routing
-		res.Adjust += c.Adjust
-	}
-	return res
-}
-
-// RunAll serves the same trace on several independently-constructed
-// networks concurrently (one goroutine per network, bounded by GOMAXPROCS)
-// and returns the results in input order. Constructors make each run own
-// its topology, so no synchronization of network state is needed.
-func RunAll(makers []func() Network, reqs []Request) []Result {
-	results := make([]Result, len(makers))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, mk := range makers {
-		wg.Add(1)
-		go func(i int, mk func() Network) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = Run(mk(), reqs)
-		}(i, mk)
-	}
-	wg.Wait()
-	return results
-}
-
-// Validate checks that a request sequence is well-formed for an n-node
-// network: endpoints in 1..n.
-func Validate(reqs []Request, n int) error {
-	for i, rq := range reqs {
-		if rq.Src < 1 || rq.Src > n || rq.Dst < 1 || rq.Dst > n {
-			return fmt.Errorf("sim: request %d (%d→%d) outside 1..%d", i, rq.Src, rq.Dst, n)
-		}
-	}
-	return nil
 }

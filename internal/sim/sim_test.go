@@ -1,41 +1,6 @@
 package sim
 
-import (
-	"sync/atomic"
-	"testing"
-)
-
-// fakeNet is a deterministic Network for engine tests.
-type fakeNet struct {
-	n      int
-	name   string
-	served int64
-}
-
-func (f *fakeNet) Name() string { return f.name }
-func (f *fakeNet) N() int       { return f.n }
-func (f *fakeNet) Serve(u, v int) Cost {
-	atomic.AddInt64(&f.served, 1)
-	return Cost{Routing: int64(u + v), Adjust: int64(v)}
-}
-
-func TestRunAggregates(t *testing.T) {
-	net := &fakeNet{n: 10, name: "fake"}
-	reqs := []Request{{1, 2}, {3, 4}, {5, 6}}
-	res := Run(net, reqs)
-	if res.Name != "fake" || res.Requests != 3 {
-		t.Fatalf("bad result meta %+v", res)
-	}
-	if res.Routing != 3+7+11 {
-		t.Errorf("routing %d", res.Routing)
-	}
-	if res.Adjust != 2+4+6 {
-		t.Errorf("adjust %d", res.Adjust)
-	}
-	if res.Total() != res.Routing+res.Adjust {
-		t.Errorf("total %d", res.Total())
-	}
-}
+import "testing"
 
 func TestResultAverages(t *testing.T) {
 	r := Result{Requests: 4, Routing: 12, Adjust: 8}
@@ -49,31 +14,6 @@ func TestResultAverages(t *testing.T) {
 	if zero.AvgRouting() != 0 || zero.AvgTotal() != 0 {
 		t.Error("zero-request averages must be 0")
 	}
-}
-
-func TestRunAllOrderAndIsolation(t *testing.T) {
-	mk := func(name string) func() Network {
-		return func() Network { return &fakeNet{n: 5, name: name} }
-	}
-	reqs := []Request{{1, 2}, {2, 3}}
-	results := RunAll([]func() Network{mk("a"), mk("b"), mk("c")}, reqs)
-	for i, want := range []string{"a", "b", "c"} {
-		if results[i].Name != want {
-			t.Errorf("result %d is %q, want %q (order must be preserved)", i, results[i].Name, want)
-		}
-		if results[i].Requests != 2 {
-			t.Errorf("result %d served %d", i, results[i].Requests)
-		}
-	}
-}
-
-func TestRunPanicsOnInvalidTrace(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run accepted an out-of-range endpoint")
-		}
-	}()
-	Run(&fakeNet{n: 3, name: "bad"}, []Request{{Src: 1, Dst: 7}})
 }
 
 func TestBatchCostObserveAndMerge(t *testing.T) {
@@ -90,17 +30,5 @@ func TestBatchCostObserveAndMerge(t *testing.T) {
 	}
 	if a.Hist.Count() != 3 || a.Hist.Sum() != 9 {
 		t.Fatalf("merged hist summary %d/%d", a.Hist.Count(), a.Hist.Sum())
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := Validate([]Request{{1, 2}, {2, 1}}, 2); err != nil {
-		t.Errorf("valid requests rejected: %v", err)
-	}
-	if err := Validate([]Request{{0, 1}}, 2); err == nil {
-		t.Error("src 0 accepted")
-	}
-	if err := Validate([]Request{{1, 3}}, 2); err == nil {
-		t.Error("dst out of range accepted")
 	}
 }

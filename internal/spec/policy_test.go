@@ -118,7 +118,7 @@ func TestPolicyCanonicalCompositionsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Run(ns.Make(48), tr.Reqs)
+		return seedLoop(ns.Make(48), tr.Reqs)
 	}
 	plain := run(NetworkDef{Kind: "kary", K: 3})
 	composed := run(NetworkDef{Kind: "kary", K: 3, Policy: &PolicyDef{Trigger: "always", Adjuster: "splay"}})
@@ -162,7 +162,7 @@ func TestPolicyTriggerStateFreshPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := workload.Temporal(32, 3000, 0.6, 1)
-	want := sim.Run(ns.Make(32), tr.Reqs)
+	want := seedLoop(ns.Make(32), tr.Reqs)
 	if grid[0][0].Result != want {
 		t.Errorf("grid cell %+v != independent run %+v", grid[0][0].Result, want)
 	}

@@ -28,8 +28,6 @@ import (
 	"github.com/ksan-net/ksan/internal/centroidnet"
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/engine"
-	"github.com/ksan-net/ksan/internal/karynet"
-	"github.com/ksan-net/ksan/internal/lazynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/splaynet"
@@ -700,61 +698,21 @@ func makeNet(build func(n int) (sim.Network, error)) func(n int) sim.Network {
 	}
 }
 
-// treeSpec resolves a kind whose topology is a bare core.Tree (the
-// static-tree kinds): without a policy the canonical composition is the
-// frozen corner (never × none) — a batch-capable static network exactly
-// like before the policy layer existed — and with one, the same topology
-// self-adjusts under the chosen trigger × adjuster. d.Name overrides the
-// label; a composed default label carries the composition suffix.
-func treeSpec(d NetworkDef, defaultLabel string, build func(n int) (*core.Tree, error)) (engine.NetworkSpec, error) {
-	label := d.Name
-	if label == "" {
-		label = defaultLabel
-	}
-	mk := func() (policy.Trigger, policy.Adjuster) { return policy.Never(), policy.None() }
+// policyKindSpec resolves every builtin network kind through one labelled
+// path. A def's policy is checked against the kind's adjuster repertoire;
+// a def without one composes the kind's default policy. compose builds
+// one network of the composition per cell. The label is d.Name if set,
+// else base for the default policy and base plus the composition suffix
+// for an explicit one, and it names both the grid cell and the network.
+func policyKindSpec(d NetworkDef, base string, def PolicyDef, adjusters []string,
+	compose func(label string, pd *PolicyDef, n int) (sim.Network, error)) (engine.NetworkSpec, error) {
+	pd, label := &def, base
 	if d.Policy != nil {
-		if err := d.Policy.check(d.Kind, treeAdjusterNames...); err != nil {
+		if err := d.Policy.check(d.Kind, adjusters...); err != nil {
 			return engine.NetworkSpec{}, err
 		}
-		pd := d.Policy
-		if d.Name == "" {
-			label = pd.label(defaultLabel)
-		}
-		mk = func() (policy.Trigger, policy.Adjuster) { return pd.trigger(), pd.treeAdjuster() }
+		pd, label = d.Policy, d.Policy.label(base)
 	}
-	lbl := label
-	return engine.NetworkSpec{Name: lbl, Make: makeNet(func(n int) (sim.Network, error) {
-		t, err := build(n)
-		if err != nil {
-			return nil, err
-		}
-		trig, adj := mk()
-		return policy.New(lbl, t, trig, adj)
-	})}, nil
-}
-
-// policyKindSpec resolves a kind with a canonical (no-policy) spec and
-// per-cell policy compositions: adjusters lists the kind's repertoire,
-// canonical builds the bare spec, compose builds one network of the
-// checked composition (labels follow base + the composition suffix,
-// overridden by d.Name).
-func policyKindSpec(d NetworkDef, base string, adjusters []string,
-	canonical func() engine.NetworkSpec,
-	compose func(label string, pd *PolicyDef, n int) (sim.Network, error)) (engine.NetworkSpec, error) {
-	pd := d.Policy
-	if pd == nil {
-		if d.Name == "" {
-			return canonical(), nil
-		}
-		// A named canonical def builds through the compose path so the
-		// override labels results too, not just the grid: the canonical
-		// composition (always × the kind's own splay) is bit-identical
-		// to the bare constructor, only the label differs.
-		pd = &PolicyDef{Trigger: "always", Adjuster: "splay"}
-	} else if err := pd.check(d.Kind, adjusters...); err != nil {
-		return engine.NetworkSpec{}, err
-	}
-	label := pd.label(base)
 	if d.Name != "" {
 		label = d.Name
 	}
@@ -764,6 +722,25 @@ func policyKindSpec(d NetworkDef, base string, adjusters []string,
 	}, nil
 }
 
+// onTree composes a checked policy on the tree build makes for a cell's
+// node count: the compose step of the kary, lazy and static-tree kinds.
+func onTree(build func(n int) (*core.Tree, error)) func(label string, pd *PolicyDef, n int) (sim.Network, error) {
+	return func(label string, pd *PolicyDef, n int) (sim.Network, error) {
+		t, err := build(n)
+		if err != nil {
+			return nil, err
+		}
+		return policy.New(label, t, pd.trigger(), pd.treeAdjuster())
+	}
+}
+
+// The kinds' default policies: the splay kinds are fully reactive, the
+// static-tree kinds frozen.
+var (
+	reactive = PolicyDef{Trigger: "always", Adjuster: "splay"}
+	frozen   = PolicyDef{Trigger: "never", Adjuster: "none"}
+)
+
 // triggerOnlyAdjusters is the repertoire of kinds whose adjustment rule
 // lives in the topology (centroid, splaynet): only the trigger axis
 // composes.
@@ -772,37 +749,18 @@ var triggerOnlyAdjusters = []string{"splay", "none"}
 func init() {
 	registerBuiltinNetwork("kary", needK("kary"), func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
-		base := fmt.Sprintf("%d-ary SplayNet", k)
-		return policyKindSpec(d, base, treeAdjusterNames,
-			func() engine.NetworkSpec {
-				return engine.NetworkSpec{Name: base, Make: makeNet(func(n int) (sim.Network, error) {
-					return karynet.New(n, k)
-				})}
-			},
-			func(label string, pd *PolicyDef, n int) (sim.Network, error) {
-				return karynet.Compose(label, n, k, pd.trigger(), pd.treeAdjuster())
-			})
+		return policyKindSpec(d, policy.KArySplayNetName(k), reactive, treeAdjusterNames,
+			onTree(func(n int) (*core.Tree, error) { return core.NewBalanced(n, k) }))
 	})
 	registerBuiltinNetwork("centroid", needK("centroid"), func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
-		base := fmt.Sprintf("%d-SplayNet", k+1)
-		return policyKindSpec(d, base, triggerOnlyAdjusters,
-			func() engine.NetworkSpec {
-				return engine.NetworkSpec{Name: base, Make: makeNet(func(n int) (sim.Network, error) {
-					return centroidnet.New(n, k)
-				})}
-			},
+		return policyKindSpec(d, fmt.Sprintf("%d-SplayNet", k+1), reactive, triggerOnlyAdjusters,
 			func(label string, pd *PolicyDef, n int) (sim.Network, error) {
 				return centroidnet.Compose(label, n, k, pd.trigger())
 			})
 	})
 	registerBuiltinNetwork("splaynet", noParams("splaynet"), func(d NetworkDef) (engine.NetworkSpec, error) {
-		return policyKindSpec(d, "SplayNet", triggerOnlyAdjusters,
-			func() engine.NetworkSpec {
-				return engine.NetworkSpec{Name: "SplayNet", Make: makeNet(func(n int) (sim.Network, error) {
-					return splaynet.New(n)
-				})}
-			},
+		return policyKindSpec(d, "SplayNet", reactive, triggerOnlyAdjusters,
 			func(label string, pd *PolicyDef, n int) (sim.Network, error) {
 				return splaynet.Compose(label, n, pd.trigger())
 			})
@@ -819,30 +777,28 @@ func init() {
 		}
 		return nil
 	}, func(d NetworkDef) (engine.NetworkSpec, error) {
-		k, alpha := d.K, d.Alpha
-		return engine.NetworkSpec{
-			Name: fmt.Sprintf("lazy %d-ary α=%d", k, alpha),
-			Make: makeNet(func(n int) (sim.Network, error) { return lazynet.New(n, k, alpha) }),
-		}, nil
+		k := d.K
+		return policyKindSpec(d, policy.LazyName(k, d.Alpha),
+			PolicyDef{Trigger: "alpha", Alpha: d.Alpha, Adjuster: "rebuild-wb"}, nil,
+			onTree(func(n int) (*core.Tree, error) { return core.NewBalanced(n, k) }))
 	})
 	registerBuiltinNetwork("full", needK("full"), func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
-		return treeSpec(d, fmt.Sprintf("full %d-ary tree", k), func(n int) (*core.Tree, error) {
-			return statictree.Full(n, k)
-		})
+		return policyKindSpec(d, fmt.Sprintf("full %d-ary tree", k), frozen, treeAdjusterNames,
+			onTree(func(n int) (*core.Tree, error) { return statictree.Full(n, k) }))
 	})
 	registerBuiltinNetwork("centroid-tree", needK("centroid-tree"), func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
-		return treeSpec(d, fmt.Sprintf("centroid %d-ary tree", k), func(n int) (*core.Tree, error) {
-			return statictree.Centroid(n, k)
-		})
+		return policyKindSpec(d, fmt.Sprintf("centroid %d-ary tree", k), frozen, treeAdjusterNames,
+			onTree(func(n int) (*core.Tree, error) { return statictree.Centroid(n, k) }))
 	})
 	registerBuiltinNetwork("uniform-opt", needK("uniform-opt"), func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
-		return treeSpec(d, fmt.Sprintf("uniform-optimal %d-ary tree", k), func(n int) (*core.Tree, error) {
-			t, _, err := statictree.OptimalUniform(n, k)
-			return t, err
-		})
+		return policyKindSpec(d, fmt.Sprintf("uniform-optimal %d-ary tree", k), frozen, treeAdjusterNames,
+			onTree(func(n int) (*core.Tree, error) {
+				t, _, err := statictree.OptimalUniform(n, k)
+				return t, err
+			}))
 	})
 
 	registerBuiltinTrace("uniform", genCheck("uniform", false, false), func(d TraceDef) (workload.Generator, error) {

@@ -6,11 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/engine"
+	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
@@ -242,7 +244,11 @@ func TestResolveMatchesDirectConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := workload.Temporal(64, 4000, 0.75, 9)
-	want := sim.Run(mustKary(t, 64, 4), tr.Reqs)
+	net, err := policy.NewKArySplayNet(64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seedLoop(net, tr.Reqs)
 	if grid[0][0].Result != want {
 		t.Errorf("def-built cell %+v != direct %+v", grid[0][0].Result, want)
 	}
@@ -251,31 +257,47 @@ func TestResolveMatchesDirectConstruction(t *testing.T) {
 	}
 }
 
-func mustKary(t *testing.T, n, k int) sim.Network {
-	t.Helper()
-	ns, err := NetworkDef{Kind: "kary", K: k}.Spec()
-	if err != nil {
-		t.Fatal(err)
+// seedLoop serves reqs on net one by one: the plain loop every runner
+// must reproduce.
+func seedLoop(net sim.Network, reqs []sim.Request) sim.Result {
+	res := sim.Result{Name: net.Name(), Requests: int64(len(reqs))}
+	for _, rq := range reqs {
+		c := net.Serve(rq.Src, rq.Dst)
+		res.Routing += c.Routing
+		res.Adjust += c.Adjust
 	}
-	net := ns.Make(n)
-	if net == nil {
-		t.Fatalf("kary Make(%d) returned nil", n)
-	}
-	return net
+	return res
 }
 
+// TestNameOverrides holds every builtin kind to NetworkDef's contract:
+// one label names both the grid cell and the constructed network, and
+// Name overrides both.
 func TestNameOverrides(t *testing.T) {
-	ns, err := NetworkDef{Kind: "kary", K: 3, Name: "custom"}.Spec()
-	if err != nil {
-		t.Fatal(err)
+	defs := []NetworkDef{
+		{Kind: "kary", K: 3},
+		{Kind: "centroid", K: 2},
+		{Kind: "splaynet"},
+		{Kind: "lazy", K: 4, Alpha: 100},
+		{Kind: "full", K: 3},
+		{Kind: "centroid-tree", K: 3},
+		{Kind: "uniform-opt", K: 3},
 	}
-	if ns.Name != "custom" {
-		t.Errorf("network label %q, want the override", ns.Name)
-	}
-	// Since the policy layer the override labels results uniformly, not
-	// just the grid: the constructed network reports it too.
-	if got := ns.Make(15).Name(); got != "custom" {
-		t.Errorf("kary network name %q, want the override", got)
+	for _, d := range defs {
+		for _, name := range []string{"", "mine"} {
+			d := d
+			d.Name = name
+			ns, err := d.Spec()
+			if err != nil {
+				t.Fatalf("%+v: %v", d, err)
+			}
+			got := ns.Make(15).Name()
+			switch {
+			case name != "" && (ns.Name != name || got != name):
+				t.Errorf("%s named %q: grid label %q, network name %q", d.Kind, name, ns.Name, got)
+			case name == "" && ns.Name != got:
+				t.Errorf("%s: grid label %q, network name %q", d.Kind, ns.Name, got)
+			}
+		}
 	}
 	tr, err := TraceDef{Kind: "uniform", N: 8, M: 10, Seed: 1, Name: "mine"}.Materialize()
 	if err != nil {
@@ -284,14 +306,42 @@ func TestNameOverrides(t *testing.T) {
 	if tr.Name != "mine" {
 		t.Errorf("trace label %q, want the override", tr.Name)
 	}
-	// Static kinds take the label as the wrapped network's name (it shows
-	// up in results, not just progress).
-	ns, err = NetworkDef{Kind: "full", K: 3, Name: "baseline"}.Spec()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestHugeArityRejectedBeforeAllocating: an arity whose cut space n·k
+// overflows int32 is a construction error for every tree kind, found
+// before anything of size k is allocated (the memory bound holds even on
+// a host that could survive the allocation), while a small arity at the
+// same node count still builds.
+func TestHugeArityRejectedBeforeAllocating(t *testing.T) {
+	const n = 8
+	build := func(kind string, k int) (uint64, error) {
+		d := NetworkDef{Kind: kind, K: k}
+		if kind == "lazy" {
+			d.Alpha = 100
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ns, err := d.Spec()
+		if err == nil {
+			err = engine.AsFailed(ns.Make(n))
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
 	}
-	if got := ns.Make(15).Name(); got != "baseline" {
-		t.Errorf("static network name %q, want the override", got)
+	for _, kind := range []string{"kary", "lazy", "full", "centroid-tree", "uniform-opt", "centroid"} {
+		for _, k := range []int{2_000_000_000, 300_000_000} {
+			alloc, err := build(kind, k)
+			if err == nil {
+				t.Errorf("%s: n=%d k=%d built", kind, n, k)
+			}
+			if alloc >= 1<<20 {
+				t.Errorf("%s: n=%d k=%d allocated %d bytes before failing", kind, n, k, alloc)
+			}
+		}
+		if _, err := build(kind, n); err != nil {
+			t.Errorf("%s: n=%d k=%d: %v", kind, n, n, err)
+		}
 	}
 }
 

@@ -16,11 +16,8 @@ import (
 // optimal for n < 10³, k ≤ 10 (Remark 10) — property tests check that
 // against OptimalUniform.
 func Centroid(n, k int) (*core.Tree, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("statictree: arity %d < 2", k)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("statictree: need at least one node")
+	if err := core.CheckIDRange(n, k); err != nil {
+		return nil, fmt.Errorf("statictree: %w", err)
 	}
 	if n <= 2 {
 		return core.NewBalanced(n, k)

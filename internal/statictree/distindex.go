@@ -122,10 +122,9 @@ func (ix *DistIndex) Dist(u, v int) int64 {
 
 // ServeBatch evaluates a request slice against the oracle, returning the
 // aggregate batch cost (routing totals plus the per-request routing-cost
-// histogram). It is the shared batch loop of every frozen topology —
-// statictree.Net and frozen policy compositions both delegate here — and
-// is safe for concurrent calls on disjoint shards, since the oracle is
-// immutable.
+// histogram). It is the batch loop of every frozen topology (frozen
+// policy compositions delegate here) and is safe for concurrent calls on
+// disjoint shards, since the oracle is immutable.
 func (ix *DistIndex) ServeBatch(reqs []sim.Request) sim.BatchCost {
 	var bc sim.BatchCost
 	for _, rq := range reqs {

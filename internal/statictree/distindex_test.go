@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/core"
-	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
@@ -41,21 +40,20 @@ func TestDistIndexMatchesTreeDistance(t *testing.T) {
 }
 
 // TestServeBatchMatchesServe checks totals and histogram of the batch path
-// against per-request serving.
+// against per-request tree distances.
 func TestServeBatchMatchesServe(t *testing.T) {
 	tr, err := Centroid(77, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewNet("centroid", tr)
 	reqs := workload.Uniform(77, 10_000, 5).Reqs
-	bc := net.ServeBatch(reqs)
+	bc := NewDistIndex(tr).ServeBatch(reqs)
 	var routing int64
 	hist := map[int64]int64{}
 	for _, rq := range reqs {
-		c := net.Serve(rq.Src, rq.Dst)
-		routing += c.Routing
-		hist[c.Routing]++
+		d := int64(tr.DistanceID(rq.Src, rq.Dst))
+		routing += d
+		hist[d]++
 	}
 	if bc.Routing != routing || bc.Adjust != 0 {
 		t.Fatalf("batch %d/%d, serve %d/0", bc.Routing, bc.Adjust, routing)
@@ -68,5 +66,4 @@ func TestServeBatchMatchesServe(t *testing.T) {
 	if bc.Hist.Count() != int64(len(reqs)) {
 		t.Errorf("hist count %d, want %d", bc.Hist.Count(), len(reqs))
 	}
-	var _ sim.BatchServer = net // the static net must satisfy the batch surface
 }

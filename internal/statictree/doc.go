@@ -17,7 +17,8 @@
 //     instances beyond the cubic DP's reach, cross-validated against the
 //     DP optimum in tests.
 //
-// All builders return *core.Tree topologies; Net wraps one as a static
-// sim.Network whose serve cost is the routing distance (static topologies
-// pay no adjustment cost).
+// All builders return *core.Tree topologies. A frozen policy composition
+// (policy.New with Never × None) serves one as a static network whose
+// serve cost is the routing distance, through this package's DistIndex
+// (static topologies pay no adjustment cost).
 package statictree

@@ -130,8 +130,8 @@ func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 // (pruning is exact; the differential tests enforce bit-identity anyway);
 // the returned tree is one cost-minimal witness.
 func (s *Solver) Optimal(k int) (*core.Tree, int64, error) {
-	if k < 2 {
-		return nil, 0, fmt.Errorf("statictree: arity %d < 2", k)
+	if err := core.CheckIDRange(s.n, k); err != nil {
+		return nil, 0, fmt.Errorf("statictree: %w", err)
 	}
 	s.prepare(k)
 	s.run()

@@ -3,47 +3,8 @@ package statictree
 import (
 	"testing"
 
-	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
-
-func TestNetServesDistances(t *testing.T) {
-	tree, err := Full(31, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := NewNet("full-31", tree)
-	if net.Name() != "full-31" || net.N() != 31 {
-		t.Errorf("metadata wrong: %q %d", net.Name(), net.N())
-	}
-	c := net.Serve(1, 31)
-	if c.Routing != int64(tree.DistanceID(1, 31)) {
-		t.Errorf("routing %d != distance %d", c.Routing, tree.DistanceID(1, 31))
-	}
-	if c.Adjust != 0 {
-		t.Error("static net adjusted")
-	}
-	if net.Tree() != tree {
-		t.Error("Tree() must return the wrapped topology")
-	}
-}
-
-func TestNetTopologyNeverChanges(t *testing.T) {
-	tree, err := Centroid(40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tree.Parents()
-	net := NewNet("centroid", tree)
-	tr := workload.Zipf(40, 3000, 1.3, 1)
-	sim.Run(net, tr.Reqs)
-	after := tree.Parents()
-	for id := range before {
-		if before[id] != after[id] {
-			t.Fatalf("static topology changed at node %d", id)
-		}
-	}
-}
 
 func TestFullTreeDistanceFormula(t *testing.T) {
 	// Lemma 9 inner check at exact full sizes: a full k-ary tree of n =

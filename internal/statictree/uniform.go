@@ -54,8 +54,8 @@ func NewUniformSolver(n int) (*UniformSolver, error) {
 
 // Optimal runs the uniform DP at arity k and reconstructs an optimal tree.
 func (s *UniformSolver) Optimal(k int) (*core.Tree, int64, error) {
-	if k < 2 {
-		return nil, 0, fmt.Errorf("statictree: arity %d < 2", k)
+	if err := core.CheckIDRange(s.n, k); err != nil {
+		return nil, 0, fmt.Errorf("statictree: %w", err)
 	}
 	s.run(k)
 	spec := s.treeSpec(1, s.n)

@@ -54,8 +54,6 @@ import (
 	"github.com/ksan-net/ksan/internal/centroidnet"
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/engine"
-	"github.com/ksan-net/ksan/internal/karynet"
-	"github.com/ksan-net/ksan/internal/lazynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/spec"
@@ -105,7 +103,7 @@ type Tree = core.Tree
 type Node = core.Node
 
 // KArySplayNet is the paper's online k-ary SplayNet (Section 4.1).
-type KArySplayNet = karynet.Net
+type KArySplayNet = policy.Net
 
 // CentroidSplayNet is the paper's online (k+1)-SplayNet (Section 4.2).
 type CentroidSplayNet = centroidnet.Net
@@ -117,10 +115,10 @@ type SplayNet = splaynet.Net
 // static until the routing cost since the last reconfiguration crosses a
 // threshold, then a demand-aware topology is recomputed from the observed
 // traffic (the lazy SAN regime the paper's introduction describes).
-type LazyNet = lazynet.Net
+type LazyNet = policy.Net
 
 // StaticNet wraps a static topology as a Network (routing cost only).
-type StaticNet = statictree.Net
+type StaticNet = policy.Net
 
 // PolicyNet is a trigger × adjuster composition over a tree topology —
 // the decomposition every self-adjusting network in this library
@@ -201,10 +199,12 @@ func AdjusterRebuild(name string, b RebuildBuilder) PolicyAdjuster {
 
 // NewKArySplayNet constructs a k-ary SplayNet on n nodes with a balanced
 // initial topology.
-func NewKArySplayNet(n, k int) (*KArySplayNet, error) { return karynet.New(n, k) }
+func NewKArySplayNet(n, k int) (*KArySplayNet, error) { return policy.NewKArySplayNet(n, k) }
 
 // NewKArySplayNetFromTree wraps an arbitrary valid initial topology.
-func NewKArySplayNetFromTree(t *Tree) *KArySplayNet { return karynet.NewFromTree(t) }
+func NewKArySplayNetFromTree(t *Tree) *KArySplayNet {
+	return mustCompose(policy.New(policy.KArySplayNetName(t.K()), t, policy.Always(), policy.Splay()))
+}
 
 // NewCentroidSplayNet constructs a (k+1)-SplayNet on n nodes (n ≥ 3).
 func NewCentroidSplayNet(n, k int) (*CentroidSplayNet, error) { return centroidnet.New(n, k) }
@@ -215,10 +215,21 @@ func NewSplayNet(n int) (*SplayNet, error) { return splaynet.New(n) }
 // NewLazyNet constructs a partially reactive k-ary network that rebuilds a
 // demand-aware topology whenever the routing cost since the last rebuild
 // reaches alpha.
-func NewLazyNet(n, k int, alpha int64) (*LazyNet, error) { return lazynet.New(n, k, alpha) }
+func NewLazyNet(n, k int, alpha int64) (*LazyNet, error) { return policy.NewLazy(n, k, alpha) }
 
 // NewStaticNet wraps a static tree topology as a Network.
-func NewStaticNet(name string, t *Tree) *StaticNet { return statictree.NewNet(name, t) }
+func NewStaticNet(name string, t *Tree) *StaticNet {
+	return mustCompose(policy.New(name, t, policy.Never(), policy.None()))
+}
+
+// mustCompose unwraps a composition over a given tree, whose only error
+// is a nil tree.
+func mustCompose(net *policy.Net, err error) *policy.Net {
+	if err != nil {
+		panic(err)
+	}
+	return net
+}
 
 // NewBalancedTree builds the weakly-complete k-ary search tree on n nodes.
 func NewBalancedTree(n, k int) (*Tree, error) { return core.NewBalanced(n, k) }
