@@ -3,12 +3,50 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime/metrics"
 	"strings"
 	"testing"
 )
 
 // sampleExperiment is the checked-in sample experiment document.
 const sampleExperiment = "../../testdata/experiment.json"
+
+// heapAllocs reads the cumulative bytes allocated on the heap.
+func heapAllocs() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestPhased10MStreamsInConstantMemory serves the 10M-request phased
+// trace on a frozen full 4-ary tree. The trace is streamed, never
+// materialized (10M requests would be 160 MB), so the whole run allocates
+// well under 1 MiB on the heap.
+func TestPhased10MStreamsInConstantMemory(t *testing.T) {
+	before := heapAllocs()
+	out := runOK(t, "-experiment", "../../testdata/phased10m.json", "-format", "json")
+	allocated := heapAllocs() - before
+	type cell struct {
+		Requests int64 `json:"requests"`
+		Routing  int64 `json:"routing"`
+	}
+	var cells []cell
+	dec := json.NewDecoder(strings.NewReader(out))
+	for dec.More() {
+		var c cell
+		if err := dec.Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, c)
+	}
+	if len(cells) != 1 || cells[0].Requests != 10_000_000 || cells[0].Routing <= 0 {
+		t.Fatalf("cells %+v, want one cell serving 10000000 requests with routing > 0", cells)
+	}
+	if allocated >= 1<<20 {
+		t.Errorf("the run allocated %d B on the heap, want under 1 MiB", allocated)
+	}
+	t.Logf("heap allocated over the run: %d B", allocated)
+}
 
 // runOK runs ksanbench with args and fails the test unless it exits 0.
 func runOK(t *testing.T, args ...string) string {

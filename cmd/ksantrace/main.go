@@ -10,38 +10,62 @@
 //	              -n 100 -m 100000 [-p 0.75] [-s 1.1] [-hot 0.1] [-hotopn 0.9] \
 //	              [-weights file] [-seed 1] [-out trace.csv]
 //	ksantrace stats -in trace.csv
+//
+// gen resolves its flags as the experiment document's trace def of the
+// same kind (DESIGN.md §6), so it accepts exactly the parameters a JSON
+// experiment accepts: a value out of range exits 2 with the spec's
+// message.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"github.com/ksan-net/ksan/internal/spec"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ksantrace:", err)
 	}
-	switch os.Args[1] {
-	case "gen":
-		gen(os.Args[2:])
-	case "stats":
-		stats(os.Args[2:])
-	default:
-		usage()
-	}
+	os.Exit(code)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ksantrace gen|stats [flags]")
-	os.Exit(2)
+// run executes one ksantrace invocation with the given command-line
+// arguments and returns the process exit code: 0 on success, 1 when
+// reading or writing a trace fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) (int, error) {
+	if len(args) > 0 {
+		switch args[0] {
+		case "gen":
+			return gen(args[1:], stdout, stderr)
+		case "stats":
+			return stats(args[1:], stdout, stderr)
+		}
+	}
+	fmt.Fprintln(stderr, "usage: ksantrace gen|stats [flags]")
+	return 2, nil
 }
 
-func gen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+// parse parses a subcommand's flags, mapping -h to a clean exit.
+func parse(fs *flag.FlagSet, args []string) (int, bool) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 2, false // the flag set has already printed the error and the usage
+	}
+	return 0, true
+}
+
+func gen(args []string, stdout, stderr io.Writer) (int, error) {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	kind := fs.String("kind", "uniform", "workload kind: uniform, temporal, hpc, projector, facebook, zipf, hotspot, exponential, latest, sequential, histogram")
 	n := fs.Int("n", 100, "number of network nodes")
 	m := fs.Int("m", 100000, "number of requests")
@@ -52,81 +76,56 @@ func gen(args []string) {
 	weights := fs.String("weights", "", "node popularity file, one weight per line (histogram only; node count comes from the file)")
 	seed := fs.Int64("seed", 1, "generator seed")
 	out := fs.String("out", "", "output file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+	if code, ok := parse(fs, args); !ok {
+		return code, nil
 	}
 
-	var g workload.Generator
+	// Only the flags the kind reads go into the def, so the spec's
+	// strict checks see exactly what the kind will use.
+	d := spec.TraceDef{Kind: *kind, N: *n, M: *m, Seed: *seed}
 	switch *kind {
-	case "uniform":
-		g = workload.UniformGen(*n, *m, *seed)
 	case "temporal":
-		g = workload.TemporalGen(*n, *m, *p, *seed)
-	case "hpc":
-		g = workload.HPCGen(*n, *m, *seed)
-	case "projector":
-		g = workload.ProjectorGen(*n, *m, *seed)
-	case "facebook":
-		g = workload.FacebookGen(*n, *m, *seed)
-	case "zipf":
-		g = workload.ZipfGen(*n, *m, *s, *seed)
+		d.P = *p
+	case "zipf", "exponential", "latest":
+		d.S = *s
 	case "hotspot":
-		g = workload.HotspotGen(*n, *m, *hot, *hotOpn, *seed)
-	case "exponential":
-		g = workload.ExponentialGen(*n, *m, *s, *seed)
-	case "latest":
-		g = workload.LatestGen(*n, *m, *s, *seed)
+		d.Hot, d.HotOpn = *hot, *hotOpn
 	case "sequential":
-		g = workload.SequentialGen(*n, *m)
+		d.Seed = 0
 	case "histogram":
-		if *weights == "" {
-			fmt.Fprintln(os.Stderr, "ksantrace: -kind histogram requires -weights")
-			os.Exit(2)
-		}
-		f, err := os.Open(*weights)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ws, err := workload.ReadWeights(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// n comes from the weights file (one node per line), same as the
-		// experiment-JSON histogram kind; -n is ignored here.
-		g, err = workload.HistogramGen(len(ws), *m, ws, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "ksantrace: unknown kind %q\n", *kind)
-		os.Exit(2)
+		d.N, d.Path = 0, *weights
+	}
+	g, err := d.Resolve()
+	if err != nil {
+		return 2, err
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if *out == "" {
+		if err := workload.WriteCSVFrom(stdout, g); err != nil {
+			return 1, err
 		}
-		defer f.Close()
-		w = f
+		return 0, nil
 	}
-	if err := workload.WriteCSVFrom(w, g); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	f, err := os.Create(*out)
+	if err != nil {
+		return 1, err
 	}
+	if err := workload.WriteCSVFrom(f, g); err != nil {
+		f.Close()
+		return 1, err
+	}
+	if err := f.Close(); err != nil {
+		return 1, err
+	}
+	return 0, nil
 }
 
-func stats(args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+func stats(args []string, stdout, stderr io.Writer) (int, error) {
+	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	in := fs.String("in", "", "input trace file (default stdin)")
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+	if code, ok := parse(fs, args); !ok {
+		return code, nil
 	}
 	// A file input streams (two passes over the file, no materialized
 	// trace); stdin cannot be re-read, so it falls back to materializing.
@@ -134,36 +133,33 @@ func stats(args []string) {
 	if *in != "" {
 		cg, err := workload.OpenCSV(*in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1, err
 		}
 		g = cg
 	} else {
 		tr, err := workload.ReadCSV(os.Stdin)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1, err
 		}
 		g = tr
 	}
 	st, err := workload.MeasureStream(g)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1, err
 	}
 	bound, err := workload.EntropyBoundStream(g)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1, err
 	}
-	fmt.Printf("trace          %s\n", g.Label())
-	fmt.Printf("nodes          %d\n", g.Nodes())
-	fmt.Printf("requests       %d\n", st.Requests)
-	fmt.Printf("distinct pairs %d\n", st.DistinctPairs)
-	fmt.Printf("repeat frac    %.4f\n", st.RepeatFraction)
-	fmt.Printf("src entropy    %.3f bits\n", st.SrcEntropy)
-	fmt.Printf("dst entropy    %.3f bits\n", st.DstEntropy)
-	fmt.Printf("pair entropy   %.3f bits\n", st.PairEntropy)
-	fmt.Printf("top-8 share    %.4f\n", st.Top8PairShare)
-	fmt.Printf("Thm13 bound    %.0f\n", bound)
+	fmt.Fprintf(stdout, "trace          %s\n", g.Label())
+	fmt.Fprintf(stdout, "nodes          %d\n", g.Nodes())
+	fmt.Fprintf(stdout, "requests       %d\n", st.Requests)
+	fmt.Fprintf(stdout, "distinct pairs %d\n", st.DistinctPairs)
+	fmt.Fprintf(stdout, "repeat frac    %.4f\n", st.RepeatFraction)
+	fmt.Fprintf(stdout, "src entropy    %.3f bits\n", st.SrcEntropy)
+	fmt.Fprintf(stdout, "dst entropy    %.3f bits\n", st.DstEntropy)
+	fmt.Fprintf(stdout, "pair entropy   %.3f bits\n", st.PairEntropy)
+	fmt.Fprintf(stdout, "top-8 share    %.4f\n", st.Top8PairShare)
+	fmt.Fprintf(stdout, "Thm13 bound    %.0f\n", bound)
+	return 0, nil
 }

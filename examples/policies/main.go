@@ -60,7 +60,7 @@ func main() {
 			{Kind: "kary", K: k}, // canonical: always × splay
 			{Kind: "kary", K: k, Policy: &ksan.PolicyDef{Trigger: "alpha", Alpha: 60_000, Adjuster: "splay"}},
 			{Kind: "kary", K: k, Policy: &ksan.PolicyDef{Trigger: "first", M: 3_000, Adjuster: "splay"}},
-			{Kind: "centroid-tree", K: k}, // canonical: never × none (frozen, batch-served)
+			{Kind: "centroid-tree", K: k}, // canonical: never × none (frozen, oracle-served)
 		},
 		Traces: []ksan.TraceDef{{Kind: "temporal", N: n, M: 30_000, P: 0.75, Seed: 7}},
 	}

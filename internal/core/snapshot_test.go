@@ -108,3 +108,55 @@ func TestFromSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 }
+
+// FuzzFromSnapshot mutates a valid random tree's snapshot: FromSnapshot
+// must reject it with an error, or return a tree that passes Validate and
+// answers DistanceID on every pair. Each five bytes of muts are one
+// mutation: a target (parent link, span entry, root, arity or node
+// count), a 16-bit index and a signed 16-bit value.
+func FuzzFromSnapshot(f *testing.F) {
+	f.Add(uint8(20), uint8(3), int64(1), []byte{})
+	f.Add(uint8(20), uint8(3), int64(1), []byte{0, 5, 0, 0, 0})       // node 5 loses its parent
+	f.Add(uint8(33), uint8(2), int64(2), []byte{1, 7, 0, 200, 0})     // a span entry out of range
+	f.Add(uint8(9), uint8(5), int64(3), []byte{2, 0, 0, 4, 0})        // another root
+	f.Add(uint8(40), uint8(4), int64(4), []byte{1, 1, 0, 2, 0, 3, 0}) // a threshold moved, then a stray byte
+	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, seed int64, muts []byte) {
+		n, k := 1+int(nRaw)%64, 2+int(kRaw)%7
+		tr, err := NewRandom(n, k, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := tr.Snapshot()
+		for ; len(muts) >= 5; muts = muts[5:] {
+			at := int(muts[1]) | int(muts[2])<<8
+			v := int32(int16(uint16(muts[3]) | uint16(muts[4])<<8))
+			switch muts[0] % 5 {
+			case 0:
+				s.Parent[at%len(s.Parent)] = v
+			case 1:
+				s.RC[at%len(s.RC)] = v
+			case 2:
+				s.Root = v
+			case 3:
+				s.K = int(v)
+			case 4:
+				s.N = int(v)
+			}
+		}
+		back, err := FromSnapshot(s)
+		if err != nil {
+			return
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("FromSnapshot accepted a tree that fails Validate: %v", err)
+		}
+		for u := 1; u <= back.N(); u++ {
+			for v := 1; v <= back.N(); v++ {
+				d := back.DistanceID(u, v)
+				if d < 0 || (d == 0) != (u == v) || d != back.DistanceID(v, u) {
+					t.Fatalf("restored tree: DistanceID(%d,%d) = %d, DistanceID(%d,%d) = %d", u, v, d, v, u, back.DistanceID(v, u))
+				}
+			}
+		}
+	})
+}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
@@ -42,38 +41,27 @@ func assertConstantInRequests(t *testing.T, m int, slackAllocs, perReq int64, ru
 }
 
 // TestRunGenAllocsConstantInRequests pins the engine's allocation
-// contract on both serve paths: RunGen allocates its histogram,
-// accumulators and generator state once per run, never per request. The
-// batch path's bytes are the one planned exception: its wave buffers
-// hold a quarter of a known-length stream (runBatch's chunk rule), 4 B
-// per request. Over 30 runs the two lengths differed by at most 2
-// allocations; one allocation every 256 requests would add 586.
+// contract: RunGen allocates its histogram, accumulators and generator
+// state once per run, never per request. The net is frozen, so past its
+// first static stretch it routes through the distance oracle. Over 30
+// runs the two lengths differed by at most 2 allocations; one allocation
+// every 256 requests would add 586.
 func TestRunGenAllocsConstantInRequests(t *testing.T) {
 	const n, m = 1023, 50_000
 	full, err := statictree.Full(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := frozen("full", full)
-	for _, tc := range []struct {
-		name   string
-		eng    *Engine
-		net    sim.Network
-		perReq int64
-	}{
-		{"sequential", New(), &serveOnly{net: static}, 0},
-		{"batch", New(WithWorkers(2)), static, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			assertConstantInRequests(t, m, 8, tc.perReq, func(reqs int) {
-				res, err := tc.eng.RunGen(context.Background(), tc.net, workload.UniformGen(n, reqs, 1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Requests != int64(reqs) {
-					t.Fatalf("served %d of %d requests", res.Requests, reqs)
-				}
-			})
+	net, eng := frozen("full", full), New(WithWorkers(2))
+	t.Run("frozen", func(t *testing.T) {
+		assertConstantInRequests(t, m, 8, 0, func(reqs int) {
+			res, err := eng.RunGen(context.Background(), net, workload.UniformGen(n, reqs, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != int64(reqs) {
+				t.Fatalf("served %d of %d requests", res.Requests, reqs)
+			}
 		})
-	}
+	})
 }

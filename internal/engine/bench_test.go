@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/policy"
@@ -11,14 +10,8 @@ import (
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// These benchmarks back the engine's headline claim: evaluating a static
-// tree's routing cost over a trace (the TotalDistance-style measurement of
-// the scale experiments) through the sim.BatchServer path must beat the
-// per-request Serve loop by ≥2× wall-clock. The batch path wins twice —
-// the Euler-tour/RMQ distance oracle replaces three pointer walks per
-// request even on one core, and the chunked trace shards across the
-// worker pool on multicore machines.
-
+// benchTrace is the static-tree measurement of the scale experiments: a
+// frozen full 3-ary tree and 200 000 uniform requests.
 func benchTrace(b *testing.B) (*policy.Net, []sim.Request) {
 	b.Helper()
 	tr, err := statictree.Full(1023, 3)
@@ -28,26 +21,12 @@ func benchTrace(b *testing.B) (*policy.Net, []sim.Request) {
 	return frozen("full", tr), workload.Uniform(1023, 200_000, 1).Reqs
 }
 
-// BenchmarkStaticTraceSequential is the baseline: the seed-style
-// per-request Serve loop (ServeBatch hidden behind a plain wrapper).
-func BenchmarkStaticTraceSequential(b *testing.B) {
+// BenchmarkStaticTrace serves a materialized trace on the frozen tree
+// through Engine.Run; past the first static stretch every request is
+// answered by the distance oracle.
+func BenchmarkStaticTrace(b *testing.B) {
 	net, rs := benchTrace(b)
 	eng := New()
-	wrapped := &serveOnly{net: net}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(context.Background(), wrapped, rs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStaticTraceBatch1 isolates the batch kernel: one worker, so any
-// speedup over Sequential is the distance oracle alone.
-func BenchmarkStaticTraceBatch1(b *testing.B) {
-	net, rs := benchTrace(b)
-	eng := New(WithWorkers(1))
-	net.ServeBatch(rs[:1]) // build the oracle outside the timed region
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Run(context.Background(), net, rs); err != nil {
@@ -56,76 +35,18 @@ func BenchmarkStaticTraceBatch1(b *testing.B) {
 	}
 }
 
-// BenchmarkStaticTraceBatchSharded adds the worker pool on top of the
-// batch kernel (on a 1-CPU machine it matches Batch1; on multicore it
-// scales further).
-func BenchmarkStaticTraceBatchSharded(b *testing.B) {
-	net, rs := benchTrace(b)
-	eng := New(WithWorkers(runtime.GOMAXPROCS(0)))
-	net.ServeBatch(rs[:1])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(context.Background(), net, rs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStaticGridSharded runs a whole grid of static trees — the
-// scale-experiment shape — through the pool.
-func BenchmarkStaticGridSharded(b *testing.B) {
-	var nets []NetworkSpec
-	for _, k := range []int{2, 3, 5, 10} {
-		k := k
-		nets = append(nets, NetworkSpec{
-			Name: "full",
-			Make: func(n int) sim.Network {
-				tr, err := statictree.Full(n, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return frozen("full", tr)
-			},
-		})
-	}
-	traces := []TraceSpec{{Name: "uniform", N: 1023, Reqs: workload.Uniform(1023, 100_000, 1).Reqs}}
-	eng := New(WithWorkers(runtime.GOMAXPROCS(0)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunGrid(context.Background(), nets, traces); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunGenStream serves a generator's stream without ever
-// materializing it — the tentpole path of the streaming pipeline — on
-// both engine paths. Compare against the StaticTrace benchmarks above to
-// see what pulling from the stream costs over iterating a slice.
+// BenchmarkRunGenStream serves the same trace from a generator without
+// ever materializing it. Compare against BenchmarkStaticTrace to see what
+// pulling from the stream costs over iterating a slice.
 func BenchmarkRunGenStream(b *testing.B) {
 	gen := workload.UniformGen(1023, 200_000, 1)
-	b.Run("sequential", func(b *testing.B) {
-		net, _ := benchTrace(b)
-		eng := New()
-		wrapped := &serveOnly{net: net}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunGen(context.Background(), wrapped, gen); err != nil {
-				b.Fatal(err)
-			}
+	net, _ := benchTrace(b)
+	eng := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RunGen(context.Background(), net, gen); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		net, rs := benchTrace(b)
-		eng := New(WithWorkers(runtime.GOMAXPROCS(0)))
-		net.ServeBatch(rs[:1]) // build the oracle outside the timed region
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunGen(context.Background(), net, gen); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -1,4 +1,4 @@
-// Package engine is the streaming, sharded experiment engine behind the
+// Package engine is the streaming experiment engine behind the
 // paper's evaluation and the one way to serve a trace: it serves
 // communication traces on network topologies under the Section 2 cost
 // model and adds the machinery a production-scale evaluation harness
@@ -10,17 +10,14 @@
 //
 // Determinism contract: every field of Result except the wall-clock pair
 // (Elapsed, Throughput) is identical across runs and across worker counts.
-// Self-adjusting networks are always served sequentially (their state is
-// the experiment); only networks that opt in via sim.BatchServer — and,
-// when they also carry sim.BatchGate, report Batchable — have their
-// traces sharded across goroutines, and integer cost merging is
-// associative, so the totals cannot depend on the sharding.
+// Every trace is served sequentially, one request at a time, on one
+// goroutine (a self-adjusting network's state is the experiment); workers
+// run whole grid cells, never parts of a trace.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"iter"
 	"runtime"
 	"sync"
 	"time"
@@ -61,8 +58,8 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers bounds the worker pool used for grid cells and batch-server
-// shards. Values below 1 fall back to GOMAXPROCS.
+// WithWorkers bounds the worker pool that runs grid cells. Values below 1
+// fall back to GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n >= 1 {
@@ -137,7 +134,7 @@ func (e *Engine) Workers() int { return e.workers }
 // generator. It honors ctx: on cancellation it returns the partial result
 // accumulated so far together with ctx.Err().
 func (e *Engine) Run(ctx context.Context, net sim.Network, reqs []sim.Request) (Result, error) {
-	return e.runOne(ctx, net, workload.Trace{N: net.N(), Reqs: reqs}, "", nil, e.workers)
+	return e.runOne(ctx, net, workload.Trace{N: net.N(), Reqs: reqs}, "", nil)
 }
 
 // RunGen serves a generator's request stream on the network and returns
@@ -147,18 +144,15 @@ func (e *Engine) Run(ctx context.Context, net sim.Network, reqs []sim.Request) (
 // ctx: on cancellation it returns the partial result accumulated so far
 // together with ctx.Err(); a stream error (bad CSV row, under-run phase)
 // or an out-of-range request likewise ends the run with the contiguous
-// prefix measured. Networks implementing sim.BatchServer are evaluated
-// through the batch path (chunk waves sharded across the worker pool when
-// workers > 1); everything else is served strictly sequentially.
+// prefix measured. Every network is served strictly sequentially; a
+// frozen policy net answers from its static-stretch distance oracle.
 func (e *Engine) RunGen(ctx context.Context, net sim.Network, gen workload.Generator) (Result, error) {
-	return e.runOne(ctx, net, gen, "", nil, e.workers)
+	return e.runOne(ctx, net, gen, "", nil)
 }
 
 // runOne is RunGen plus the grid bookkeeping (trace label, cell-progress
-// decoration) and an explicit shard bound: grid cells already occupy the
-// worker pool, so they pass shardWorkers=1 to keep total concurrency at
-// the configured bound instead of workers².
-func (e *Engine) runOne(ctx context.Context, net sim.Network, gen workload.Generator, traceName string, decorate func(*Progress), shardWorkers int) (Result, error) {
+// decoration).
+func (e *Engine) runOne(ctx context.Context, net sim.Network, gen workload.Generator, traceName string, decorate func(*Progress)) (Result, error) {
 	res := Result{Result: sim.Result{Name: net.Name()}, Trace: traceName}
 
 	// Unified churn accounting: first switch rotation-level edge tracking
@@ -202,19 +196,7 @@ func (e *Engine) runOne(ctx context.Context, net sim.Network, gen workload.Gener
 	if total >= 0 && warm > total {
 		warm = total
 	}
-	var h hist.Hist
-	var err error
-	bs, batch := net.(sim.BatchServer)
-	if batch {
-		if g, ok := net.(sim.BatchGate); ok && !g.Batchable() {
-			batch = false
-		}
-	}
-	if batch {
-		h, err = e.runBatch(ctx, bs, gen, net.N(), warm, &res, emit, shardWorkers)
-	} else {
-		h, err = e.runSequential(ctx, net, gen, warm, &res, emit)
-	}
+	h, err := e.runSequential(ctx, net, gen, warm, &res, emit)
 	res.Elapsed = time.Since(start)
 	if secs := res.Elapsed.Seconds(); secs > 0 {
 		res.Throughput = float64(res.Requests+res.WarmupRequests) / secs
@@ -315,143 +297,4 @@ func validateReq(rq sim.Request, i, n int) error {
 		return fmt.Errorf("engine: request %d (%d→%d) outside 1..%d", i, rq.Src, rq.Dst, n)
 	}
 	return nil
-}
-
-// runBatch evaluates a batch-capable (static) network against the stream:
-// the warmup prefix first, then the measured region in waves — up to
-// shardWorkers chunks are drawn from the stream (window-sized when a
-// time-series is requested, load-balancing-sized otherwise), served
-// concurrently on the worker pool, and merged back in order before the
-// next wave is drawn. Peak memory is shardWorkers×chunk requests (the
-// buffers are reused across waves), never the trace; and because integer
-// cost merging is associative and chunk boundaries coincide with window
-// boundaries whenever a window is configured, the result is bit-identical
-// to the former whole-slice sharding. Workers emit progress as their
-// chunks complete (cumulative served count, made monotone by taking the
-// counter update and the emit under one lock).
-func (e *Engine) runBatch(ctx context.Context, bs sim.BatchServer, gen workload.Generator, n, warm int, res *Result, emit func(Progress), shardWorkers int) (hist.Hist, error) {
-	if shardWorkers < 1 {
-		shardWorkers = 1
-	}
-	next, stop := iter.Pull2(gen.Requests())
-	defer stop()
-
-	// read fills buf with up to max validated requests, advancing the
-	// global request index; it returns the stream's error, if any, after
-	// the requests that precede it.
-	idx := 0
-	read := func(buf []sim.Request, max int) ([]sim.Request, error) {
-		for len(buf) < max {
-			rq, rerr, ok := next()
-			if !ok {
-				return buf, nil
-			}
-			if rerr != nil {
-				return buf, rerr
-			}
-			if e.validate {
-				if err := validateReq(rq, idx, n); err != nil {
-					return buf, err
-				}
-			}
-			idx++
-			buf = append(buf, rq)
-		}
-		return buf, nil
-	}
-
-	if warm > 0 {
-		wbuf, rerr := read(make([]sim.Request, 0, warm), warm)
-		if len(wbuf) > 0 {
-			bc := bs.ServeBatch(wbuf)
-			res.WarmupRequests = int64(len(wbuf))
-			res.WarmupRouting = bc.Routing
-			res.WarmupAdjust = bc.Adjust
-		}
-		if rerr != nil {
-			return hist.Hist{}, rerr
-		}
-		warm = len(wbuf)
-	}
-
-	chunk := e.window
-	if chunk <= 0 {
-		if total := gen.Len(); total >= 0 {
-			chunk = (total - warm + shardWorkers*4 - 1) / (shardWorkers * 4)
-		} else {
-			chunk = 8192 // unknown-length stream: fixed wave granularity
-		}
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-
-	bufs := make([][]sim.Request, shardWorkers)
-	costs := make([]sim.BatchCost, shardWorkers)
-	done := make([]bool, shardWorkers)
-	var pmu sync.Mutex
-	var completed int
-	var total sim.BatchCost
-	measured := 0 // absolute measured index of the current wave's start
-	for {
-		if err := ctx.Err(); err != nil {
-			res.Routing = total.Routing
-			res.Adjust = total.Adjust
-			return total.Hist, err
-		}
-		// Draw the wave: up to shardWorkers chunks from the stream.
-		filled, exhausted := 0, false
-		var streamErr error
-		for filled < shardWorkers && !exhausted && streamErr == nil {
-			if bufs[filled] == nil {
-				bufs[filled] = make([]sim.Request, 0, chunk)
-			}
-			bufs[filled], streamErr = read(bufs[filled][:0], chunk)
-			if len(bufs[filled]) == 0 {
-				break
-			}
-			exhausted = len(bufs[filled]) < chunk
-			filled++
-		}
-		var perr error
-		if filled > 0 {
-			for i := range done[:filled] {
-				done[i] = false
-			}
-			perr = ParallelFor(ctx, shardWorkers, filled, func(i int) error {
-				costs[i] = bs.ServeBatch(bufs[i])
-				done[i] = true
-				if e.progress != nil {
-					pmu.Lock()
-					completed += len(bufs[i])
-					emit(Progress{Requests: warm + completed})
-					pmu.Unlock()
-				}
-				return nil
-			})
-			// Merge the completed prefix in order, so a cancelled run
-			// still reports a contiguous, well-ordered partial result.
-			for i := 0; i < filled && done[i]; i++ {
-				res.Requests += int64(len(bufs[i]))
-				if e.window > 0 {
-					res.Series = append(res.Series, WindowSample{
-						Start: measured + i*chunk, End: measured + i*chunk + len(bufs[i]),
-						Routing: costs[i].Routing, Adjust: costs[i].Adjust,
-					})
-				}
-				total.Merge(costs[i])
-			}
-			measured = int(res.Requests)
-		}
-		res.Routing = total.Routing
-		res.Adjust = total.Adjust
-		switch {
-		case streamErr != nil:
-			return total.Hist, streamErr
-		case perr != nil:
-			return total.Hist, perr
-		case exhausted || filled == 0:
-			return total.Hist, ctx.Err()
-		}
-	}
 }

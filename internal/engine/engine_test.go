@@ -275,45 +275,6 @@ func TestValidationRejectsBadTrace(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesSequential(t *testing.T) {
-	full, err := statictree.Full(200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := reqs(200, 40_000, 8)
-	batch, err := New(WithWorkers(8), WithWindow(5000)).Run(context.Background(), frozen("full", full), rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: the per-request Serve path on a plain (non-batch) wrapper.
-	seq, err := New().Run(context.Background(), &serveOnly{net: frozen("full", full)}, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Result != seq.Result {
-		t.Fatalf("batch totals %+v != sequential %+v", batch.Result, seq.Result)
-	}
-	if batch.P50Routing != seq.P50Routing || batch.P99Routing != seq.P99Routing {
-		t.Errorf("percentiles differ: batch %v/%v seq %v/%v",
-			batch.P50Routing, batch.P99Routing, seq.P50Routing, seq.P99Routing)
-	}
-	var fromSeries int64
-	for _, s := range batch.Series {
-		fromSeries += s.Routing
-	}
-	if fromSeries != batch.Routing {
-		t.Errorf("batch series sums to %d, total %d", fromSeries, batch.Routing)
-	}
-}
-
-// serveOnly hides a static net's ServeBatch (no embedding, so nothing is
-// promoted) to force the engine onto the sequential path.
-type serveOnly struct{ net sim.Network }
-
-func (s *serveOnly) Name() string            { return s.net.Name() }
-func (s *serveOnly) N() int                  { return s.net.N() }
-func (s *serveOnly) Serve(u, v int) sim.Cost { return s.net.Serve(u, v) }
-
 func TestLinkChurnReporting(t *testing.T) {
 	tr := workload.Temporal(32, 3000, 0.5, 9)
 	res, err := New(WithLinkChurn(true)).Run(context.Background(), kary(32, 3), tr.Reqs)
@@ -417,6 +378,19 @@ func TestProgressWithoutWindowFiresMidTrace(t *testing.T) {
 	}
 	if len(events) != (len(rs)+1023)/1024 {
 		t.Errorf("windowed run emitted %d events, want one per window", len(events))
+	}
+
+	// Progress counts the warmup prefix too, so with or without a window
+	// the final event lands on the whole trace.
+	for _, opt := range []Option{WithWindow(1024), WithWindow(0)} {
+		events = events[:0]
+		warm := New(WithWarmup(3000), opt, WithProgress(func(p Progress) { events = append(events, p) }))
+		if _, err := warm.Run(context.Background(), &fakeNet{n: 16, name: "warm"}, rs); err != nil {
+			t.Fatal(err)
+		}
+		if len(events) == 0 || events[len(events)-1].Requests != len(rs) {
+			t.Errorf("warmup run final event %+v, want %d requests", events, len(rs))
+		}
 	}
 }
 

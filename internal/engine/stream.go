@@ -101,7 +101,7 @@ func (e *Engine) runCell(ctx context.Context, spec NetworkSpec, tr TraceSpec, i,
 	res, err := e.runOne(ctx, net, tr.Generator(), tr.Label(), func(p *Progress) {
 		p.Cells = int(cellsDone.Load())
 		p.CellsTotal = cells
-	}, 1)
+	})
 	cell.Result = res
 	if err != nil {
 		return cell, err

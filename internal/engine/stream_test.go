@@ -201,75 +201,6 @@ func (c countingNet) Serve(u, v int) sim.Cost {
 	return sim.Cost{Routing: 1}
 }
 
-func TestBatchProgressFromWorkers(t *testing.T) {
-	// Regression: runBatch only emitted progress from the post-barrier
-	// merge loop, so batch (static-net) runs reported nothing until every
-	// shard had finished. Workers must emit serialized, monotone progress
-	// as chunks complete.
-	full, err := statictree.Full(64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := workload.Uniform(64, 40_000, 3).Reqs
-	var events []Progress
-	eng := New(WithWorkers(4), WithProgress(func(p Progress) { events = append(events, p) }))
-	if _, err := eng.Run(context.Background(), frozen("full", full), rs); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 2 {
-		t.Fatalf("want one progress event per chunk (several chunks), got %d", len(events))
-	}
-	mid := 0
-	prev := -1
-	for _, p := range events {
-		if p.Requests <= prev {
-			t.Errorf("batch progress not monotone: %d after %d", p.Requests, prev)
-		}
-		prev = p.Requests
-		if p.Requests > 0 && p.Requests < len(rs) {
-			mid++
-		}
-		if p.Total != len(rs) || p.Network != "full" {
-			t.Errorf("event misses run metadata: %+v", p)
-		}
-	}
-	if mid == 0 {
-		t.Error("no mid-run progress events from batch workers")
-	}
-	if events[len(events)-1].Requests != len(rs) {
-		t.Errorf("final event at %d requests, want %d", events[len(events)-1].Requests, len(rs))
-	}
-
-	// Warmup prefix: worker progress counts from the end of the warmup.
-	events = events[:0]
-	eng = New(WithWorkers(4), WithWarmup(10_000), WithProgress(func(p Progress) { events = append(events, p) }))
-	if _, err := eng.Run(context.Background(), frozen("full", full), rs); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 || events[len(events)-1].Requests != len(rs) {
-		t.Fatalf("warmup run final event %+v, want %d requests", events, len(rs))
-	}
-}
-
-func TestBatchProgressMatchesChunkCount(t *testing.T) {
-	// With a window configured, chunks are window-sized: the event count is
-	// exactly the chunk count.
-	full, err := statictree.Full(32, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := workload.Uniform(32, 10_000, 5).Reqs
-	var events []Progress
-	eng := New(WithWorkers(3), WithWindow(1024), WithProgress(func(p Progress) { events = append(events, p) }))
-	if _, err := eng.Run(context.Background(), frozen("full", full), rs); err != nil {
-		t.Fatal(err)
-	}
-	want := (len(rs) + 1023) / 1024
-	if len(events) != want {
-		t.Errorf("windowed batch run emitted %d events, want one per chunk (%d)", len(events), want)
-	}
-}
-
 func TestRunGridStillReturnsFirstError(t *testing.T) {
 	// Belt and braces for the reimplementation on Stream: a mid-grid
 	// validation failure must surface as RunGrid's error with the healthy

@@ -13,7 +13,7 @@ import (
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// staticNet builds a batch-capable static network over n nodes.
+// staticNet builds a frozen full 3-ary tree over n nodes.
 func staticNet(t *testing.T, n int) sim.Network {
 	t.Helper()
 	full, err := statictree.Full(n, 3)
@@ -25,8 +25,8 @@ func staticNet(t *testing.T, n int) sim.Network {
 
 // TestRunGenMatchesRunOnCollectedTrace pins the tentpole's determinism
 // claim at the engine boundary: serving a generator's stream and serving
-// its collected slice are the same run, bit for bit, on both the
-// sequential and the batch path.
+// its collected slice are the same run, bit for bit, on an adjusting and
+// on a frozen net.
 func TestRunGenMatchesRunOnCollectedTrace(t *testing.T) {
 	gen := workload.TemporalGen(48, 9000, 0.7, 5)
 	tr := workload.MustCollect(gen)
@@ -34,8 +34,8 @@ func TestRunGenMatchesRunOnCollectedTrace(t *testing.T) {
 		name string
 		make func() sim.Network
 	}{
-		{"sequential", func() sim.Network { return kary(48, 3) }},
-		{"batch", func() sim.Network { return staticNet(t, 48) }},
+		{"adjusting", func() sim.Network { return kary(48, 3) }},
+		{"frozen", func() sim.Network { return staticNet(t, 48) }},
 	} {
 		eng := New(WithWindow(1500))
 		fromGen, err := eng.RunGen(context.Background(), tc.make(), gen)
@@ -56,7 +56,8 @@ func TestRunGenMatchesRunOnCollectedTrace(t *testing.T) {
 }
 
 // TestEngineServesUnknownLengthStream runs a CSV-backed generator — the
-// one kind that cannot declare its length — through both engine paths.
+// one kind that cannot declare its length — on an adjusting and on a
+// frozen net.
 func TestEngineServesUnknownLengthStream(t *testing.T) {
 	tr := workload.Uniform(24, 4000, 9)
 	path := filepath.Join(t.TempDir(), "trace.csv")
@@ -79,8 +80,8 @@ func TestEngineServesUnknownLengthStream(t *testing.T) {
 		name string
 		make func() sim.Network
 	}{
-		{"sequential", func() sim.Network { return kary(24, 3) }},
-		{"batch", func() sim.Network { return staticNet(t, 24) }},
+		{"adjusting", func() sim.Network { return kary(24, 3) }},
+		{"frozen", func() sim.Network { return staticNet(t, 24) }},
 	} {
 		eng := New(WithWindow(500))
 		got, err := eng.RunGen(context.Background(), tc.make(), gen)

@@ -93,36 +93,6 @@ func (h *Hist) Observe(v int64) {
 	}
 }
 
-// ObserveN folds n identical observations into the histogram in O(1) —
-// the batch-cost accounting path, where a whole request batch lands on
-// one integer cost.
-func (h *Hist) ObserveN(v int64, n int64) {
-	if n <= 0 {
-		if n == 0 {
-			return
-		}
-		panic(fmt.Sprintf("hist: ObserveN(%d, %d): negative count", v, n))
-	}
-	if v < 0 {
-		panic(fmt.Sprintf("hist: ObserveN(%d, %d): negative value", v, n))
-	}
-	idx := bucketOf(v)
-	if idx >= len(h.counts) {
-		grown := make([]int64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	h.counts[idx] += n
-	h.count += n
-	h.sum += v * n
-	if h.count == n || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
 // Merge folds o into h. Merging is associative and commutative, so
 // routine- and shard-local histograms combine into global percentiles in
 // any grouping. o is unchanged; a nil or empty o is a no-op.

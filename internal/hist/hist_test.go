@@ -182,49 +182,10 @@ func TestHistMerge(t *testing.T) {
 	}
 }
 
-// TestHistObserveN pins the batch-observation path the engine's
-// batch-cost accounting uses: ObserveN(v, n) must be indistinguishable
-// from n Observe(v) calls, including Min/Max/Sum bookkeeping, and
-// BucketCount must read exact-region counts back verbatim.
-func TestHistObserveN(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	var batched, single Hist
-	counts := map[int64]int64{}
-	for i := 0; i < 200; i++ {
-		v := int64(rng.Intn(200)) // spans exact and log regions
-		n := int64(1 + rng.Intn(7))
-		batched.ObserveN(v, n)
-		for j := int64(0); j < n; j++ {
-			single.Observe(v)
-		}
-		counts[v] += n
-	}
-	if batched.Count() != single.Count() || batched.Sum() != single.Sum() ||
-		batched.Min() != single.Min() || batched.Max() != single.Max() {
-		t.Fatalf("ObserveN summary diverges from repeated Observe: %+v vs %+v", batched, single)
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if batched.Percentile(q) != single.Percentile(q) {
-			t.Errorf("Percentile(%v) = %v batched, %v single", q, batched.Percentile(q), single.Percentile(q))
-		}
-	}
-	for v, n := range counts {
-		if v < ExactLimit {
-			if got := batched.BucketCount(v); got != n {
-				t.Errorf("BucketCount(%d) = %d, want %d", v, got, n)
-			}
-		}
-	}
-	batched.ObserveN(5, 0) // zero count is a no-op
-	if batched.Count() != single.Count() {
-		t.Errorf("ObserveN(_, 0) changed the histogram")
-	}
-}
-
 // TestHistEmptyAndNegative pins the zero-value contract (an empty
 // histogram reports zeros everywhere, never divides by zero) and the
-// domain guard: observations are non-negative counts, so Observe and
-// ObserveN must reject negatives loudly rather than corrupt a bucket.
+// domain guard: observations are non-negative counts, so Observe must
+// reject negatives loudly rather than corrupt a bucket.
 func TestHistEmptyAndNegative(t *testing.T) {
 	var h Hist
 	if h.Percentile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
@@ -239,8 +200,6 @@ func TestHistEmptyAndNegative(t *testing.T) {
 		f()
 	}
 	mustPanic("Observe(-1)", func() { h.Observe(-1) })
-	mustPanic("ObserveN(-1, 2)", func() { h.ObserveN(-1, 2) })
-	mustPanic("ObserveN(1, -2)", func() { h.ObserveN(1, -2) })
 }
 
 // TestHistZeroAllocs pins the measurement paths' contract: once the

@@ -118,6 +118,6 @@ func (p *Net) Restore(cp *Checkpoint) error {
 	p.pending = cp.Pending.Clone()
 	p.streak = 0
 	p.oracleLive = false
-	p.batchOnce = sync.Once{}
+	p.oracleOnce = sync.Once{}
 	return nil
 }

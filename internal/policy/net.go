@@ -20,13 +20,11 @@ import (
 const windowCompactLen = 1 << 15
 
 // Net is a trigger × adjuster composition over a routed topology. It
-// implements sim.Network, the engine's ChurnReporter, and — for frozen
-// tree-backed compositions — the gated batch surface
-// (sim.BatchServer + sim.BatchGate).
+// implements sim.Network and the engine's ChurnReporter.
 //
-// Serve is not safe for concurrent use (see the package comment); a
-// frozen net's ServeBatch is. A frozen net (Never × None) is the static
-// network of a tree.
+// Serve is not safe for concurrent use (see the package comment); the
+// oracle a frozen net's StaticOracle returns is. A frozen net (Never ×
+// None) is the static network of a tree.
 type Net struct {
 	name string
 	trig Trigger
@@ -63,7 +61,7 @@ type Net struct {
 	oracleAfter int
 	oracle      *statictree.DistIndex
 	oracleLive  bool
-	batchOnce   sync.Once
+	oracleOnce  sync.Once
 
 	ctx Ctx
 }
@@ -309,24 +307,11 @@ func (p *Net) afterAdjust() {
 	}
 }
 
-// Batchable implements sim.BatchGate: only a frozen composition (Never
-// trigger) on a tree substrate is side-effect-free, so only those may be
-// sharded through the engine's batch path.
-func (p *Net) Batchable() bool {
-	_, frozen := p.trig.(neverTrigger)
-	return frozen && p.t != nil
-}
-
-// ServeBatch implements sim.BatchServer for frozen compositions: the
-// topology can never change, so disjoint request shards are served
-// concurrently against the O(1) distance oracle. It panics on a
-// composition that can adjust.
-func (p *Net) ServeBatch(reqs []sim.Request) sim.BatchCost {
-	ix, ok := p.StaticOracle()
-	if !ok {
-		panic("policy: ServeBatch on a composition that can adjust")
-	}
-	return ix.ServeBatch(reqs)
+// frozen reports whether the topology can never change: a Never trigger
+// on a tree substrate.
+func (p *Net) frozen() bool {
+	_, never := p.trig.(neverTrigger)
+	return never && p.t != nil
 }
 
 // StaticOracle is the shard-safe serving hook (internal/serve): for a
@@ -339,10 +324,10 @@ func (p *Net) ServeBatch(reqs []sim.Request) sim.BatchCost {
 // trigger can still fire reports false: its topology is only static
 // between firings, and only its owner may serve it.
 func (p *Net) StaticOracle() (*statictree.DistIndex, bool) {
-	if !p.Batchable() {
+	if !p.frozen() {
 		return nil, false
 	}
-	p.batchOnce.Do(func() {
+	p.oracleOnce.Do(func() {
 		if !p.oracleLive {
 			if p.oracle == nil {
 				p.oracle = new(statictree.DistIndex)

@@ -285,55 +285,52 @@ func TestFrozenAfterWarmupFreezes(t *testing.T) {
 	}
 }
 
-func TestFrozenBatchMatchesSequentialAndGates(t *testing.T) {
+// TestStaticOracleGates pins the frozen-topology hook: a frozen tree
+// composition hands out an oracle that routes exactly like sequential
+// Serve, and every composition that could adjust, or has no tree to
+// index, reports false.
+func TestStaticOracleGates(t *testing.T) {
 	reqs := workload.Uniform(77, 8000, 5).Reqs
 	frozen, err := New("frozen", mustTree(t, 77, 3), Never(), None())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !frozen.Batchable() {
-		t.Fatal("frozen tree composition must be batchable")
+	ix, ok := frozen.StaticOracle()
+	if !ok {
+		t.Fatal("frozen tree composition must have a static oracle")
 	}
-	bc := frozen.ServeBatch(reqs)
 	seq, err := New("frozen-seq", mustTree(t, 77, 3), Never(), None())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var routing int64
+	var oracle, routing int64
 	for _, rq := range reqs {
+		oracle += ix.Dist(rq.Src, rq.Dst)
 		c := seq.Serve(rq.Src, rq.Dst)
 		routing += c.Routing
 		if c.Adjust != 0 {
 			t.Fatal("frozen composition adjusted")
 		}
 	}
-	if bc.Routing != routing || bc.Adjust != 0 {
-		t.Errorf("batch %d/%d, sequential %d/0", bc.Routing, bc.Adjust, routing)
+	if oracle != routing {
+		t.Errorf("oracle routing %d, sequential %d", oracle, routing)
 	}
 
 	adjusting, err := New("kary", mustTree(t, 77, 3), Always(), Splay())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adjusting.Batchable() {
-		t.Error("always × splay must not be batchable")
+	if _, ok := adjusting.StaticOracle(); ok {
+		t.Error("always × splay must not have a static oracle")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ServeBatch on an adjusting composition did not panic")
-			}
-		}()
-		adjusting.ServeBatch(reqs[:1])
-	}()
 
-	// A frozen custom substrate has no oracle and must stay sequential.
+	// A frozen custom substrate has no tree to index.
 	custom, err := NewCustom("custom", fakeTopology{}, Never(), None())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if custom.Batchable() {
-		t.Error("custom-substrate composition must not be batchable")
+	if _, ok := custom.StaticOracle(); ok {
+		t.Error("custom-substrate composition must not have a static oracle")
 	}
 }
 
@@ -549,8 +546,6 @@ func TestCompositionAccessorsAndNames(t *testing.T) {
 		t.Errorf("composition names %q × %q", net.Trigger().Name(), net.Adjuster().Name())
 	}
 	var _ sim.Network = net
-	var _ sim.BatchServer = net
-	var _ sim.BatchGate = net
 }
 
 func TestSelfLoopsInvisibleToPolicy(t *testing.T) {

@@ -34,8 +34,9 @@
 // topology is immutable, which is what makes the static-stretch fast
 // path sound: after a long enough run of declined requests a tree-backed
 // Net routes through the Euler-tour/RMQ distance oracle instead of
-// walking parent pointers, and a frozen composition (Never) additionally
-// satisfies the engine's batch surface.
+// walking parent pointers. A frozen composition (Never) never leaves its
+// first static stretch, and StaticOracle hands its oracle to the serving
+// layer's lock-free frozen shards.
 //
 // Like every serve path in this repository, a Net is not safe for
 // concurrent Serve calls: the underlying tree owns the rotation scratch

@@ -50,8 +50,7 @@ func (alwaysTrigger) Observe(int64) bool { return true }
 func (alwaysTrigger) Reset()             {}
 
 // Never never fires: the topology is frozen and the composition behaves
-// as a static network (and, when tree-backed, satisfies the engine's
-// batch surface).
+// as a static network (and, when tree-backed, has a StaticOracle).
 func Never() Trigger { return neverTrigger{} }
 
 type neverTrigger struct{}

@@ -130,8 +130,9 @@ func TestRecoveryEquivalenceMultiClient(t *testing.T) {
 			{Shard: 3, At: 2000, Kind: FaultCrash, RecoverAfter: 0},
 		},
 	}
+	var recs []*recorder
 	stats, err := Run(context.Background(),
-		Config{Shards: shards, Clients: clients, RecordLocal: true, Faults: plan}, mkKary, gen)
+		Config{Shards: shards, Clients: clients, Faults: plan}, recordKary(&recs), gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestRecoveryEquivalenceMultiClient(t *testing.T) {
 		t.Fatalf("crashes/recoveries = %d/%d, want 3/3", stats.Faults.Crashes, stats.Faults.Recoveries)
 	}
 	for sh := 0; sh < shards; sh++ {
-		ps := stats.PerShard[sh]
-		if int64(len(ps.Local)) != ps.Requests {
-			t.Fatalf("shard %d: recorded %d, accounted %d", sh, len(ps.Local), ps.Requests)
+		ps, local := stats.PerShard[sh], recs[sh].log
+		if int64(len(local)) != ps.Requests {
+			t.Fatalf("shard %d: recorded %d, accounted %d", sh, len(local), ps.Requests)
 		}
-		wantR, wantA := replay(t, mkKary, part.Size(sh), ps.Local)
+		wantR, wantA := replay(t, mkKary, part.Size(sh), local)
 		if ps.Routing != wantR || ps.Adjust != wantA {
 			t.Errorf("shard %d: routing/adjust %d/%d, sequential replay of recorded sequence %d/%d",
 				sh, ps.Routing, ps.Adjust, wantR, wantA)

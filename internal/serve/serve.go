@@ -69,12 +69,6 @@ type Config struct {
 	// request of each client (1 = every request, 0 = latency off). The
 	// routing-cost histograms are always exact and unsampled.
 	LatencySample int
-	// RecordLocal makes every shard record the local request sequence it
-	// processed, and forces all shards — frozen included — to be served
-	// under their tokens so the sequence is well-defined. Test
-	// instrumentation for the sequential-equivalence property; leave off
-	// under load.
-	RecordLocal bool
 	// OnRate, when set, receives a live aggregate-throughput sample every
 	// RateEvery (default 1s) from a reporter goroutine.
 	OnRate    func(RateSample)
@@ -108,9 +102,6 @@ type ShardStats struct {
 	Routing  int64
 	Adjust   int64
 	Hist     *hist.Hist // local serve routing costs
-	// Local is the processed local request sequence (RecordLocal runs
-	// only; nil otherwise).
-	Local []sim.Request
 	// Fault-ledger slice of this shard (zero unless a plan was armed).
 	Crashes     int64
 	Recoveries  int64
@@ -165,9 +156,10 @@ func (s *Stats) Total() int64 { return s.Routing + s.Adjust }
 // engine bit-for-bit (identity partition, no cross-shard traffic). With
 // one client and S shards, each shard serves Partition.Project's
 // subsequence in order. With C clients, per-shard arrival order
-// interleaves client substreams nondeterministically — but every shard
-// still serves a single well-defined sequence (single-writer token), which
-// RecordLocal captures for equivalence replay.
+// interleaves client substreams nondeterministically — but every
+// adjusting shard still serves a single well-defined sequence
+// (single-writer token), and serving that sequence in order on a fresh
+// network reproduces the shard's totals.
 //
 // Cancellation of ctx stops the run and returns the partial Stats
 // together with ctx.Err(); cfg.Duration elapsing is a normal completion.
@@ -199,11 +191,10 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		if err != nil {
 			return nil, fmt.Errorf("serve: building shard %d (%d nodes): %w", i, part.Size(i), err)
 		}
-		s := &shard{id: i, nodes: part.Size(i), net: net, record: cfg.RecordLocal,
+		s := &shard{id: i, nodes: part.Size(i), net: net,
 			plan: cfg.Faults, stop: p.stopCh, sleepers: &p.sleepers}
 		p.shards[i] = s
-		switch {
-		case cfg.Faults != nil:
+		if cfg.Faults != nil {
 			// Every shard must support exact checkpoint/restore.
 			rec, ok := net.(recoverable)
 			if !ok || !rec.Checkpointable() {
@@ -212,11 +203,9 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			}
 			s.recov, s.events = rec, events[i]
 			s.checkpoint() // recovery point for a crash before the first interval
-		case !cfg.RecordLocal:
-			if ss, ok := net.(staticServer); ok {
-				if ix, frozen := ss.StaticOracle(); frozen {
-					s.oracle = ix
-				}
+		} else if ss, ok := net.(staticServer); ok {
+			if ix, frozen := ss.StaticOracle(); frozen {
+				s.oracle = ix
 			}
 		}
 		if s.oracle == nil {
@@ -322,7 +311,7 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 	stats.LatencyHist = new(hist.Hist)
 	stats.PerShard = make([]ShardStats, cfg.Shards)
 	for i, s := range p.shards {
-		stats.PerShard[i] = ShardStats{Shard: i, Nodes: s.nodes, Hist: new(hist.Hist), Local: s.local,
+		stats.PerShard[i] = ShardStats{Shard: i, Nodes: s.nodes, Hist: new(hist.Hist),
 			Crashes: s.faults.Crashes, Recoveries: s.faults.Recoveries,
 			Checkpoints: s.faults.Checkpoints, Replayed: s.faults.ReplayedRequests,
 			Rejected: s.faults.Rejected}

@@ -17,10 +17,51 @@ func mkKary(n int) (sim.Network, error) {
 	return policy.NewKArySplayNet(n, 4)
 }
 
-// mkFrozen builds a frozen 4-ary composition (never × none): Batchable,
-// so the serving layer serves it lock-free through the distance oracle.
+// mkFrozen builds a frozen 4-ary composition (never × none): it has a
+// static oracle, so the serving layer serves it lock-free through it.
 func mkFrozen(n int) (sim.Network, error) {
 	return policy.NewBalanced("frozen-4ary", n, 4, policy.Never(), policy.None())
+}
+
+// recorder is a shard network that logs the local request sequence it
+// serves. It embeds the policy net, so the serving layer sees the same
+// checkpoint and static-oracle surface. Restore truncates the log to its
+// length at the checkpoint, so a crash recovery's replay re-records
+// exactly the requests it re-serves.
+type recorder struct {
+	*policy.Net
+	log   []sim.Request
+	cpLen int
+}
+
+func (r *recorder) Serve(u, v int) sim.Cost {
+	r.log = append(r.log, sim.Request{Src: u, Dst: v})
+	return r.Net.Serve(u, v)
+}
+
+func (r *recorder) CheckpointInto(cp *policy.Checkpoint) error {
+	r.cpLen = len(r.log)
+	return r.Net.CheckpointInto(cp)
+}
+
+func (r *recorder) Restore(cp *policy.Checkpoint) error {
+	r.log = r.log[:r.cpLen]
+	return r.Net.Restore(cp)
+}
+
+// recordKary is mkKary with every shard network wrapped in a recorder,
+// appended to recs; Run builds the shards in order, so recs[i] is shard
+// i's.
+func recordKary(recs *[]*recorder) func(n int) (sim.Network, error) {
+	return func(n int) (sim.Network, error) {
+		net, err := mkKary(n)
+		if err != nil {
+			return nil, err
+		}
+		r := &recorder{Net: net.(*policy.Net)}
+		*recs = append(*recs, r)
+		return r, nil
+	}
 }
 
 // collect materializes a generator stream.
@@ -127,18 +168,19 @@ func TestServeMultiShardSingleClient(t *testing.T) {
 	}
 }
 
-// TestServeMultiClientRecordLocal pins the equivalence property under
+// TestServeMultiClientLocalSequence pins the equivalence property under
 // real concurrency: with C clients the per-shard arrival order is
 // nondeterministic, but each shard still serves one well-defined sequence
-// through its owner loop. RecordLocal captures that sequence; replaying
-// it sequentially on a fresh identical network must reproduce the shard's
+// under its token. A recorder captures that sequence; replaying it
+// sequentially on a fresh identical network must reproduce the shard's
 // totals exactly. Run under -race in CI, this is also the single-writer
 // assertion: any unsynchronized second writer would trip the detector.
-func TestServeMultiClientRecordLocal(t *testing.T) {
+func TestServeMultiClientLocalSequence(t *testing.T) {
 	const n, m, shards, clients = 200, 20_000, 4, 4
 	gen := workload.TemporalGen(n, m, 0.6, 3)
+	var recs []*recorder
 	stats, err := Run(context.Background(),
-		Config{Shards: shards, Clients: clients, RecordLocal: true}, mkKary, gen)
+		Config{Shards: shards, Clients: clients}, recordKary(&recs), gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +190,14 @@ func TestServeMultiClientRecordLocal(t *testing.T) {
 	}
 	var localTotal int64
 	for sh := 0; sh < shards; sh++ {
-		ps := stats.PerShard[sh]
-		if ps.Local == nil {
-			t.Fatalf("shard %d: RecordLocal left no sequence", sh)
+		ps, local := stats.PerShard[sh], recs[sh].log
+		if local == nil {
+			t.Fatalf("shard %d: the recorder logged no sequence", sh)
 		}
-		if int64(len(ps.Local)) != ps.Requests {
-			t.Fatalf("shard %d: recorded %d requests, accounted %d", sh, len(ps.Local), ps.Requests)
+		if int64(len(local)) != ps.Requests {
+			t.Fatalf("shard %d: recorded %d requests, accounted %d", sh, len(local), ps.Requests)
 		}
-		wantR, wantA := replay(t, mkKary, part.Size(sh), ps.Local)
+		wantR, wantA := replay(t, mkKary, part.Size(sh), local)
 		if ps.Routing != wantR || ps.Adjust != wantA {
 			t.Errorf("shard %d: routing/adjust = %d/%d, replay of recorded sequence %d/%d",
 				sh, ps.Routing, ps.Adjust, wantR, wantA)

@@ -68,8 +68,6 @@ type shard struct {
 	oracle *statictree.DistIndex // non-nil: frozen, clients serve lock-free
 	token  chan struct{}         // capacity 1; holding it is the right to serve
 	ch     chan request          // requests published while the token was held
-	record bool
-	local  []sim.Request // processed local sequence, when record is set
 
 	// Fault state, token-holder-private except stale. plan is nil when
 	// faults are disarmed, and then nothing below is used.
@@ -105,9 +103,6 @@ func (s *shard) serve(u, v int) (response, bool) {
 	if s.down && !s.recover() {
 		s.faults.Rejected++
 		return response{shard: int32(s.id), status: statusDown}, false
-	}
-	if s.record {
-		s.local = append(s.local, sim.Request{Src: u, Dst: v})
 	}
 	resp := response{cost: s.net.Serve(u, v), shard: int32(s.id)}
 	return resp, s.plan != nil && s.afterServe(u, v)

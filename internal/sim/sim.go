@@ -10,8 +10,6 @@
 // separately for the cost-accounting ablation.
 package sim
 
-import "github.com/ksan-net/ksan/internal/hist"
-
 // Cost is the price of serving a single communication request.
 type Cost struct {
 	// Routing is the path length, in edges, between source and destination
@@ -64,51 +62,4 @@ func (r Result) AvgTotal() float64 {
 		return 0
 	}
 	return float64(r.Total()) / float64(r.Requests)
-}
-
-// BatchCost aggregates the cost of serving a slice of requests, together
-// with the per-request routing-cost histogram the engine needs for
-// percentile reporting. The histogram is the shared streaming log-bucketed
-// hist.Hist (bounded memory, mergeable): routing costs are tree-path
-// lengths, so in practice they sit in its exact region and percentiles
-// over them are exact order statistics.
-type BatchCost struct {
-	Routing int64
-	Adjust  int64
-	Hist    hist.Hist
-}
-
-// Observe folds one request's cost into the batch aggregate.
-func (b *BatchCost) Observe(c Cost) {
-	b.Routing += c.Routing
-	b.Adjust += c.Adjust
-	b.Hist.Observe(c.Routing)
-}
-
-// Merge folds another batch aggregate into b (associative, so shards
-// evaluated concurrently merge to the same totals in any grouping).
-func (b *BatchCost) Merge(o BatchCost) {
-	b.Routing += o.Routing
-	b.Adjust += o.Adjust
-	b.Hist.Merge(&o.Hist)
-}
-
-// BatchServer is an optional Network extension for topologies whose Serve
-// has no side effects (static trees): the engine may evaluate disjoint
-// request shards with concurrent ServeBatch calls and merge the aggregates,
-// so implementations must be safe for concurrent use and must not
-// self-adjust.
-type BatchServer interface {
-	Network
-	ServeBatch(reqs []Request) BatchCost
-}
-
-// BatchGate optionally refines BatchServer for networks whose batch
-// capability is a runtime property rather than a structural one: a
-// policy-composed network, for example, carries ServeBatch on its type
-// but is only safely shardable when its trigger can never fire. The
-// engine takes the batch path only when Batchable reports true; a
-// BatchServer without this interface is an unconditional commitment.
-type BatchGate interface {
-	Batchable() bool
 }

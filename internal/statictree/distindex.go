@@ -4,16 +4,15 @@ import (
 	"math/bits"
 
 	"github.com/ksan-net/ksan/internal/core"
-	"github.com/ksan-net/ksan/internal/sim"
 )
 
 // DistIndex is a constant-time distance oracle over a static topology: an
 // Euler tour of the tree with a sparse-table RMQ over tour depths, the
 // textbook LCA reduction. Building costs O(n log n) once; each distance
 // query is then a handful of array lookups instead of the three root-ward
-// pointer walks core.Tree.Distance performs. This is what makes batch
-// routing-cost evaluation (sim.BatchServer) profitable even on one core,
-// and it is only sound because the wrapped tree never changes.
+// pointer walks core.Tree.Distance performs. It is the static-stretch
+// oracle of policy nets (and the whole serve path of a frozen one), and it
+// is only sound while the wrapped tree does not change.
 type DistIndex struct {
 	depth []int32 // depth[id] for id in 1..n
 	first []int32 // first[id]: first occurrence of id in the Euler tour
@@ -118,19 +117,4 @@ func (ix *DistIndex) Dist(u, v int) int64 {
 		lcaDepth = d
 	}
 	return int64(ix.depth[u] + ix.depth[v] - 2*lcaDepth)
-}
-
-// ServeBatch evaluates a request slice against the oracle, returning the
-// aggregate batch cost (routing totals plus the per-request routing-cost
-// histogram). It is the batch loop of every frozen topology (frozen
-// policy compositions delegate here) and is safe for concurrent calls on
-// disjoint shards, since the oracle is immutable.
-func (ix *DistIndex) ServeBatch(reqs []sim.Request) sim.BatchCost {
-	var bc sim.BatchCost
-	for _, rq := range reqs {
-		d := ix.Dist(rq.Src, rq.Dst)
-		bc.Routing += d
-		bc.Hist.Observe(d)
-	}
-	return bc
 }

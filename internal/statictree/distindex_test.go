@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/core"
-	"github.com/ksan-net/ksan/internal/workload"
 )
 
 // TestDistIndexMatchesTreeDistance checks the Euler-tour/RMQ oracle
@@ -36,34 +35,5 @@ func TestDistIndexMatchesTreeDistance(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestServeBatchMatchesServe checks totals and histogram of the batch path
-// against per-request tree distances.
-func TestServeBatchMatchesServe(t *testing.T) {
-	tr, err := Centroid(77, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := workload.Uniform(77, 10_000, 5).Reqs
-	bc := NewDistIndex(tr).ServeBatch(reqs)
-	var routing int64
-	hist := map[int64]int64{}
-	for _, rq := range reqs {
-		d := int64(tr.DistanceID(rq.Src, rq.Dst))
-		routing += d
-		hist[d]++
-	}
-	if bc.Routing != routing || bc.Adjust != 0 {
-		t.Fatalf("batch %d/%d, serve %d/0", bc.Routing, bc.Adjust, routing)
-	}
-	for c, n := range hist {
-		if got := bc.Hist.BucketCount(c); got != n {
-			t.Errorf("hist[%d]=%d, serve path says %d", c, got, n)
-		}
-	}
-	if bc.Hist.Count() != int64(len(reqs)) {
-		t.Errorf("hist count %d, want %d", bc.Hist.Count(), len(reqs))
 	}
 }

@@ -127,8 +127,8 @@ type StaticNet = policy.Net
 // KArySplayNet and LazyNet are canonical compositions of this type;
 // NewPolicyNet builds any other point of the plane (lazy k-ary splay,
 // periodic semi-splay, frozen-after-warmup, ...). Frozen compositions
-// (TriggerNever) additionally serve through the engine's sharded batch
-// path, like static networks.
+// (TriggerNever) route through a constant-time distance oracle once a
+// static stretch has paid for building it, like static networks.
 type PolicyNet = policy.Net
 
 // PolicyTrigger decides when a PolicyNet adjusts; see TriggerAlways,
@@ -440,20 +440,6 @@ type NetworkSpec = engine.NetworkSpec
 
 // TraceSpec declares one trace of a declarative grid.
 type TraceSpec = engine.TraceSpec
-
-// BatchServer is the optional Network extension for static topologies
-// whose request slices the engine may evaluate in concurrent shards.
-// Since the policy layer, carrying ServeBatch on a type is not alone a
-// commitment: networks that also implement BatchGate (every PolicyNet
-// does) are batch-capable only when Batchable reports true — assert
-// both before calling ServeBatch, as the engine does.
-type BatchServer = sim.BatchServer
-
-// BatchGate refines BatchServer for networks whose batch capability is
-// a runtime property: a PolicyNet is only safely shardable when its
-// trigger can never fire (a frozen composition). ServeBatch on a
-// non-batchable composition panics.
-type BatchGate = sim.BatchGate
 
 // NewEngine constructs a streaming simulation engine.
 func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
