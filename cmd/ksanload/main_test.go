@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/ksan-net/ksan/internal/report"
 )
 
 // runOK runs ksanload with args and fails the test unless it exits 0.
@@ -48,5 +51,47 @@ func TestCSVHeader(t *testing.T) {
 	if !bytes.HasPrefix(out, []byte("kind,i,j,network,trace,")) {
 		header, _, _ := bytes.Cut(out, []byte("\n"))
 		t.Errorf("CSV header %q, want the prefix kind,i,j,network,trace,", header)
+	}
+}
+
+// TestContendedRuns serves both golden documents with several clients
+// per shard, the runs whose totals depend on the interleaving, and
+// checks what does not: the healthy document at 4 shards × 4 clients
+// serves its 20 000 requests with cross-shard traffic, and the faulted
+// one at 1 shard × 4 clients — four clients contending for one token
+// while it crashes — fires its first two crashes, recovers from both,
+// checkpoints 1 + 20 times, replays the 500 requests logged since the
+// checkpoint before the first crash and fails nothing. Under -race it is
+// the single-writer check on the command's whole path.
+func TestContendedRuns(t *testing.T) {
+	for _, tc := range []struct {
+		load, shards string
+		check        func(t *testing.T, rec report.Record)
+	}{
+		{"testdata/golden_load.json", "4", func(t *testing.T, rec report.Record) {
+			if rec.CrossShard == 0 {
+				t.Error("no cross-shard requests on 4 shards")
+			}
+		}},
+		{"testdata/faulted_load.json", "1", func(t *testing.T, rec report.Record) {
+			if rec.Crashes != 2 || rec.Recoveries != 2 || rec.Checkpoints != 21 ||
+				rec.ReplayedRequests != 500 || rec.FailedRequests != 0 {
+				t.Errorf("crashes %d, recoveries %d, checkpoints %d, replayed %d, failed %d; want 2, 2, 21, 500, 0",
+					rec.Crashes, rec.Recoveries, rec.Checkpoints, rec.ReplayedRequests, rec.FailedRequests)
+			}
+		}},
+	} {
+		t.Run(tc.load, func(t *testing.T) {
+			out := runOK(t, "-load", tc.load, "-shards", tc.shards, "-clients", "4",
+				"-max-requests", "20000", "-format", "json")
+			var rec report.Record
+			if err := json.Unmarshal(out, &rec); err != nil {
+				t.Fatalf("%v in %s", err, out)
+			}
+			if rec.Requests != 20_000 || rec.Clients != 4 {
+				t.Errorf("%d requests from %d clients, want 20000 from 4", rec.Requests, rec.Clients)
+			}
+			tc.check(t, rec)
+		})
 	}
 }

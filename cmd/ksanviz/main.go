@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/ksan-net/ksan/internal/centroidnet"
@@ -17,12 +19,40 @@ import (
 )
 
 func main() {
-	topo := flag.String("topo", "balanced", "balanced, path, random, centroid, uniform-opt or centroid-net")
-	n := flag.Int("n", 25, "number of network nodes")
-	k := flag.Int("k", 3, "arity bound")
-	seed := flag.Int64("seed", 1, "seed (random topology only)")
-	format := flag.String("format", "ascii", "ascii or dot")
-	flag.Parse()
+	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ksanviz:", err)
+	}
+	os.Exit(code)
+}
+
+// run executes one ksanviz invocation with the given command-line
+// arguments and returns the process exit code: 0 on success, 1 when the
+// topology cannot be built, 2 on a usage error. Flags are checked before
+// anything is built, so a bad -format never waits for a costly topology.
+func run(args []string, stdout, stderr io.Writer) (int, error) {
+	fs := flag.NewFlagSet("ksanviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topo := fs.String("topo", "balanced", "balanced, path, random, centroid, uniform-opt or centroid-net")
+	n := fs.Int("n", 25, "number of network nodes")
+	k := fs.Int("k", 3, "arity bound")
+	seed := fs.Int64("seed", 1, "seed (random topology only)")
+	format := fs.String("format", "ascii", "ascii or dot")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
+		}
+		return 2, nil // the flag set has already printed the error and the usage
+	}
+	var render func(*core.Tree) string
+	switch *format {
+	case "ascii":
+		render = (*core.Tree).Render
+	case "dot":
+		render = (*core.Tree).DOT
+	default:
+		return 2, fmt.Errorf("unknown format %q (want ascii or dot)", *format)
+	}
 
 	var (
 		t   *core.Tree
@@ -46,20 +76,13 @@ func main() {
 			t = net.Tree()
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "ksanviz: unknown topology %q\n", *topo)
-		os.Exit(2)
+		return 2, fmt.Errorf("unknown topology %q", *topo)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1, err
 	}
-	switch *format {
-	case "ascii":
-		fmt.Print(t.Render())
-	case "dot":
-		fmt.Print(t.DOT())
-	default:
-		fmt.Fprintf(os.Stderr, "ksanviz: unknown format %q\n", *format)
-		os.Exit(2)
+	if _, err := io.WriteString(stdout, render(t)); err != nil {
+		return 1, err
 	}
+	return 0, nil
 }

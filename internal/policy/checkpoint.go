@@ -79,10 +79,10 @@ func (p *Net) CheckpointInto(cp *Checkpoint) error {
 // on an identically composed net (same n, k, trigger and adjuster
 // parameters): the tree is reconstructed through core.FromSnapshot with
 // full structural re-validation, the trigger state is overwritten, and
-// the demand window is deep-copied back. Derived fast-path state resets
-// (the static stretch restarts; the oracle rebuilds on demand) and
-// diagnostics counters are left untouched. On any error the net is
-// unchanged.
+// the demand window is deep-copied back after checkWindow accepts it.
+// Derived fast-path state resets (the static stretch restarts; the
+// oracle rebuilds on demand) and diagnostics counters are left
+// untouched. On any error the net is unchanged.
 func (p *Net) Restore(cp *Checkpoint) error {
 	if p.t == nil {
 		return fmt.Errorf("policy: net %q has a custom substrate; only tree-backed nets restore", p.name)
@@ -97,6 +97,9 @@ func (p *Net) Restore(cp *Checkpoint) error {
 	if t.N() != p.t.N() || t.K() != p.t.K() {
 		return fmt.Errorf("policy: restore %q: checkpoint is n=%d k=%d, net is n=%d k=%d",
 			p.name, t.N(), t.K(), p.t.N(), p.t.K())
+	}
+	if err := p.checkWindow(cp); err != nil {
+		return fmt.Errorf("policy: restore %q: %w", p.name, err)
 	}
 	switch tr := p.trig.(type) {
 	case alwaysTrigger, neverTrigger:
@@ -119,5 +122,50 @@ func (p *Net) Restore(cp *Checkpoint) error {
 	p.streak = 0
 	p.oracleLive = false
 	p.oracleOnce = sync.Once{}
+	return nil
+}
+
+// checkWindow checks a checkpoint's demand window against the net: a net
+// that keeps no window has none to restore, every request of the raw
+// window and every pair of the compacted aggregate is one the net could
+// have served (both ends in 1..n, and distinct), and the aggregate is in
+// the form compaction leaves it — n nodes, pairs in strictly increasing
+// (Src, Dst) order with positive counts that sum to its total. An
+// adjuster indexes its weights by these ids, so a window that fails here
+// would panic at the next firing.
+func (p *Net) checkWindow(cp *Checkpoint) error {
+	n := p.t.N()
+	if !p.needsWindow && (len(cp.Window) > 0 || cp.Pending != nil) {
+		return fmt.Errorf("a demand window for a net that keeps none")
+	}
+	bad := func(u, v int) bool { return u < 1 || u > n || v < 1 || v > n || u == v }
+	for i, rq := range cp.Window {
+		if bad(rq.Src, rq.Dst) {
+			return fmt.Errorf("window request %d (%d→%d) is not a request on 1..%d", i, rq.Src, rq.Dst, n)
+		}
+	}
+	d := cp.Pending
+	if d == nil {
+		return nil
+	}
+	if d.N != n {
+		return fmt.Errorf("window aggregate over n=%d, net is n=%d", d.N, n)
+	}
+	var total int64
+	for i, pc := range d.Pairs {
+		if bad(pc.Src, pc.Dst) || pc.Count < 1 {
+			return fmt.Errorf("window aggregate pair %d (%d→%d ×%d) is not a request count on 1..%d",
+				i, pc.Src, pc.Dst, pc.Count, n)
+		}
+		if i > 0 {
+			if q := d.Pairs[i-1]; q.Src > pc.Src || q.Src == pc.Src && q.Dst >= pc.Dst {
+				return fmt.Errorf("window aggregate pairs %d and %d out of order", i-1, i)
+			}
+		}
+		total += pc.Count
+	}
+	if total != d.Total {
+		return fmt.Errorf("window aggregate counts sum to %d, its total says %d", total, d.Total)
+	}
 	return nil
 }

@@ -12,7 +12,8 @@ import (
 // checkpointCases are the compositions the recovery ladder must cover:
 // every stock trigger shape (stateless, counting, cost-accumulating with
 // hysteresis, lifetime-prefix) crossed with both adjuster families
-// (splay-style tree surgery and windowed rebuilds).
+// (splay-style tree surgery and windowed rebuilds, the generic one and
+// the point-weight one the lazy net uses).
 var checkpointCases = []struct {
 	name string
 	mk   func(t *testing.T) *Net
@@ -38,6 +39,14 @@ var checkpointCases = []struct {
 			t.Fatal(err)
 		}
 		// Force incremental window compaction so Pending is exercised.
+		net.compactAfter = 48
+		return net
+	}},
+	{"alpha-rebuild-wb", func(t *testing.T) *Net {
+		net, err := NewLazy(60, 3, 1200)
+		if err != nil {
+			t.Fatal(err)
+		}
 		net.compactAfter = 48
 		return net
 	}},
@@ -280,6 +289,113 @@ func TestCheckpointErrors(t *testing.T) {
 	if err := alphaNet.Restore(&acp); err == nil {
 		t.Error("restore with truncated alpha-trigger state accepted")
 	}
+}
+
+// FuzzRestore mutates a checkpoint taken mid-trace and restores it on a
+// net that has served a different prefix. Restore must either fail and
+// leave the net unchanged — it then serves the rest of the trace exactly
+// as an untouched twin does — or succeed with a tree that passes
+// Validate and a net that serves the whole trace. which picks the
+// composition from checkpointCases; each five bytes of muts are one
+// mutation: a target (tree parent link, span entry, root, arity or node
+// count; trigger word; window request or length; window aggregate), a
+// 16-bit index and a signed 16-bit value.
+func FuzzRestore(f *testing.F) {
+	f.Add(uint8(0), int64(1), uint16(100), []byte{})
+	f.Add(uint8(0), int64(1), uint16(100), []byte{0, 5, 0, 0, 0})       // node 5 loses its parent
+	f.Add(uint8(1), int64(2), uint16(50), []byte{5, 0, 0, 0xff, 0xff})  // every-trigger count -1
+	f.Add(uint8(3), int64(3), uint16(250), []byte{6, 3, 0, 61, 0})      // a window request to node 61
+	f.Add(uint8(3), int64(3), uint16(250), []byte{7, 9, 0, 0, 0})       // the window cut to 9 requests
+	f.Add(uint8(3), int64(4), uint16(250), []byte{8, 0, 0, 0, 0})       // an aggregate pair from node 0
+	f.Add(uint8(2), int64(4), uint16(250), []byte{8, 2, 0, 0xf6, 0xff}) // an aggregate count of -10
+	f.Add(uint8(4), int64(5), uint16(10), []byte{6, 0, 0, 3, 0})        // a window on a splay net
+	f.Add(uint8(5), int64(6), uint16(77), []byte{3, 0, 0, 4, 0})        // arity 4
+	f.Fuzz(func(t *testing.T, which uint8, seed int64, cut uint16, muts []byte) {
+		tc := checkpointCases[int(which)%len(checkpointCases)]
+		reqs := checkpointTrace(60, 600, seed)
+		donor, net, twin := tc.mk(t), tc.mk(t), tc.mk(t)
+		for _, rq := range reqs[:int(cut)%300] {
+			donor.Serve(rq.Src, rq.Dst)
+		}
+		for _, rq := range reqs[:100] {
+			net.Serve(rq.Src, rq.Dst)
+			twin.Serve(rq.Src, rq.Dst)
+		}
+		var cp Checkpoint
+		if err := donor.CheckpointInto(&cp); err != nil {
+			t.Fatal(err)
+		}
+		for ; len(muts) >= 5; muts = muts[5:] {
+			at := int(muts[1]) | int(muts[2])<<8
+			v := int(int16(uint16(muts[3]) | uint16(muts[4])<<8))
+			switch muts[0] % 9 {
+			case 0:
+				cp.Tree.Parent[at%len(cp.Tree.Parent)] = int32(v)
+			case 1:
+				cp.Tree.RC[at%len(cp.Tree.RC)] = int32(v)
+			case 2:
+				cp.Tree.Root = int32(v)
+			case 3:
+				cp.Tree.K = v
+			case 4:
+				cp.Tree.N = v
+			case 5:
+				if len(cp.Trig) == 0 {
+					cp.Trig = append(cp.Trig, int64(v))
+				} else {
+					cp.Trig[at%len(cp.Trig)] = int64(v)
+				}
+			case 6:
+				if len(cp.Window) == 0 || at%4 == 0 {
+					cp.Window = append(cp.Window, sim.Request{Src: v, Dst: v + 1})
+				} else if i := at % len(cp.Window); at%2 == 0 {
+					cp.Window[i].Src = v
+				} else {
+					cp.Window[i].Dst = v
+				}
+			case 7:
+				cp.Window = cp.Window[:at%(len(cp.Window)+1)]
+			case 8:
+				if cp.Pending == nil {
+					cp.Pending = &workload.Demand{N: 60, Pairs: []workload.PairCount{{Src: 1, Dst: 2, Count: 1}}, Total: 1}
+				}
+				d := cp.Pending
+				pc := &d.Pairs[at%len(d.Pairs)]
+				switch at % 5 {
+				case 0:
+					pc.Src = v
+				case 1:
+					pc.Dst = v
+				case 2:
+					pc.Count = int64(v)
+				case 3:
+					d.N = v
+				case 4:
+					d.Total = int64(v)
+				}
+			}
+		}
+		if err := net.Restore(&cp); err != nil {
+			for i, rq := range reqs[100:] {
+				if got, want := net.Serve(rq.Src, rq.Dst), twin.Serve(rq.Src, rq.Dst); got != want {
+					t.Fatalf("failed restore (%v) changed the net: request %d costs %+v, its twin %+v", err, 100+i, got, want)
+				}
+			}
+			if got, want := net.Tree().Render(), twin.Tree().Render(); got != want {
+				t.Fatalf("failed restore (%v) changed the net's topology", err)
+			}
+			return
+		}
+		if err := net.Tree().Validate(); err != nil {
+			t.Fatalf("restore accepted a tree that fails Validate: %v", err)
+		}
+		for _, rq := range reqs {
+			net.Serve(rq.Src, rq.Dst)
+		}
+		if err := net.Tree().Validate(); err != nil {
+			t.Fatalf("a restored net served into an invalid tree: %v", err)
+		}
+	})
 }
 
 // TestCheckpointEdgeTrackingCarriedOver mirrors ReplaceTree's contract:

@@ -45,6 +45,55 @@ type clientAcc struct {
 	err                                              error
 }
 
+// account books one request whose source half ended o1 at cost c1 and
+// whose destination half ended o2 at cost c2. Each half served OK counts
+// on its shard, and only such a half: a degraded half touched no network
+// state, and a failed or skipped one was never served. The request
+// itself is failed if a half failed or was skipped, degraded if a half
+// was stale-served, and healthy otherwise, in the warmup region when
+// warm is set and in the measured one (with its latency lat, unless
+// lat < 0) when it is not. A same-shard request has no destination
+// half, so o2 and c2 are ignored.
+func (a *clientAcc) account(r *Route, c1, c2 sim.Cost, o1, o2 uint8, warm bool, lat int64) {
+	if o1 == outcomeOK {
+		a.perShard[r.S1].add(c1)
+	}
+	routing, adjust, outcome := c1.Routing, c1.Adjust, o1
+	if r.Cross {
+		if o2 == outcomeOK {
+			a.perShard[r.S2].add(c2)
+		}
+		routing += InterShardHop + c2.Routing
+		adjust += c2.Adjust
+		outcome = max(o1, o2)
+	}
+	switch {
+	case outcome >= outcomeFailed:
+		a.faults.FailedRequests++
+	case outcome == outcomeDegraded:
+		a.faults.DegradedRequests++
+		a.faults.DegradedRouting += routing
+	case warm:
+		a.warmRequests++
+		a.warmRouting += routing
+		a.warmAdjust += adjust
+		if r.Cross {
+			a.warmCross++
+		}
+	default:
+		a.requests++
+		a.routing += routing
+		a.adjust += adjust
+		if r.Cross {
+			a.cross++
+		}
+		a.routingHist.Observe(routing)
+		if lat >= 0 {
+			a.latencyHist.Observe(lat)
+		}
+	}
+}
+
 // client is one closed-loop load routine: it iterates its private pass of
 // the workload stream (an independent SplitGen substream), serves each
 // request to completion before drawing the next, and paces itself to its
@@ -69,6 +118,7 @@ const (
 	outcomeOK       uint8 = iota
 	outcomeDegraded       // served read-only through a stale checkpoint oracle
 	outcomeFailed         // timed out, or down after retries under fail-fast
+	outcomeSkipped        // not attempted: the destination half after a failed source half
 )
 
 // resetTimer arms the client's reusable timer (Go 1.23 timer semantics:
@@ -109,10 +159,10 @@ func (c *client) run() {
 	c.acc.perShard = make([]shardAcc, p.part.S)
 	// A holder must never block on a reply. Per shard, a client has at
 	// most one pending reply per queue slot (C) plus one being served:
-	// it publishes only when it then waits, and it takes every delivered
-	// reply off its channel before it returns from a deadline or serves a
-	// queue it waited on. S·(C+1) slots therefore hold every reply a
-	// client can have pending at once.
+	// it publishes only when it then waits or serves the queue itself,
+	// and it takes every delivered reply off its channel before it
+	// returns from a deadline or serves a queue. S·(C+1) slots therefore
+	// hold every reply a client can have pending at once.
 	c.reply = make(chan response, p.part.S*(p.cfg.Clients+1))
 	if plan := p.cfg.Faults; plan != nil {
 		c.jit = mix64(plan.Seed ^ (uint64(c.id)+1)*0x9e3779b97f4a7c15)
@@ -152,62 +202,25 @@ func (c *client) run() {
 		}
 
 		p.part.Route(rq.Src, rq.Dst, &r)
+		// A sampled latency is the difference of two monotonic-only
+		// clock reads.
 		timed := sample > 0 && served%int64(sample) == 0
-		var t0 time.Time
+		var t0 time.Duration
 		if timed {
-			t0 = time.Now()
+			t0 = time.Since(start)
 		}
 		c1, o1 := c.serveHalf(p.shards[r.S1], r.A1, r.B1)
-		var c2 sim.Cost
-		o2 := outcomeOK
+		c2, o2 := sim.Cost{}, outcomeSkipped
 		if r.Cross && o1 != outcomeFailed {
 			// A failed source half fails the request; don't disturb the
 			// destination shard for a request that cannot complete.
 			c2, o2 = c.serveHalf(p.shards[r.S2], r.A2, r.B2)
 		}
-		var lat int64
+		lat := int64(-1)
 		if timed {
-			lat = int64(time.Since(t0))
+			lat = int64(time.Since(start) - t0)
 		}
-
-		if o1 == outcomeOK {
-			c.acc.perShard[r.S1].add(c1)
-		}
-		if r.Cross && o2 == outcomeOK {
-			c.acc.perShard[r.S2].add(c2)
-		}
-		routing, adjust := c1.Routing, c1.Adjust
-		if r.Cross {
-			routing += InterShardHop + c2.Routing
-			adjust += c2.Adjust
-		}
-		switch max(o1, o2) {
-		case outcomeFailed:
-			c.acc.faults.FailedRequests++
-		case outcomeDegraded:
-			c.acc.faults.DegradedRequests++
-			c.acc.faults.DegradedRouting += routing
-		default:
-			if served < warmup {
-				c.acc.warmRequests++
-				c.acc.warmRouting += routing
-				c.acc.warmAdjust += adjust
-				if r.Cross {
-					c.acc.warmCross++
-				}
-			} else {
-				c.acc.requests++
-				c.acc.routing += routing
-				c.acc.adjust += adjust
-				if r.Cross {
-					c.acc.cross++
-				}
-				c.acc.routingHist.Observe(routing)
-				if timed {
-					c.acc.latencyHist.Observe(lat)
-				}
-			}
-		}
+		c.acc.account(&r, c1, c2, o1, o2, served < warmup, lat)
 
 		served++
 		unflushed++
@@ -269,21 +282,19 @@ func (c *client) serveHalf(s *shard, a, b int) (sim.Cost, uint8) {
 
 // roundTrip serves rq on an adjusting shard and returns its reply. A
 // client that finds the token free serves rq itself, then every request
-// published meanwhile, and releases the token: no timer, and no select
-// with more than one case. A client that finds the token held publishes
-// rq — publishing is delivery — and waits for its reply, for the token
-// (then it serves the queue, rq included, itself), or for its deadline
-// when plan.Timeout is set; ok is false when the deadline passes first.
-// An attempt whose deadline passed before it could publish was never
-// delivered. One that timed out after publishing stays outstanding until
-// its late reply is consumed here or in drainOutstanding; before it
-// returns it tries the token once, so no published request is left
-// without a holder.
+// published meanwhile, and releases the token: one CAS, one atomic add,
+// no timer and no channel lock. A client that finds the token taken
+// publishes rq — publishing is delivery — and announces it. If the
+// announcement finds the token free, the client takes it and serves the
+// queue, rq included; otherwise it waits for its reply, or for its
+// deadline when plan.Timeout is set; ok is false when the deadline
+// passes first. An attempt whose deadline passed before it could publish
+// was never delivered. One that timed out after publishing stays
+// outstanding until its late reply is consumed here or in
+// drainOutstanding; its announcement already left it with a holder.
 func (c *client) roundTrip(s *shard, rq request) (resp response, ok bool) {
-	select {
-	case s.token <- struct{}{}:
+	if s.acquire() {
 		return s.serveOwn(rq.u, rq.v), true
-	default:
 	}
 	var deadline <-chan time.Time
 	if plan := c.pool.cfg.Faults; plan != nil && plan.Timeout > 0 {
@@ -291,12 +302,21 @@ func (c *client) roundTrip(s *shard, rq request) (resp response, ok bool) {
 		deadline = c.timer.C
 	}
 	select {
-	case s.token <- struct{}{}:
-		return s.serveOwn(rq.u, rq.v), true
 	case s.ch <- rq:
 		c.outstanding++
 	case <-deadline:
 		return response{}, false
+	}
+	if s.announce() {
+		// Empty the reply channel before serving the queue: the holder
+		// replies to its own published requests too.
+		resp, ok = c.consume(rq.seq)
+		s.combine()
+		if ok {
+			return resp, true
+		}
+		// A stall took the token before rq was served, or rq's reply is
+		// now on the channel: wait for it as any publisher does.
 	}
 	for {
 		select {
@@ -306,25 +326,9 @@ func (c *client) roundTrip(s *shard, rq request) (resp response, ok bool) {
 				return r, true
 			}
 			c.lateReply(r)
-		case s.token <- struct{}{}:
-			// Empty the reply channel before serving the queue: the
-			// holder replies to its own published requests too.
-			resp, ok = c.consume(rq.seq)
-			s.combine()
-			if ok {
-				return resp, true
-			}
 		case <-deadline:
-			// A reply already delivered still counts. A free token is
-			// taken, so that rq does not wait for a holder that left.
-			select {
-			case s.token <- struct{}{}:
-				resp, ok = c.consume(rq.seq)
-				s.combine()
-			default:
-				resp, ok = c.consume(rq.seq)
-			}
-			return resp, ok
+			// A reply already delivered still counts.
+			return c.consume(rq.seq)
 		}
 	}
 }

@@ -354,6 +354,45 @@ func TestDegradedFailFast(t *testing.T) {
 	}
 }
 
+// TestPerShardCountsOnlyServedHalves is the regression test for a shard
+// counting the destination half of a cross-shard request it never
+// served: shard 1 crashes for good, so every request whose source half
+// lands there fails, and its destination half on shard 0 is never
+// attempted. Shard 0 never crashes, so its recorder logs every serve it
+// made, and its per-shard requests, histogram and costs must match that
+// log exactly. Shard 1 is skipped on purpose: its restore truncated the
+// log its lost serves were in.
+func TestPerShardCountsOnlyServedHalves(t *testing.T) {
+	gen := workload.UniformGen(64, 2000, 3)
+	plan := &FaultPlan{
+		Degraded: DegradedFail,
+		Events:   []FaultEvent{{Shard: 1, At: 50, Kind: FaultCrash, RecoverAfter: -1}},
+	}
+	var recs []*recorder
+	stats, err := Run(context.Background(), Config{Shards: 2, Clients: 1, Faults: plan}, recordKary(&recs), gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Faults.FailedRequests == 0 {
+		t.Fatal("no request failed; the schedule does not reach the destination-half case")
+	}
+	ps, log := stats.PerShard[0], recs[0].log
+	if len(log) != 1116 {
+		t.Errorf("shard 0 served %d halves, want the schedule's 1116", len(log))
+	}
+	if ps.Requests != int64(len(log)) || ps.Hist.Count() != int64(len(log)) {
+		t.Errorf("shard 0 reports %d requests and %d histogram entries, but served %d",
+			ps.Requests, ps.Hist.Count(), len(log))
+	}
+	part, err := NewPartition(64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantR, wantA := replay(t, mkKary, part.Size(0), log); ps.Routing != wantR || ps.Adjust != wantA {
+		t.Errorf("shard 0 routing/adjust %d/%d, a replay of what it served %d/%d", ps.Routing, ps.Adjust, wantR, wantA)
+	}
+}
+
 // TestFaultedFrozenShard: with a plan armed, frozen shards are served
 // through owner loops too (the lock-free oracle path cannot inject
 // faults), and lossless crash recovery holds on them trivially.

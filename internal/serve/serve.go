@@ -14,8 +14,10 @@
 // StaticOracle hook — are served lock-free by the clients themselves
 // through the shard's Euler-tour/RMQ distance oracle. Every other shard
 // is served by the client that holds its token, on the client's own
-// goroutine; a client that finds the token held hands its request to the
-// holder, which serves every such request before it lets go (flat
+// goroutine. The token is an atomic word, so a client that finds it free
+// takes it with one CAS and lets it go with one atomic add; a client
+// that finds it held publishes its request on the shard's channel for
+// the holder, which serves every such request before it lets go (flat
 // combining). Each shard thus keeps one serve sequence, preserving the
 // repository-wide single-writer contract on serve paths (DESIGN.md §11).
 //
@@ -212,7 +214,6 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			// A client waits on at most one published request at a time,
 			// so with C slots a publish blocks only while requests that
 			// timed out earlier still fill the queue.
-			s.token = make(chan struct{}, 1)
 			s.ch = make(chan request, cfg.Clients)
 		}
 	}

@@ -54,20 +54,27 @@ type response struct {
 // the only routine that may touch the network, so all self-adjustment
 // (rotations, trigger state, demand windows, churn scratch) happens
 // without any lock on network state (the single-writer rule, DESIGN.md
-// §11). A client that finds the token held publishes its request on ch
-// instead, and the holder serves every published request before it lets
-// go (flat combining). Frozen shards additionally carry their distance
-// oracle; clients serve those without the token. When a fault plan is
-// armed every shard — frozen included — is served under its token, and
-// the holder also checkpoints, injects the scripted crashes and stalls,
-// and recovers by snapshot+replay (DESIGN.md §12).
+// §11). The token is one atomic word, state: its low bit is set while
+// the token is held, and the rest counts requests announced on ch minus
+// requests taken off it by past holders. A client that finds the word
+// zero takes the token with one CAS; one that finds it otherwise
+// publishes its request on ch, announces it, and takes the token itself
+// if the announcement finds it free. The holder serves every published
+// request before it lets go (flat combining). Frozen shards additionally
+// carry their distance oracle; clients serve those without the token.
+// When a fault plan is armed every shard — frozen included — is served
+// under its token, and the holder also checkpoints, injects the scripted
+// crashes and stalls, and recovers by snapshot+replay (DESIGN.md §12).
 type shard struct {
 	id     int
 	nodes  int
 	net    sim.Network
 	oracle *statictree.DistIndex // non-nil: frozen, clients serve lock-free
-	token  chan struct{}         // capacity 1; holding it is the right to serve
+	state  atomic.Int64          // the token word: see tokenHeld
 	ch     chan request          // requests published while the token was held
+	// received counts the requests the current holder took off ch; the
+	// release retires them from state. Holder-private, like the network.
+	received int64
 
 	// Fault state, token-holder-private except stale. plan is nil when
 	// faults are disarmed, and then nothing below is used.
@@ -108,6 +115,50 @@ func (s *shard) serve(u, v int) (response, bool) {
 	return resp, s.plan != nil && s.afterServe(u, v)
 }
 
+// The token word. state is tokenHeld while the token is held, plus
+// tokenAnnounce times the publications announced on ch minus the
+// requests past holders took off it. A publisher announces after its
+// send, so a positive word with the held bit clear means a request is
+// waiting on ch with nobody to serve it.
+const (
+	tokenHeld     = 1 // low bit: the token is held
+	tokenAnnounce = 2 // one announced publication
+)
+
+// acquire takes a free, idle token: one CAS, and no channel operation.
+func (s *shard) acquire() bool { return s.state.CompareAndSwap(0, tokenHeld) }
+
+// announce counts a request the caller has just published on ch and
+// reports whether the caller took the token, because the announcement
+// found it free; the caller then serves the queue. If it found the token
+// held, that holder sees the announcement when it lets go.
+func (s *shard) announce() bool {
+	return s.claim(s.state.Add(tokenAnnounce))
+}
+
+// release lets the token go, retiring the requests this hold took off
+// ch, and reports whether the caller took it back: it does when the
+// count shows a request announced after the holder last found ch empty
+// and nobody else has taken the token since. With an empty queue that is
+// one atomic add.
+func (s *shard) release() bool {
+	r := s.received
+	s.received = 0
+	return s.claim(s.state.Add(-tokenHeld - tokenAnnounce*r))
+}
+
+// claim takes the token while st, the latest state, shows it free with a
+// request announced and not yet received.
+func (s *shard) claim(st int64) bool {
+	for st&tokenHeld == 0 && st > 0 {
+		if s.state.CompareAndSwap(st, st|tokenHeld) {
+			return true
+		}
+		st = s.state.Load()
+	}
+	return false
+}
+
 // serveOwn serves the holder's own request, then every published one,
 // and lets the token go.
 func (s *shard) serveOwn(u, v int) response {
@@ -119,16 +170,22 @@ func (s *shard) serveOwn(u, v int) response {
 }
 
 // combine serves every published request in channel order, replying to
-// each, and then releases the token; the caller holds it. A client that
-// published after the last receive saw the token still held, so after
-// letting go the holder checks the channel once more and takes the token
-// back if a request arrived in between — or leaves it to whoever took the
-// token first, who serves the queue in turn. A stall ends the pass: the
-// sleeper holds the token and combines when it wakes.
+// each, and then releases the token; the caller holds it. The receive
+// that finds ch empty takes no lock. A request published after that
+// receive is announced after it, and the release and the announcement
+// are read-modify-writes of one word, so one sees the other. If the
+// release comes second, it counts the announcement and the holder takes
+// the token back — unless a request taken off ch before its own
+// publisher announced offsets the count, and then that publisher's
+// announcement, still to come, finds the token free and takes it. If
+// the announcement comes second, it finds the token free and the
+// publisher takes it (DESIGN.md §11). A stall ends the pass: the sleeper
+// holds the token and combines when it wakes.
 func (s *shard) combine() {
 	for {
 		select {
 		case rq := <-s.ch:
+			s.received++
 			resp, slept := s.serve(rq.u, rq.v)
 			resp.seq = rq.seq
 			rq.reply <- resp
@@ -136,13 +193,7 @@ func (s *shard) combine() {
 				return
 			}
 		default:
-			<-s.token
-			if len(s.ch) == 0 {
-				return
-			}
-			select {
-			case s.token <- struct{}{}:
-			default:
+			if !s.release() {
 				return
 			}
 		}

@@ -4,6 +4,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -185,4 +186,100 @@ func TestSynctestLossyOutageLedger(t *testing.T) {
 		t.Errorf("sequential run: replay %d/%d, degraded routing %d; the pinned ledger says %d/%d and %d",
 			replay.Routing, replay.Adjust, degraded, want.ReplayRouting, want.ReplayAdjust, want.DegradedRouting)
 	}
+}
+
+// FuzzFaultProtocol runs random fault plans through the whole serving
+// protocol in virtual time and checks the identities that hold for every
+// interleaving. The input decodes to S ∈ 1..3 shards, C ∈ 1..4 clients,
+// a checkpoint interval (0 = the default), a deadline (0 = none),
+// retries, a backoff, the degraded mode, a seed for the jitter and the
+// trace, and up to four crash or stall events, five bytes each: the
+// shard, the trigger point (two bytes), the kind and one parameter — a
+// crash's RecoverAfter in -1..38, a stall's length in milliseconds.
+// Every shard network is a recorder. The checks:
+//
+//   - healthy, failed and degraded requests add up to the budget;
+//   - LateReplies ≤ Timeouts, Retries ≤ Rejected, Recoveries ≤ Crashes;
+//   - nothing is degraded under DegradedFail;
+//   - every shard whose crashes all recovered reports the requests,
+//     routing and adjust of a sequential replay of what it served (the
+//     third rung of the equivalence ladder, under faults). A shard with
+//     a crash that never recovered is skipped: its lost serves are in
+//     its totals but not in its restored log.
+//
+// A protocol deadlock needs no check: synctest panics when every
+// goroutine in the bubble is blocked.
+//
+// Run with GOEXPERIMENT=synctest on Go 1.24.
+func FuzzFaultProtocol(f *testing.F) {
+	const n, budget = 64, 600
+	f.Fuzz(func(t *testing.T, shards, clients, cpEvery, timeoutMs, retries, backoffUs uint8, stale bool, seed uint64, events []byte) {
+		cfg := Config{Shards: 1 + int(shards)%3, Clients: 1 + int(clients)%4, MaxRequests: budget}
+		plan := &FaultPlan{
+			CheckpointEvery: int64(cpEvery),
+			Timeout:         time.Duration(timeoutMs%32) * time.Millisecond,
+			Retries:         int(retries % 4),
+			Backoff:         time.Duration(backoffUs) * time.Microsecond,
+			BackoffCap:      time.Millisecond,
+			Seed:            seed,
+		}
+		if stale {
+			plan.Degraded = DegradedStale
+		}
+		type point struct {
+			shard int
+			at    int64
+		}
+		taken := map[point]bool{}
+		for ; len(events) >= 5 && len(plan.Events) < 4; events = events[5:] {
+			ev := FaultEvent{
+				Shard: int(events[0]) % cfg.Shards,
+				At:    1 + int64(binary.LittleEndian.Uint16(events[1:]))%budget,
+			}
+			if taken[point{ev.Shard, ev.At}] {
+				continue
+			}
+			taken[point{ev.Shard, ev.At}] = true
+			if events[3]%2 == 0 {
+				ev.Kind, ev.RecoverAfter = FaultCrash, int64(events[4]%40)-1
+			} else {
+				ev.Kind, ev.Stall = FaultStall, time.Duration(1+int(events[4]))*time.Millisecond
+			}
+			plan.Events = append(plan.Events, ev)
+		}
+		cfg.Faults = plan
+
+		var recs []*recorder
+		stats, err := runInBubble(cfg, recordKary(&recs), workload.TemporalGen(n, 2*budget, 0.6, int64(seed%1000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := stats.Faults
+		if got := stats.Requests + stats.WarmupRequests + fs.FailedRequests + fs.DegradedRequests; got != budget {
+			t.Errorf("healthy %d + failed %d + degraded %d = %d, want the budget %d",
+				stats.Requests+stats.WarmupRequests, fs.FailedRequests, fs.DegradedRequests, got, budget)
+		}
+		if fs.LateReplies > fs.Timeouts || fs.Retries > fs.Rejected || fs.Recoveries > fs.Crashes {
+			t.Errorf("late %d > timeouts %d, retries %d > rejected %d, or recoveries %d > crashes %d",
+				fs.LateReplies, fs.Timeouts, fs.Retries, fs.Rejected, fs.Recoveries, fs.Crashes)
+		}
+		if plan.Degraded == DegradedFail && fs.DegradedRequests != 0 {
+			t.Errorf("%d requests degraded under fail", fs.DegradedRequests)
+		}
+		part, err := NewPartition(n, cfg.Shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sh, ps := range stats.PerShard {
+			if ps.Recoveries != ps.Crashes {
+				continue
+			}
+			log := recs[sh].log
+			wantR, wantA := replay(t, mkKary, part.Size(sh), log)
+			if ps.Requests != int64(len(log)) || ps.Routing != wantR || ps.Adjust != wantA {
+				t.Errorf("shard %d reports %d requests, routing/adjust %d/%d; it served %d, whose replay costs %d/%d",
+					sh, ps.Requests, ps.Routing, ps.Adjust, len(log), wantR, wantA)
+			}
+		}
+	})
 }
