@@ -180,8 +180,9 @@ func TestRoutePathZeroAllocs(t *testing.T) {
 // plus the LCA walks that steer them) allocate nothing. The merge scratch
 // is preallocated at the d=3 maximum when the arena is built, so unlike
 // the network-level tests above this holds from the very first rotation.
+// k=16 and k=32 cover the bisect merges and the memmove span moves.
 func TestRebuildPathZeroAllocs(t *testing.T) {
-	for _, k := range []int{2, 3, 5} {
+	for _, k := range []int{2, 3, 5, 16, 32} {
 		tree, err := NewBalancedTree(255, k)
 		if err != nil {
 			t.Fatal(err)

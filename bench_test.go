@@ -38,10 +38,11 @@ func BenchmarkServeKAryTemporal(b *testing.B) {
 }
 
 // BenchmarkServeKAryGrid sweeps the serve path across the arity axis the
-// paper generalizes over, on both trace families: exactly the grid where
-// the per-hop routing constant (the threshold search at every visited
-// node) turns from noise into the dominant term as k grows and trees
-// flatten.
+// paper generalizes over, on both trace families. As k grows and trees
+// flatten, each splay step rebuilds wider spans: at k=32 the rotation
+// bookkeeping (the merges' span moves, their placement searches and the
+// parent rewrites of every moved child) is most of a request, and the
+// per-hop threshold search of the routing walk a small part.
 func BenchmarkServeKAryGrid(b *testing.B) {
 	for _, tc := range []struct {
 		name string

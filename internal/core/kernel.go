@@ -159,6 +159,9 @@ func slotSWAR(m []int32, value int32) int {
 // Invariant: the answer (the count of thresholds < value) lies in
 // [lo, lo+n]. Threshold j lives at interleaved offset 2j+1, so the probe
 // of threshold lo+half−1 reads m[2(lo+half)−1].
+//
+// Besides serving as the kernel for large counts, it is called directly,
+// and inlined, by the rebuilds' slot lookups at every arity (rebuild.go).
 func slotBisect(m []int32, value int32) int {
 	lo, n := 0, (len(m)-1)/2
 	for n > 1 {

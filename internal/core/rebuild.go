@@ -45,20 +45,29 @@ func (t *Tree) SetBlockPolicy(p BlockPolicy) { t.blockPolicy = p }
 // non-reentrant per tree.
 //
 // Empty child slots are index 0, and the parent-update loops deliberately
-// write parent[0] and slot[0] instead of branching on emptiness; index 0 of
-// both arrays is a scratch cell that no reader consults (Snapshot
-// normalizes parent[0]; slot is derived state and not serialized at all).
-// Likewise slot[root] is written unconditionally and only consulted when
-// the node actually has a parent.
+// write parent[0] instead of branching on emptiness; parent[0] is a
+// scratch cell that no reader consults (Snapshot normalizes it to 0).
+//
+// A rebuild needs to know which slot of its parent each lower fragment
+// node sits in. It does not store that per node: the slot a child
+// occupies is the one whose interval holds the child's id value (the
+// interval invariant Validate checks), so a threshold search over the
+// parent's span finds it. The splay loops look x's slot up once and
+// carry it: each rebuild takes x's slot in p and returns x's slot in its
+// new parent — the old top's slot there, found by the one search the
+// rebuild makes anyway to hang x in that span. These searches call
+// slotBisect directly, which gc inlines, rather than the per-count span
+// kernel: a k-splay step makes two of them, and at k=2 the kernel's
+// indirect calls cost the serve grid more than the slot stores saved.
 
 // rebuild2 performs one two-node rebuild (a k-semi-splay step): x, a child
-// of p, takes p's place and p is re-hung in the induced gap of x's new
-// routing array.
-func (t *Tree) rebuild2(p, x int32) {
+// of p in slot c, takes p's place and p is re-hung in the induced gap of
+// x's new routing array. It returns x's slot in its new parent (0 when x
+// is now the root).
+func (t *Tree) rebuild2(p, x int32, c int) int {
 	k := t.k
 	w := 2*k - 1 // interleaved span width
 	oldParent := t.parent[p]
-	oldSlot := t.slot[p] // meaningful only when oldParent != 0
 	var before map[edge]struct{}
 	if t.trackEdges {
 		t.pathBuf[0], t.pathBuf[1] = p, x
@@ -66,8 +75,7 @@ func (t *Tree) rebuild2(p, x int32) {
 	}
 
 	spP, spX := t.span(p), t.span(x)
-	c := int(t.slot[x])
-	par, slot := t.parent, t.slot
+	par := t.parent
 
 	// In-order merge of the fragment: p's span with x's span spliced into
 	// slot c (in-span offset 2c); mov picks scalar or memmove by span
@@ -87,9 +95,7 @@ func (t *Tree) rebuild2(p, x int32) {
 	s := blockStartAt(t.blockPolicy, j, k-1, 2*(k-1))
 	mov(spP, m[2*s:2*s+w])
 	for i := 0; i < w; i += 2 {
-		ch := spP[i]
-		par[ch] = p
-		slot[ch] = int32(i / 2)
+		par[spP[i]] = p
 	}
 
 	// x keeps the remainder, with p re-hung in the induced gap.
@@ -97,18 +103,10 @@ func (t *Tree) rebuild2(p, x int32) {
 	spX[2*s] = p
 	mov(spX[2*s+1:], m[2*s+w:])
 	for i := 0; i < w; i += 2 {
-		ch := spX[i]
-		par[ch] = x
-		slot[ch] = int32(i / 2)
+		par[spX[i]] = x
 	}
 
-	par[x] = oldParent
-	slot[x] = oldSlot
-	if oldParent == 0 {
-		t.root = x
-	} else {
-		t.span(oldParent)[2*oldSlot] = x
-	}
+	up := t.replaceChild(oldParent, p, x)
 
 	// Elementary-rotation accounting: one parent-child flip, exactly like
 	// zig in binary splay trees.
@@ -117,6 +115,7 @@ func (t *Tree) rebuild2(p, x int32) {
 		after := t.fragmentEdges(t.pathBuf[:2])
 		t.edgeChanges += int64(symmetricDiff(before, after))
 	}
+	return up
 }
 
 // rebuild3 performs one three-node rebuild (a k-splay step): x, a grandchild
@@ -124,11 +123,12 @@ func (t *Tree) rebuild2(p, x int32) {
 // lower blocks end up disjoint the result matches the paper's "first case"
 // (both become children of the new top); when the second block's gap
 // swallows the first node's gap it matches the "second case" (a chain).
-func (t *Tree) rebuild3(g, p, x int32) {
+// x sits in slot cp of p; like rebuild2, it returns x's slot in its new
+// parent.
+func (t *Tree) rebuild3(g, p, x int32, cp int) int {
 	k := t.k
 	w := 2*k - 1 // interleaved span width
 	oldParent := t.parent[g]
-	oldSlot := t.slot[g] // meaningful only when oldParent != 0
 	var before map[edge]struct{}
 	if t.trackEdges {
 		t.pathBuf[0], t.pathBuf[1], t.pathBuf[2] = g, p, x
@@ -136,9 +136,8 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	}
 
 	spG, spP, spX := t.span(g), t.span(p), t.span(x)
-	cg := int(t.slot[p])
-	cp := int(t.slot[x])
-	par, slot := t.parent, t.slot
+	cg := slotBisect(spG, int32(t.idValue(int(p))))
+	par := t.parent
 
 	// In-order merge: g's span with p's span spliced into slot cg, which in
 	// turn holds x's span spliced into slot cp.
@@ -161,9 +160,7 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	s := blockStartAt(t.blockPolicy, j, k-1, 3*(k-1))
 	mov(spG, m[2*s:2*s+w])
 	for i := 0; i < w; i += 2 {
-		ch := spG[i]
-		par[ch] = g
-		slot[ch] = int32(i / 2)
+		par[spG[i]] = g
 	}
 	m[2*s] = g
 	mov(m[2*s+1:], m[2*s+w:])
@@ -174,9 +171,7 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	s = blockStartAt(t.blockPolicy, j, k-1, 2*(k-1))
 	mov(spP, m[2*s:2*s+w])
 	for i := 0; i < w; i += 2 {
-		ch := spP[i]
-		par[ch] = p
-		slot[ch] = int32(i / 2)
+		par[spP[i]] = p
 	}
 
 	// x keeps the rest, with p re-hung in the induced gap.
@@ -184,18 +179,10 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	spX[2*s] = p
 	mov(spX[2*s+1:], m[2*s+w:])
 	for i := 0; i < w; i += 2 {
-		ch := spX[i]
-		par[ch] = x
-		slot[ch] = int32(i / 2)
+		par[spX[i]] = x
 	}
 
-	par[x] = oldParent
-	slot[x] = oldSlot
-	if oldParent == 0 {
-		t.root = x
-	} else {
-		t.span(oldParent)[2*oldSlot] = x
-	}
+	up := t.replaceChild(oldParent, g, x)
 
 	// A three-node rebuild lifts the deepest node two levels: the work of
 	// two parent-child flips, exactly like zig-zig/zig-zag in binary splay
@@ -205,6 +192,23 @@ func (t *Tree) rebuild3(g, p, x int32) {
 		after := t.fragmentEdges(t.pathBuf[:3])
 		t.edgeChanges += int64(symmetricDiff(before, after))
 	}
+	return up
+}
+
+// replaceChild hangs x where the fragment's old top sat: as the root when
+// the top had no parent, else in the top's slot of its parent op, which
+// it returns. The fragment's ids all lie in that slot's interval, so the
+// top's id value finds it.
+func (t *Tree) replaceChild(op, top, x int32) int {
+	t.parent[x] = op
+	if op == 0 {
+		t.root = x
+		return 0
+	}
+	sp := t.span(op)
+	c := slotBisect(sp, int32(t.idValue(int(top))))
+	sp[2*c] = x
+	return c
 }
 
 // SemiSplay performs one k-semi-splay rotation: y, a non-root node, becomes
@@ -214,7 +218,7 @@ func (t *Tree) SemiSplay(y *Node) error {
 	if p == 0 {
 		return fmt.Errorf("core: cannot semi-splay the root (node %d)", y.ix)
 	}
-	t.rebuild2(p, y.ix)
+	t.rebuild2(p, y.ix, slotBisect(t.span(p), int32(t.idValue(int(y.ix)))))
 	return nil
 }
 
@@ -225,7 +229,7 @@ func (t *Tree) SplayStep(z *Node) error {
 	if p == 0 || t.parent[p] == 0 {
 		return fmt.Errorf("core: k-splay needs a grandparent (node %d)", z.ix)
 	}
-	t.rebuild3(t.parent[p], p, z.ix)
+	t.rebuild3(t.parent[p], p, z.ix, slotBisect(t.span(p), int32(t.idValue(int(z.ix)))))
 	return nil
 }
 

@@ -13,15 +13,25 @@ import (
 // is the differential safety net for the index-surgery rebuilds: any
 // divergence in block placement, parent rewiring, threshold ordering or
 // root handoff surfaces as a first-divergence diff with the full seed.
+//
+// The wide-k configurations reach the regime where spans and merges are
+// bisected and spans move by memmove: k=16 and k=32, whose spans hold an
+// odd number of thresholds (15, 31), and k=33, whose spans and merges
+// all hold an even number (32, 64, 96). They run fewer requests and
+// seeds, because every check renders all n·(2k−1) span entries twice.
 func TestArenaMatchesPointerReference(t *testing.T) {
 	configs := []struct {
-		n, k int
+		n, k  int
+		ops   int // requests per seed (60 under -short)
+		seeds int64
 	}{
-		{7, 2}, {25, 2}, {40, 3}, {90, 3}, {64, 4}, {130, 5}, {60, 7},
+		{7, 2, 300, 4}, {25, 2, 300, 4}, {40, 3, 300, 4}, {90, 3, 300, 4},
+		{64, 4, 300, 4}, {130, 5, 300, 4}, {60, 7, 300, 4},
+		{60, 16, 120, 2}, {100, 32, 80, 2}, {110, 33, 80, 2},
 	}
 	for _, cfg := range configs {
 		for _, policy := range []BlockPolicy{BlockCentered, BlockLeftmost} {
-			for seed := int64(1); seed <= 4; seed++ {
+			for seed := int64(1); seed <= cfg.seeds; seed++ {
 				tr, err := NewBalanced(cfg.n, cfg.k)
 				if err != nil {
 					t.Fatal(err)
@@ -30,9 +40,9 @@ func TestArenaMatchesPointerReference(t *testing.T) {
 				ref := newRefTree(tr)
 				rng := rand.New(rand.NewSource(seed))
 
-				ops := 300
+				ops := cfg.ops
 				if testing.Short() {
-					ops = 60
+					ops = min(ops, 60)
 				}
 				for op := 0; op < ops; op++ {
 					u := 1 + rng.Intn(cfg.n)

@@ -75,12 +75,9 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 		}
 		sp := t.span(int32(id))
 		for i := 0; i < len(sp); i += 2 {
-			ch := sp[i]
-			if ch < 0 || int(ch) > s.N {
+			if ch := sp[i]; ch < 0 || int(ch) > s.N {
 				return nil, fmt.Errorf("core: snapshot child slot %d of node %d out of range: %d", i/2, id, ch)
 			}
-			// slot is derived state, not part of the wire form; rebuild it.
-			t.slot[ch] = int32(i / 2)
 		}
 	}
 	if err := t.Validate(); err != nil {

@@ -110,9 +110,10 @@ func TestFromSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // FuzzFromSnapshot mutates a valid random tree's snapshot: FromSnapshot
-// must reject it with an error, or return a tree that passes Validate and
-// answers DistanceID on every pair. Each five bytes of muts are one
-// mutation: a target (parent link, span entry, root, arity or node
+// must reject it with an error, or return a tree that passes Validate,
+// answers DistanceID on every pair, and then rotates exactly like the
+// pointer reference (rotateLikeReference). Each five bytes of muts are
+// one mutation: a target (parent link, span entry, root, arity or node
 // count), a 16-bit index and a signed 16-bit value.
 func FuzzFromSnapshot(f *testing.F) {
 	f.Add(uint8(20), uint8(3), int64(1), []byte{})
@@ -120,6 +121,7 @@ func FuzzFromSnapshot(f *testing.F) {
 	f.Add(uint8(33), uint8(2), int64(2), []byte{1, 7, 0, 200, 0})     // a span entry out of range
 	f.Add(uint8(9), uint8(5), int64(3), []byte{2, 0, 0, 4, 0})        // another root
 	f.Add(uint8(40), uint8(4), int64(4), []byte{1, 1, 0, 2, 0, 3, 0}) // a threshold moved, then a stray byte
+	f.Add(uint8(56), uint8(0), int64(-54), []byte{1, 1, 0, 2, 0})     // node 1's threshold repeats its bound
 	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, seed int64, muts []byte) {
 		n, k := 1+int(nRaw)%64, 2+int(kRaw)%7
 		tr, err := NewRandom(n, k, seed)
@@ -158,5 +160,61 @@ func FuzzFromSnapshot(f *testing.F) {
 				}
 			}
 		}
+		rotateLikeReference(t, back, seed, 6)
 	})
+}
+
+// rotateLikeReference serves ops random requests on tr and on a pointer
+// reference mirrored from it, and fails on the first rendering that
+// differs or if tr no longer validates. Requests cycle through the k-ary
+// SplayNet pattern with k-splay steps, the same with k-semi-splay steps,
+// and one exported SplayStep or SemiSplay. The rebuilds derive each
+// on-path node's slot from its id value, which Validate's interval check
+// licenses; a tree FromSnapshot accepts must therefore rotate exactly as
+// the reference does.
+func rotateLikeReference(t *testing.T, tr *Tree, seed int64, ops int) {
+	t.Helper()
+	ref := newRefTree(tr)
+	rng := rand.New(rand.NewSource(seed))
+	for op := 0; op < ops; op++ {
+		u, v := 1+rng.Intn(tr.N()), 1+rng.Intn(tr.N())
+		if u == v {
+			continue
+		}
+		a, b := tr.NodeByID(u), tr.NodeByID(v)
+		_, w := tr.DistanceLCA(a, b)
+		ra, rb, rw := ref.byID[u], ref.byID[v], ref.byID[w.ID()]
+		switch op % 3 {
+		case 0:
+			tr.SplayUntilParent(a, w.Parent())
+			ref.splayUntilParent(ra, parentRef(rw))
+			tr.SplayUntilParent(b, a)
+			ref.splayUntilParent(rb, ra)
+		case 1:
+			tr.SemiSplayUntilParent(a, w.Parent())
+			ref.semiSplayUntilParent(ra, parentRef(rw))
+			tr.SemiSplayUntilParent(b, a)
+			ref.semiSplayUntilParent(rb, ra)
+		case 2:
+			switch {
+			case ra.parent == nil:
+			case ra.parent.parent == nil:
+				if err := tr.SemiSplay(a); err != nil {
+					t.Fatal(err)
+				}
+				ref.rebuild([]*refNode{ra.parent, ra})
+			default:
+				if err := tr.SplayStep(a); err != nil {
+					t.Fatal(err)
+				}
+				ref.rebuild([]*refNode{ra.parent.parent, ra.parent, ra})
+			}
+		}
+		if got, want := tr.Render(), ref.render(); got != want {
+			t.Fatalf("op %d (%d→%d): rotated tree diverges from the reference\narena:\n%s\nreference:\n%s", op, u, v, got, want)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("tree invalid after rotating: %v", err)
+	}
 }

@@ -23,7 +23,9 @@ type Spec struct {
 // sits at value i·k, and a spec threshold t becomes the cut t·k. Every node
 // is then padded to exactly k−1 routing elements with cuts placed in the
 // empty sliver just below the node's own id value (which never separates
-// two ids, because ids are k apart in cut space). Full routing arrays match
+// two ids, because ids are k apart in cut space). A threshold equal to the
+// ancestor threshold that bounds its node's interval is padded for too,
+// so that no two nodes share a routing element. Full routing arrays match
 // the paper's node model (Fig. 1) and are preserved by rotations, which
 // redistribute but never consume routing elements — and they are what makes
 // the arena's fixed-stride threshold/child spans sound.
@@ -71,7 +73,7 @@ func BuildInto(dst *Tree, k int, spec *Spec) (*Tree, error) {
 	if len(t.seen) != n+1 {
 		t.seen = make([]bool, n+1)
 	}
-	root, err := t.buildSpec(spec, 0, 0, n*k, t.seen)
+	root, err := t.buildSpec(spec, 0, 0, n*k, false, t.seen)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +92,6 @@ func (t *Tree) reset() {
 	t.root = 0
 	clear(t.parent)
 	clear(t.rc)
-	clear(t.slot)
 	clear(t.seen)
 	t.rotations, t.edgeChanges = 0, 0
 	t.trackEdges = false
@@ -136,11 +137,12 @@ func specIDRange(s *Spec) (lo, hi int) {
 }
 
 // buildSpec fills in the arena state for s, whose slot covers the cut-space
-// interval (lo, hi], and returns the node's arena index. It writes the
-// node's padded routing array straight into its span and places each spec
-// child in the padded slot its index maps to, so materialization allocates
-// nothing per node.
-func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32, error) {
+// interval (lo, hi], and returns the node's arena index; hiElem reports
+// that hi is an ancestor's routing element rather than the top cut n·k.
+// It writes the node's padded routing array straight into its span and
+// places each spec child in the padded slot its index maps to, so
+// materialization allocates nothing per node.
+func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, hiElem bool, seen []bool) (int32, error) {
 	iv := s.ID * t.scale
 	if s.ID < 1 || s.ID > t.n {
 		return 0, fmt.Errorf("core: id %d out of range 1..%d", s.ID, t.n)
@@ -178,16 +180,33 @@ func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32,
 		prev = v
 	}
 
+	// A last threshold at the interval's upper bound repeats the ancestor
+	// routing element that bounds the interval and carves an always-empty
+	// last slot. A rotation merges a node's routing elements with its
+	// ancestors' and needs them all distinct (Validate), so such a
+	// threshold is padded for instead.
+	ths, kids := s.Thresholds, s.Children
+	if prev == hi && hiElem {
+		nt := len(ths)
+		if kids != nil && kids[nt] != nil {
+			return 0, fmt.Errorf("core: node %d has a child in an empty slot", s.ID)
+		}
+		ths = ths[:nt-1]
+		if kids != nil {
+			kids = kids[:nt]
+		}
+	}
+
 	// Pad the routing array to exactly k−1 cuts using the empty sliver just
 	// below the node's own id value: cuts iv−pad .. iv−1 contain no id
 	// points (ids are t.scale apart), so they only carve empty slots. They
 	// go in at position j; spec slot j's child then lands left of the pads
 	// (padded slot j) when its ids lie below the node id and right of them
 	// (padded slot j+pad) when they lie above.
-	pad := t.k - 1 - len(s.Thresholds)
+	pad := t.k - 1 - len(ths)
 	above := false
-	if pad > 0 && s.Children != nil && s.Children[j] != nil {
-		clo, chi := specIDRange(s.Children[j])
+	if pad > 0 && kids != nil && kids[j] != nil {
+		clo, chi := specIDRange(kids[j])
 		if clo <= s.ID && s.ID <= chi {
 			return 0, fmt.Errorf("core: node %d cannot pad its routing array: child slot %d spans ids %d..%d across the node id", s.ID, j, clo, chi)
 		}
@@ -198,7 +217,7 @@ func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32,
 	seen[s.ID] = true
 	t.parent[ix] = parent
 	sp := t.span(ix)
-	for i, th := range s.Thresholds {
+	for i, th := range ths {
 		if i >= j {
 			i += pad
 		}
@@ -207,7 +226,7 @@ func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32,
 	for p := 0; p < pad; p++ {
 		sp[2*(j+p)+1] = int32(iv - pad + p)
 	}
-	for c, chSpec := range s.Children {
+	for c, chSpec := range kids {
 		if chSpec == nil {
 			continue
 		}
@@ -225,12 +244,11 @@ func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32,
 		if slotLo >= slotHi {
 			return 0, fmt.Errorf("core: node %d has a child in an empty slot", s.ID)
 		}
-		ch, err := t.buildSpec(chSpec, ix, slotLo, slotHi, seen)
+		ch, err := t.buildSpec(chSpec, ix, slotLo, slotHi, hiElem || i < t.k-1, seen)
 		if err != nil {
 			return 0, err
 		}
 		sp[2*i] = ch
-		t.slot[ch] = int32(i)
 	}
 	return ix, nil
 }

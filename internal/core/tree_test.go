@@ -303,9 +303,8 @@ func dirtyArena(t *testing.T, n, k int, seed int64) *Tree {
 // TestBuildIntoMatchesBuild pins BuildInto to Build: built into a used
 // arena (splayed, with edge tracking and the leftmost block policy on),
 // and again after a rejected spec left it half written, a spec yields
-// the same snapshot and slot cache as a new arena, zero counters and
-// default settings, and the second build into the same arena allocates
-// nothing.
+// the same snapshot as a new arena, zero counters and default settings,
+// and the second build into the same arena allocates nothing.
 func TestBuildIntoMatchesBuild(t *testing.T) {
 	const n = 300
 	for _, k := range []int{2, 3, 4, 8} {
@@ -349,11 +348,6 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 				if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
 					t.Fatalf("k=%d %s %s: snapshot differs from Build's", k, shape, step)
 				}
-				for id := 1; id <= n; id++ {
-					if id != int(got.root) && got.slot[id] != want.slot[id] {
-						t.Fatalf("k=%d %s %s: slot cache of %d is %d, Build's is %d", k, shape, step, id, got.slot[id], want.slot[id])
-					}
-				}
 				if got.Rotations() != 0 || got.EdgeChanges() != 0 || got.trackEdges || got.blockPolicy != BlockCentered {
 					t.Fatalf("k=%d %s %s: rotations %d, edge changes %d, tracking %v, block policy %v; want a new tree's",
 						k, shape, step, got.Rotations(), got.EdgeChanges(), got.trackEdges, got.blockPolicy)
@@ -370,6 +364,35 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 	}
 	if _, err := BuildInto(MustNewBalanced(7, 3), 4, BalancedSpec(1, 7, 4)); err == nil {
 		t.Error("BuildInto built a 4-ary tree into a 3-ary arena")
+	}
+}
+
+// TestBuildPadsForBoundaryThreshold: node 3 repeats as its last threshold
+// the parent threshold that bounds its interval. Build pads for that
+// threshold instead, since a rotation's merge cannot split a repeated
+// element, and the tree stays valid while every node is splayed to the
+// root in turn.
+func TestBuildPadsForBoundaryThreshold(t *testing.T) {
+	spec := &Spec{ID: 4, Thresholds: []int{3}, Children: []*Spec{
+		{ID: 3, Thresholds: []int{1, 3}, Children: []*Spec{{ID: 1}, {ID: 2}, nil}},
+		{ID: 5},
+	}}
+	tr, err := Build(3, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tr.NodeByID(3).RoutingArray(), []int{3, 8}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("node 3 routing array %v, want %v: the bound 9 dropped and a pad cut below id 3 added", got, want)
+	}
+	for id := 1; id <= 5; id++ {
+		tr.SplayUntilParent(tr.NodeByID(id), nil)
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("after splaying %d to the root: %v", id, err)
+		}
+	}
+	spec.Children[0].Children[2] = &Spec{ID: 6}
+	if _, err := Build(3, spec); err == nil || !strings.Contains(err.Error(), "empty slot") {
+		t.Errorf("a child above the repeated bound: got %v, want the empty-slot rejection", err)
 	}
 }
 

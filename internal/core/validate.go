@@ -12,8 +12,13 @@ import "fmt"
 //     this is also what licenses the arena's fixed-stride spans)
 //     and exactly one more child slot than routing elements,
 //   - routing elements are strictly increasing and lie inside the node's
-//     slot interval in cut space, and the node's own id value does too,
-//   - non-nil children occupy non-empty intervals,
+//     slot interval in cut space, and the node's own id value does too;
+//     no element equals an upper bound that is an ancestor's element, so
+//     no two nodes share a routing element (a rotation's in-order merge
+//     needs them distinct),
+//   - non-nil children occupy non-empty intervals, and the rebuilds' slot
+//     search (slotBisect on the child's id value) finds each child in
+//     the slot it sits in,
 //   - greedy search from the root reaches every id along its tree path
 //     (local greedy routing works).
 //
@@ -39,7 +44,7 @@ func (t *Tree) Validate() error {
 		}
 	}
 	w := validation{t: t, seen: make([]bool, t.n+1)}
-	if err := w.walk(t.root, 0, t.n*t.scale); err != nil {
+	if err := w.walk(t.root, 0, t.n*t.scale, false); err != nil {
 		return err
 	}
 	if w.count != t.n {
@@ -88,8 +93,9 @@ type validation struct {
 }
 
 // walk checks the subtree of arena index ix, whose slot covers the
-// cut-space interval (lo, hi].
-func (v *validation) walk(ix int32, lo, hi int) error {
+// cut-space interval (lo, hi]; hiElem reports that hi is an ancestor's
+// routing element rather than the top cut n·k.
+func (v *validation) walk(ix int32, lo, hi int, hiElem bool) error {
 	t := v.t
 	id := int(ix)
 	if id < 1 || id > t.n {
@@ -114,6 +120,9 @@ func (v *validation) walk(ix int32, lo, hi int) error {
 		if th > hi {
 			return fmt.Errorf("core: node %d routing element exceeds its interval", id)
 		}
+		if th == hi && hiElem {
+			return fmt.Errorf("core: node %d repeats the routing element that bounds its interval", id)
+		}
 		prev = th
 	}
 	slotLo := lo
@@ -126,14 +135,14 @@ func (v *validation) walk(ix int32, lo, hi int) error {
 			if t.parent[ch] != ix {
 				return fmt.Errorf("core: node %d is child of %d but points at a different parent", ch, id)
 			}
-			if t.slot[ch] != int32(i/2) {
-				return fmt.Errorf("core: node %d sits in slot %d of %d but its slot cache says %d", ch, i/2, id, t.slot[ch])
-			}
 			if slotLo >= slotHi {
 				return fmt.Errorf("core: node %d has child %d in an empty slot", id, ch)
 			}
-			if err := v.walk(ch, slotLo, slotHi); err != nil {
+			if err := v.walk(ch, slotLo, slotHi, hiElem || i+1 < len(sp)); err != nil {
 				return err
+			}
+			if c := slotBisect(sp, int32(t.idValue(int(ch)))); c != i/2 {
+				return fmt.Errorf("core: node %d sits in slot %d of %d but the rebuilds' slot lookup says %d", ch, i/2, id, c)
 			}
 		}
 		slotLo = slotHi

@@ -1,8 +1,10 @@
 package statictree
 
 import (
+	"math/rand"
 	"testing"
 
+	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
@@ -75,5 +77,49 @@ func TestWeightBalancedDeterministic(t *testing.T) {
 	}
 	if c1 != c2 {
 		t.Errorf("weight-balanced not deterministic: %d vs %d", c1, c2)
+	}
+}
+
+// TestBuiltTreesSplayValid splays every static builder's tree with the
+// k-ary SplayNet request pattern and validates it after every request.
+// The DP and weight-balanced specs give some node a last threshold equal
+// to the parent threshold that bounds it; Build pads for such a threshold
+// instead, because a rotation cannot split the repeated element of its
+// merge and the trees went invalid within a few requests.
+func TestBuiltTreesSplayValid(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 8} {
+		for _, n := range []int{31, 100} {
+			d := workload.DemandFromTrace(workload.MustCollect(workload.HotspotGen(n, 5000, 0.1, 0.9, 1)))
+			builders := []struct {
+				name string
+				mk   func() (*core.Tree, error)
+			}{
+				{"optimal", func() (*core.Tree, error) { tr, _, err := Optimal(d, k); return tr, err }},
+				{"weight-balanced", func() (*core.Tree, error) { tr, _, err := WeightBalanced(d, k); return tr, err }},
+				{"uniform-opt", func() (*core.Tree, error) { tr, _, err := OptimalUniform(n, k); return tr, err }},
+				{"centroid", func() (*core.Tree, error) { return Centroid(n, k) }},
+				{"full", func() (*core.Tree, error) { return Full(n, k) }},
+			}
+			for _, b := range builders {
+				tr, err := b.mk()
+				if err != nil {
+					t.Fatalf("k=%d n=%d %s: %v", k, n, b.name, err)
+				}
+				rng := rand.New(rand.NewSource(int64(n)))
+				for op := 0; op < 200; op++ {
+					u, v := 1+rng.Intn(n), 1+rng.Intn(n)
+					if u == v {
+						continue
+					}
+					a, c := tr.NodeByID(u), tr.NodeByID(v)
+					_, w := tr.DistanceLCA(a, c)
+					tr.SplayUntilParent(a, w.Parent())
+					tr.SplayUntilParent(c, a)
+					if err := tr.Validate(); err != nil {
+						t.Fatalf("k=%d n=%d %s: request %d (%d→%d): %v", k, n, b.name, op, u, v, err)
+					}
+				}
+			}
+		}
 	}
 }
