@@ -197,7 +197,8 @@ func TestCheckpointReuseAllocFree(t *testing.T) {
 // firing on the lazy serving workload's shape (n=4095, k=4, alpha 20000,
 // hotspot traffic): once the window, the builder's scratch and the spare
 // arena have grown to size, serving a stretch through its firing
-// allocates nothing.
+// allocates nothing. A stretch ends at its firing attempt: a firing that
+// fails to build, or a whole trace served without one, fails the test.
 func TestRebuildReuseAllocFree(t *testing.T) {
 	const n, k = 4095, 4
 	net, err := New("lazy", mustTree(t, n, k), Alpha(20000), RebuildWeightBalanced("weight-balanced"))
@@ -207,9 +208,17 @@ func TestRebuildReuseAllocFree(t *testing.T) {
 	reqs := workload.MustCollect(workload.HotspotGen(n, 100_000, 0.1, 0.9, 1)).Reqs
 	i := 0
 	stretch := func() {
-		for before := net.Rebuilds(); net.Rebuilds() == before; i++ {
+		rebuilds, failed := net.Rebuilds(), net.FailedRebuilds()
+		for served := 0; net.Rebuilds() == rebuilds; served++ {
+			if net.FailedRebuilds() != failed {
+				t.Fatalf("a firing failed to build: %v", net.LastFailure())
+			}
+			if served == len(reqs) {
+				t.Fatalf("%d requests served without a firing", served)
+			}
 			rq := reqs[i%len(reqs)]
 			net.Serve(rq.Src, rq.Dst)
+			i++
 		}
 	}
 	for range 3 {

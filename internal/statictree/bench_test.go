@@ -14,15 +14,39 @@ func benchDemand(n int) *workload.Demand {
 }
 
 // BenchmarkOptimal is the perf-trajectory grid: one cubic-DP solve per
-// (n, k). EXPERIMENTS.md records its history.
+// (n, k), plus the offline workload's solve (the projector row: the demand
+// of the first 10⁶ requests of a 511-node projector trace, seed 1, solved
+// at k = 4 as perfbench's offline-opt-projector-k4 does at set-up).
+// EXPERIMENTS.md records its history.
 func BenchmarkOptimal(b *testing.B) {
+	run := func(name string, d *workload.Demand, k int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Optimal(d, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{128, 256, 512} {
 		d := benchDemand(n)
+		for _, k := range []int{2, 4, 8} {
+			run(fmt.Sprintf("n=%d/k=%d", n, k), d, k)
+		}
+	}
+	run("projector/n=511/k=4", workload.DemandFromTrace(workload.ProjecToRLike(511, 1_000_000, 1)), 4)
+}
+
+// BenchmarkUniformOptimal is one uniform-workload solve per (n, k);
+// n = 4095, k = 4 is the initial tree of perfbench's lazy-hotspot-faulted.
+func BenchmarkUniformOptimal(b *testing.B) {
+	for _, n := range []int{1023, 4095} {
 		for _, k := range []int{2, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := Optimal(d, k); err != nil {
+					if _, _, err := OptimalUniform(n, k); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,9 +4,11 @@
 //   - Solver / Optimal: the O(n³·k) dynamic program for an optimal static
 //     routing-based k-ary search tree network (Theorem 2/15), with the
 //     dp2 prefix-minimum trick from the proof, flattened triangular
-//     tables shared across an arity sweep, an exact admissible-bound root
-//     pruning (Knuth-style windows are unsound for this cost — see
-//     dp.go), and an atomic work-counter parallel fill,
+//     tables shared across an arity sweep (row-major, plus column-major
+//     copies of the two planes its min-plus loops read down a column),
+//     an exact admissible-bound root pruning (Knuth-style windows are
+//     unsound for this cost — see dp.go), and an atomic work-counter
+//     parallel fill,
 //   - UniformSolver / OptimalUniform: the O(n²·k) dynamic program for the
 //     uniform workload (Theorem 4), which optimizes over tree shapes and
 //     imposes the search property afterwards,

@@ -1,0 +1,172 @@
+package statictree
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/ksan-net/ksan/internal/workload"
+)
+
+// layoutDemands is the demand grid the fill-layout tests pin at node count
+// n: uniform, Zipf, projector, one hot pair over a neighbour chain, and
+// bandedDemand. A one-node demand has no pairs, so at n = 1 the two
+// sampled families are the empty demand.
+func layoutDemands(n int) []demandCase {
+	cases := []demandCase{{"uniform", workload.UniformDemand(n)}}
+	if n >= 2 {
+		cases = append(cases,
+			demandCase{"zipf", workload.DemandFromTrace(workload.Zipf(n, 40*n, 1.2, int64(n)))},
+			demandCase{"projector", workload.DemandFromTrace(workload.ProjecToRLike(n, 40*n, int64(n)+1))})
+	} else {
+		cases = append(cases, demandCase{"empty", &workload.Demand{N: n}})
+	}
+	hot := &workload.Demand{N: n}
+	if n >= 2 {
+		hot.Pairs = append(hot.Pairs, workload.PairCount{Src: 1 + n/4, Dst: n - n/4, Count: 10_000})
+		hot.Total = 10_000
+	}
+	for u := 1; u < n; u++ {
+		hot.Pairs = append(hot.Pairs, workload.PairCount{Src: u, Dst: u + 1, Count: 1})
+		hot.Total++
+	}
+	return append(cases, demandCase{"single-hot-pair", hot}, demandCase{"banded", bandedDemand(n)})
+}
+
+// TestSolverFillMatchesRowMajor pins the Solver's fill to the former one
+// (rowMajorSolver) cell for cell: every stored plane t = 1..k-1, both
+// column copies, the root table, the cost, the pruning counters and the
+// built tree. Each case runs inline and again on three workers with the
+// spawn threshold at zero, so the concurrent writes of the row cells and
+// of their column copies run under the race detector.
+func TestSolverFillMatchesRowMajor(t *testing.T) {
+	// A one-worker Solver fills inline at any threshold. The parallel
+	// cases run after this function returns, so Cleanup, which waits for
+	// them, restores the threshold rather than a defer.
+	old := spawnWorkThreshold
+	spawnWorkThreshold = 0
+	t.Cleanup(func() { spawnWorkThreshold = old })
+	for _, n := range []int{1, 2, 3, 17, 64, 200} {
+		for _, dc := range layoutDemands(n) {
+			t.Run(fmt.Sprintf("%s/n=%d", dc.name, n), func(t *testing.T) {
+				t.Parallel()
+				checkSolverFill(t, dc.d)
+			})
+		}
+	}
+}
+
+func checkSolverFill(t *testing.T, d *workload.Demand) {
+	n := d.N
+	sc, err := newSegmentCosts(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var solvers [2]*Solver
+	for m, workers := range []int{1, 3} {
+		if solvers[m], err = NewSolver(d, WithSolverWorkers(workers)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int{2, 3, 4, 8} {
+		ref := &rowMajorSolver{n: n, sc: sc, workers: 1}
+		refTree, refCost, err := ref.Optimal(k)
+		if err != nil {
+			t.Fatalf("k=%d row-major fill: %v", k, err)
+		}
+		for _, s := range solvers {
+			name := fmt.Sprintf("k=%d workers=%d", k, s.workers)
+			tree, cost, err := s.Optimal(k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if cost != refCost {
+				t.Fatalf("%s: cost %d, row-major fill %d", name, cost, refCost)
+			}
+			// Planes 1..k-1 sit where the row-major fill keeps them.
+			planes := (k - 1) * s.T
+			if x := firstDiff(s.dp2[:planes], ref.dp2[:planes]); x >= 0 {
+				t.Fatalf("%s: dp2 plane %d cell %d = %d, row-major fill %d", name, x/s.T+1, x%s.T, s.dp2[x], ref.dp2[x])
+			}
+			for i := 1; i <= n; i++ {
+				for j := i; j <= n; j++ {
+					c := s.sc.t.col(i, j)
+					if s.col1[c] != s.get2(i, j, 1) || s.colTop[c] != s.get2(i, j, k-1) {
+						t.Fatalf("%s: column copies of (%d,%d) hold %d and %d, planes 1 and k-1 %d and %d",
+							name, i, j, s.col1[c], s.colTop[c], s.get2(i, j, 1), s.get2(i, j, k-1))
+					}
+				}
+			}
+			if x := firstDiff(s.root, ref.root); x >= 0 {
+				t.Fatalf("%s: root cell %d = %d, row-major fill %d", name, x, s.root[x], ref.root[x])
+			}
+			if e, sk := s.rootsEvaluated.Load(), s.rootsSkipped.Load(); e != ref.rootsEvaluated.Load() || sk != ref.rootsSkipped.Load() {
+				t.Fatalf("%s: %d roots evaluated and %d skipped, row-major fill %d and %d",
+					name, e, sk, ref.rootsEvaluated.Load(), ref.rootsSkipped.Load())
+			}
+			if !reflect.DeepEqual(tree.Snapshot(), refTree.Snapshot()) {
+				t.Fatalf("%s: tree differs from the row-major fill's", name)
+			}
+		}
+	}
+}
+
+// TestUniformFillMatchesInterleaved pins the UniformSolver's plane-major
+// fill to the former interleaved one (interleavedUniformSolver): the
+// single-tree costs, every forest value and the built tree.
+func TestUniformFillMatchesInterleaved(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 1023, 4095} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			checkUniformFill(t, n)
+		})
+	}
+}
+
+func checkUniformFill(t *testing.T, n int) {
+	s, err := NewUniformSolver(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 3, 4, 8} {
+		ref := &interleavedUniformSolver{n: n}
+		refTree, refCost, err := ref.Optimal(k)
+		if err != nil {
+			t.Fatalf("k=%d interleaved fill: %v", k, err)
+		}
+		tree, cost, err := s.Optimal(k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if cost != refCost {
+			t.Fatalf("k=%d: cost %d, interleaved fill %d", k, cost, refCost)
+		}
+		if x := firstDiff(s.tree, ref.tree); x >= 0 {
+			t.Fatalf("k=%d: best tree on %d nodes costs %d, interleaved fill %d", k, x, s.tree[x], ref.tree[x])
+		}
+		for p := 1; p <= k; p++ {
+			for size := 0; size <= n; size++ {
+				if got, want := s.plane(p)[size], ref.forest[size*(k+1)+p]; got != want {
+					t.Fatalf("k=%d: forest of %d trees on %d nodes costs %d, interleaved fill %d", k, p, size, got, want)
+				}
+			}
+		}
+		if !reflect.DeepEqual(tree.Snapshot(), refTree.Snapshot()) {
+			t.Fatalf("k=%d: tree differs from the interleaved fill's", k)
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ, or -1 when they
+// are equal.
+func firstDiff[E comparable](a, b []E) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for x := range a {
+		if a[x] != b[x] {
+			return x
+		}
+	}
+	return -1
+}

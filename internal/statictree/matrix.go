@@ -7,10 +7,12 @@ import (
 )
 
 // tri indexes the upper triangle {(i,j) : 1 ≤ i ≤ j ≤ n} of an n×n matrix
-// into a dense row-major slice of n(n+1)/2 entries. The DP tables and the
-// boundary-traffic matrix only ever address i ≤ j, so the triangular layout
-// halves their footprint versus the square [][]int64 it replaces and keeps
-// each row contiguous (the hot loops walk j at fixed i).
+// into a dense slice of n(n+1)/2 entries, row-major (at: row i contiguous
+// in j) or column-major (col: column j contiguous in i). The DP tables and
+// the boundary-traffic matrix only ever address i ≤ j, so the triangular
+// layout halves their footprint versus the square [][]int64 it replaces.
+// The Solver's min-plus loops read a row of one plane against a column of
+// another, so it keeps the two planes it reads by column in both orders.
 type tri struct {
 	n   int
 	off []int32 // off[i] = flat index of (i,i); off[n+1] = n(n+1)/2
@@ -33,6 +35,12 @@ func newTri(n int) tri {
 // at maps (i,j), 1 ≤ i ≤ j ≤ n, to its flat index.
 func (t tri) at(i, j int) int {
 	return int(t.off[i]) + (j - i)
+}
+
+// col maps (i,j), 1 ≤ i ≤ j ≤ n, to its column-major flat index: columns
+// 1..j-1 hold j(j-1)/2 entries before (1,j).
+func (t tri) col(i, j int) int {
+	return j*(j-1)/2 + i - 1
 }
 
 // size is the number of stored entries, n(n+1)/2.

@@ -42,23 +42,28 @@ func diffDemands(tb testing.TB) []demandCase {
 		}
 		hot.Total = 10_000 + int64(n-1)
 		add(fmt.Sprintf("single-hot-pair/n=%d", n), hot)
-		// Adversarial: banded demand — all traffic between ids at distance
-		// ≤ 3, so segment boundary costs are near-flat and the root bounds
-		// tie almost everywhere (pruning's graceful-degradation path).
-		band := &workload.Demand{N: n}
-		for u := 1; u <= n; u++ {
-			for w := 1; w <= 3 && u+w <= n; w++ {
-				band.Pairs = append(band.Pairs, workload.PairCount{Src: u, Dst: u + w, Count: int64(4 - w)})
-				band.Total += int64(4 - w)
-			}
-		}
-		add(fmt.Sprintf("banded/n=%d", n), band)
+		add(fmt.Sprintf("banded/n=%d", n), bandedDemand(n))
 	}
 	// Seeded random demands round out the grid.
 	for seed := int64(0); seed < 3; seed++ {
 		add(fmt.Sprintf("random/seed=%d", seed), randomDemand(24, 0.35, seed))
 	}
 	return cases
+}
+
+// bandedDemand is an adversarial demand for the root pruning: all traffic
+// runs between ids at distance ≤ 3, so segment boundary costs are
+// near-flat and the root bounds tie almost everywhere (pruning's
+// graceful-degradation path).
+func bandedDemand(n int) *workload.Demand {
+	band := &workload.Demand{N: n}
+	for u := 1; u <= n; u++ {
+		for w := 1; w <= 3 && u+w <= n; w++ {
+			band.Pairs = append(band.Pairs, workload.PairCount{Src: u, Dst: u + w, Count: int64(4 - w)})
+			band.Total += int64(4 - w)
+		}
+	}
+	return band
 }
 
 // TestSolverPrunedMatchesExhaustive is the differential property test of

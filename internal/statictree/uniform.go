@@ -33,14 +33,22 @@ type UniformSolver struct {
 	n int
 	// Per-call state, reused across Optimal calls.
 	//
-	// tree[s]            = cost of the best single tree on s nodes,
-	//                      including W(s) (the traffic crossing the link
-	//                      to its parent).
-	// forest[s*(k+1)+t]  = cost of the best forest of exactly t non-empty
-	//                      trees covering s nodes in total, t ∈ 1..k.
+	// tree[s]        = cost of the best single tree on s nodes, including
+	//                  W(s) (the traffic crossing the link to its parent).
+	// plane(t)[s]    = cost of the best forest of exactly t non-empty trees
+	//                  covering s nodes in total, t ∈ 1..k.
+	//
+	// forest stores the planes one after another (plane-major), so the
+	// convolution that fills plane t reads tree forward and plane t-1
+	// backward, both contiguous.
 	k      int
 	tree   []int64
 	forest []int64
+}
+
+// plane returns the forest costs of exactly t trees, indexed by size.
+func (s *UniformSolver) plane(t int) []int64 {
+	return s.forest[(t-1)*(s.n+1) : t*(s.n+1)]
 }
 
 // NewUniformSolver validates n and prepares a solver for the uniform
@@ -79,7 +87,7 @@ func (s *UniformSolver) run(k int) {
 	} else {
 		s.tree = s.tree[:s.n+1]
 	}
-	fsize := (s.n + 1) * (k + 1)
+	fsize := (s.n + 1) * k
 	if cap(s.forest) < fsize {
 		s.forest = make([]int64, fsize)
 	} else {
@@ -99,25 +107,25 @@ func (s *UniformSolver) run(k int) {
 		if maxT > length-1 {
 			maxT = length - 1
 		}
-		prev := s.forest[(length-1)*(k+1):]
 		for t := 1; t <= maxT; t++ {
-			if v := prev[t]; v < best {
+			if v := s.plane(t)[length-1]; v < best {
 				best = v
 			}
 		}
 		s.tree[length] = best + s.w(length)
-		// Forests of this length.
-		row := s.forest[length*(k+1):]
-		row[1] = s.tree[length]
+		// Forests of this length: a first tree on a = x+1 nodes, then t-1
+		// trees on the other length-a, read backward from the end of rest.
+		s.plane(1)[length] = s.tree[length]
 		for t := 2; t <= k && t <= length; t++ {
+			first := s.tree[1 : length-t+2]                   // a = 1..length-t+1
+			rest := s.plane(t - 1)[t-1 : length][:len(first)] // sizes t-1..length-1
 			best := int64(inf)
-			for a := 1; a <= length-t+1; a++ {
-				v := s.tree[a] + s.forest[(length-a)*(k+1)+t-1]
-				if v < best {
+			for x, v := range first {
+				if v += rest[len(rest)-1-x]; v < best {
 					best = v
 				}
 			}
-			row[t] = best
+			s.plane(t)[length] = best
 		}
 	}
 }
@@ -133,7 +141,7 @@ func (s *UniformSolver) childSizes(length int) []int {
 		maxT = length - 1
 	}
 	for t := 1; t <= maxT; t++ {
-		if s.forest[(length-1)*(s.k+1)+t] == target {
+		if s.plane(t)[length-1] == target {
 			return s.forestSizes(length-1, t)
 		}
 	}
@@ -144,9 +152,9 @@ func (s *UniformSolver) forestSizes(length, t int) []int {
 	if t == 1 {
 		return []int{length}
 	}
-	want := s.forest[length*(s.k+1)+t]
+	want := s.plane(t)[length]
 	for a := 1; a <= length-t+1; a++ {
-		if s.tree[a]+s.forest[(length-a)*(s.k+1)+t-1] == want {
+		if s.tree[a]+s.plane(t - 1)[length-a] == want {
 			return append([]int{a}, s.forestSizes(length-a, t-1)...)
 		}
 	}
