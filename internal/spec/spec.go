@@ -127,6 +127,11 @@ type PolicyDef struct {
 //	              count. Flash crowds, diurnal skew rotation and hot-set
 //	              drift are phase lists (see EXPERIMENTS.md §A6).
 //
+// The zipf, hotspot, exponential, latest and histogram kinds redraw a
+// request's destination until it differs from its source, so each also
+// rejects parameters or weights that leave less than 2^-20 of an endpoint
+// draw outside its heaviest node (workload.ZipfSpread and its siblings).
+//
 // Name optionally overrides the trace's report label.
 type TraceDef struct {
 	Kind   string     `json:"kind"`
@@ -598,8 +603,24 @@ func genCheck(kind string, wantP, wantS bool) func(TraceDef) error {
 	}
 }
 
+// spreadCheck is genCheck for a kind whose skew s can put nearly all of
+// an endpoint draw on one node, which would make the kind redraw
+// self-loops forever; spread is the workload's test of that.
+func spreadCheck(kind string, spread func(n int, s float64) error) func(TraceDef) error {
+	check := genCheck(kind, false, true)
+	return func(d TraceDef) error {
+		if err := check(d); err != nil {
+			return err
+		}
+		if err := spread(d.N, d.S); err != nil {
+			return fmt.Errorf("spec: trace kind %q: %w", kind, err)
+		}
+		return nil
+	}
+}
+
 // hotspotCheck is genCheck for the one kind that reads hot/hotopn, with
-// the set-size constraint HotspotGen would otherwise panic on.
+// the set-size and spread constraints HotspotGen would otherwise panic on.
 func hotspotCheck(d TraceDef) error {
 	if d.N < 2 {
 		return fmt.Errorf("spec: trace kind \"hotspot\" needs n >= 2, got %d", d.N)
@@ -615,6 +636,9 @@ func hotspotCheck(d TraceDef) error {
 	}
 	if hot := int(d.Hot * float64(d.N)); d.Hot <= 0 || d.Hot >= 1 || hot < 1 || hot >= d.N {
 		return fmt.Errorf("spec: trace kind \"hotspot\" needs hot in (0,1) with hot·n in 1..n-1, got hot=%v n=%d", d.Hot, d.N)
+	}
+	if err := workload.HotspotSpread(d.N, d.Hot, d.HotOpn); err != nil {
+		return fmt.Errorf("spec: trace kind \"hotspot\": %w", err)
 	}
 	return nil
 }
@@ -816,16 +840,16 @@ func init() {
 	registerBuiltinTrace("facebook", genCheck("facebook", false, false), func(d TraceDef) (workload.Generator, error) {
 		return workload.FacebookGen(d.N, d.M, d.Seed), nil
 	})
-	registerBuiltinTrace("zipf", genCheck("zipf", false, true), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("zipf", spreadCheck("zipf", workload.ZipfSpread), func(d TraceDef) (workload.Generator, error) {
 		return workload.ZipfGen(d.N, d.M, d.S, d.Seed), nil
 	})
 	registerBuiltinTrace("hotspot", hotspotCheck, func(d TraceDef) (workload.Generator, error) {
 		return workload.HotspotGen(d.N, d.M, d.Hot, d.HotOpn, d.Seed), nil
 	})
-	registerBuiltinTrace("exponential", genCheck("exponential", false, true), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("exponential", spreadCheck("exponential", workload.ExponentialSpread), func(d TraceDef) (workload.Generator, error) {
 		return workload.ExponentialGen(d.N, d.M, d.S, d.Seed), nil
 	})
-	registerBuiltinTrace("latest", genCheck("latest", false, true), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("latest", spreadCheck("latest", workload.ZipfSpread), func(d TraceDef) (workload.Generator, error) {
 		return workload.LatestGen(d.N, d.M, d.S, d.Seed), nil
 	})
 	registerBuiltinTrace("sequential", sequentialCheck, func(d TraceDef) (workload.Generator, error) {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ksan-net/ksan/internal/workload"
 )
@@ -171,5 +172,54 @@ func TestResolveConstructsEachGeneratorOnce(t *testing.T) {
 	}
 	if traces[0].Gen == nil {
 		t.Error("resolved TraceSpec does not carry the generator factory")
+	}
+}
+
+// TestSkewedKindsRejectOneNodeDraws resolves defs whose endpoint draw puts
+// all but a sliver of its mass on one node, which the kinds would redraw
+// self-loops on forever, and histogram files with fewer than two weights,
+// which panicked. Each must come back with an error inside the deadline.
+func TestSkewedKindsRejectOneNodeDraws(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cases := map[string]TraceDef{
+		"zipf s=40":              {Kind: "zipf", N: 100, M: 10, S: 40},
+		"zipf s=1000":            {Kind: "zipf", N: 100, M: 10, S: 1000},
+		"exponential s=2000":     {Kind: "exponential", N: 100, M: 10, S: 2000},
+		"exponential s=1e5":      {Kind: "exponential", N: 100, M: 10, S: 1e5},
+		"latest s=1000":          {Kind: "latest", N: 100, M: 10, S: 1000},
+		"hotspot hotopn=1-1e-12": {Kind: "hotspot", N: 100, M: 10, Hot: 0.01, HotOpn: 1 - 1e-12},
+		"histogram (1, 1e-17)":   {Kind: "histogram", M: 10, Path: file("tiny.txt", "1\n1e-17\n")},
+		"histogram (1, 1, 1e308)": {Kind: "histogram", M: 10,
+			Path: file("huge.txt", "1\n1\n1e308\n")},
+		"histogram (1e308, 1e308)": {Kind: "histogram", M: 10, Path: file("inf.txt", "1e308\n1e308\n")},
+		"histogram one weight":     {Kind: "histogram", M: 10, Path: file("one.txt", "7\n")},
+		"histogram only comments":  {Kind: "histogram", M: 10, Path: file("none.txt", "# no weights\n")},
+	}
+	for name, def := range cases {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				g, err := def.Resolve()
+				if err == nil {
+					_, err = workload.Collect(g)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("no error")
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("no error within 2s")
+			}
+		})
 	}
 }

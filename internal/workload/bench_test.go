@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -93,3 +95,34 @@ func BenchmarkCollect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSample times one rank draw per op at the sizes the workloads
+// draw from: the projector's ~2 044 pairs (n = 511) and the temporal
+// trace's 65 535 ranks. The search rows time the binary search the guide
+// table replaced, on the same CDF.
+func BenchmarkSample(b *testing.B) {
+	for _, n := range []int{2044, 65535} {
+		for _, tc := range everySampler(b, n) {
+			z := tc.z
+			b.Run(fmt.Sprintf("%s/n=%d/guide", tc.name, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					sum += z.sample(rng)
+				}
+				sampleSink = sum
+			})
+			b.Run(fmt.Sprintf("%s/n=%d/search", tc.name, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					sum += searchRank(z, rng.Float64())
+				}
+				sampleSink = sum
+			})
+		}
+	}
+}
+
+// sampleSink keeps BenchmarkSample's draws live.
+var sampleSink int

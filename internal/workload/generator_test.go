@@ -276,15 +276,25 @@ func TestHistogramZeroWeightNodesNeverAppear(t *testing.T) {
 	}
 }
 
+// TestHistogramRejectsBadWeights: besides malformed weights, fewer than
+// two (which panicked) and weights that leave less than 2^-20 of the
+// total off one node, or sum to +Inf (which hung a pass), are errors.
 func TestHistogramRejectsBadWeights(t *testing.T) {
+	if _, err := HistogramGen(6, 10, []float64{1, 2}, 1); err == nil {
+		t.Error("HistogramGen accepted 2 weights for 6 nodes")
+	}
 	for name, weights := range map[string][]float64{
-		"wrong length": {1, 2},
-		"negative":     {1, -1, 1, 1, 1, 1},
-		"nan":          {1, math.NaN(), 1, 1, 1, 1},
-		"one positive": {0, 0, 1, 0, 0, 0},
-		"all zero":     {0, 0, 0, 0, 0, 0},
+		"negative":       {1, -1, 1, 1, 1, 1},
+		"nan":            {1, math.NaN(), 1, 1, 1, 1},
+		"one positive":   {0, 0, 1, 0, 0, 0},
+		"all zero":       {0, 0, 0, 0, 0, 0},
+		"no weights":     {},
+		"one weight":     {1},
+		"(1, 1e-17)":     {1, 1e-17},
+		"(1, 1, 1e308)":  {1, 1, 1e308},
+		"(1e308, 1e308)": {1e308, 1e308},
 	} {
-		if _, err := HistogramGen(6, 10, weights, 1); err == nil {
+		if _, err := HistogramGen(len(weights), 10, weights, 1); err == nil {
 			t.Errorf("HistogramGen accepted %s weights", name)
 		}
 	}

@@ -30,7 +30,7 @@ import (
 // self-loops redraw the destination, coin included.
 //
 // hotFrac must leave both sets non-empty (at least one hot and one cold
-// node); hotOpn lies in (0,1).
+// node); hotOpn lies in (0,1), and HotspotSpread must accept the three.
 func HotspotGen(n, m int, hotFrac, hotOpn float64, seed int64) Generator {
 	checkPairable("Hotspot", n)
 	hot := int(hotFrac * float64(n))
@@ -40,6 +40,7 @@ func HotspotGen(n, m int, hotFrac, hotOpn float64, seed int64) Generator {
 	if hotOpn <= 0 || hotOpn >= 1 {
 		panic(fmt.Sprintf("workload: hotspot operation fraction %v outside (0,1)", hotOpn))
 	}
+	mustSpread(HotspotSpread(n, hotFrac, hotOpn))
 	return &seqGen{label: fmt.Sprintf("hotspot-%.2f-%.2f", hotFrac, hotOpn), n: n, m: m, seed: seed,
 		start: func(rng *rand.Rand) func() sim.Request {
 			perm := rng.Perm(n) // perm[:hot] is the hot set, scattered over 1..n
@@ -64,12 +65,14 @@ func HotspotGen(n, m int, hotFrac, hotOpn float64, seed int64) Generator {
 // permuted ranks (YCSB's exponential distribution): rank r has weight
 // exp(-s·(r-1)/n), so s sets how many e-foldings of popularity span the
 // node space regardless of n. Like Zipf, both endpoints share one rank
-// permutation; self-loops resample the destination.
+// permutation; self-loops resample the destination, so ExponentialSpread
+// must accept n and s.
 func ExponentialGen(n, m int, s float64, seed int64) Generator {
 	checkPairable("Exponential", n)
 	if s <= 0 {
 		panic(fmt.Sprintf("workload: exponential decay %v must be positive", s))
 	}
+	mustSpread(ExponentialSpread(n, s))
 	return &seqGen{label: fmt.Sprintf("exponential-%.2f", s), n: n, m: m, seed: seed,
 		start: func(rng *rand.Rand) func() sim.Request {
 			perm := rng.Perm(n)
@@ -88,26 +91,21 @@ func ExponentialGen(n, m int, s float64, seed int64) Generator {
 // HistogramGen streams requests whose endpoints follow an explicit node
 // popularity histogram (YCSB's histogram-from-file distribution):
 // weights[i] is the relative popularity of node i+1, so measured
-// per-node demand drops in directly. Weights must be finite, non-negative,
-// and not all zero; self-loops resample the destination. The weights slice
-// is captured, not copied — callers must not mutate it afterwards.
+// per-node demand drops in directly. There must be at least two weights,
+// each finite and non-negative, with a finite total of which no node holds
+// all but 2^-20 (spreadError), because self-loops resample the
+// destination. The weights slice is captured, not copied — callers must
+// not mutate it afterwards.
 func HistogramGen(n, m int, weights []float64, seed int64) (Generator, error) {
-	checkPairable("Histogram", n)
+	if n < 2 {
+		return nil, fmt.Errorf("workload: histogram needs at least 2 nodes to form a request pair, got n=%d", n)
+	}
 	if len(weights) != n {
 		return nil, fmt.Errorf("workload: histogram has %d weights for %d nodes", len(weights), n)
 	}
 	sampler, err := newWeightSampler(weights)
 	if err != nil {
 		return nil, err
-	}
-	positive := 0
-	for _, w := range weights {
-		if w > 0 {
-			positive++
-		}
-	}
-	if positive < 2 {
-		return nil, fmt.Errorf("workload: histogram needs at least two positive weights to form request pairs")
 	}
 	return &seqGen{label: "histogram", n: n, m: m, seed: seed,
 		start: func(rng *rand.Rand) func() sim.Request {
@@ -159,6 +157,7 @@ func LatestGen(n, m int, s float64, seed int64) Generator {
 	if s <= 0 {
 		panic(fmt.Sprintf("workload: latest skew %v must be positive", s))
 	}
+	mustSpread(ZipfSpread(n, s))
 	return &seqGen{label: fmt.Sprintf("latest-%.2f", s), n: n, m: m, seed: seed,
 		start: func(rng *rand.Rand) func() sim.Request {
 			mru := rng.Perm(n) // mru[d] is the node (0-based) at stack distance d

@@ -18,6 +18,14 @@ func checkPairable(gen string, n int) {
 	}
 }
 
+// mustSpread panics with a spread check's error: a generator whose
+// endpoint draw fails it would redraw self-loops forever.
+func mustSpread(err error) {
+	if err != nil {
+		panic(err.Error())
+	}
+}
+
 // HPCLike substitutes for the DOE mini-app traces used by the paper
 // (500 nodes in their setup). HPC applications exchange messages along a
 // process grid with strong spatial locality (stencil neighbours), strong
@@ -217,9 +225,11 @@ func FacebookLike(n, m int, seed int64) Trace { return MustCollect(FacebookGen(n
 // independently permuted ranks; a generic skewed workload used in tests and
 // examples. Self-loop collisions resample the destination (the former
 // "successor node" remap leaked the source's popularity mass onto a fixed
-// neighbour, distorting the destination marginal).
+// neighbour, distorting the destination marginal), so ZipfSpread must
+// accept n and s.
 func ZipfGen(n, m int, s float64, seed int64) Generator {
 	checkPairable("Zipf", n)
+	mustSpread(ZipfSpread(n, s))
 	return &seqGen{label: "zipf", n: n, m: m, seed: seed,
 		start: func(rng *rand.Rand) func() sim.Request {
 			perm := rng.Perm(n)

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -272,23 +273,28 @@ func TestFacebookWide(t *testing.T) {
 	}
 }
 
+// TestZipfSampler draws ranks and compares each rank's
+// frequency with its CDF step, so a search bug the reference shares
+// still fails: every rank lies within five standard deviations of its
+// probability, and a zero-weight rank is never drawn.
 func TestZipfSampler(t *testing.T) {
-	z := newZipfSampler(100, 1.2)
-	rngCounts := make([]int, 101)
-	tr := Zipf(100, 30000, 1.2, 7)
-	for _, rq := range tr.Reqs {
-		rngCounts[rq.Src]++
-	}
-	_ = z
-	// Skew check: some node must carry far more than the mean.
-	max := 0
-	for _, c := range rngCounts {
-		if c > max {
-			max = c
+	const draws = 1_000_000
+	for _, tc := range everySampler(t, 100) {
+		name, z := tc.name, tc.z
+		counts := make([]int, len(z.cdf)+1)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < draws; i++ {
+			counts[z.sample(rng)]++
 		}
-	}
-	if max < 3*30000/100 {
-		t.Errorf("zipf trace not skewed: max per-src count %d", max)
+		prev := 0.0
+		for r, c := range z.cdf {
+			p := c - prev
+			prev = c
+			got := float64(counts[r+1]) / draws
+			if sd := math.Sqrt(p * (1 - p) / draws); math.Abs(got-p) > 5*sd {
+				t.Errorf("%s: rank %d drawn %.5f of the time, CDF step %.5f (sd %.5f)", name, r+1, got, p, sd)
+			}
+		}
 	}
 }
 

@@ -338,7 +338,9 @@ func ProjectorGen(n, m int, seed int64) Generator { return workload.ProjectorGen
 // FacebookGen streams the Facebook-substitute workload.
 func FacebookGen(n, m int, seed int64) Generator { return workload.FacebookGen(n, m, seed) }
 
-// ZipfGen streams the Zipf workload.
+// ZipfGen streams the Zipf workload. Like HotspotGen, ExponentialGen and
+// LatestGen, it redraws self-loops, so it panics when its parameters leave
+// less than 2^-20 of an endpoint draw outside one node.
 func ZipfGen(n, m int, s float64, seed int64) Generator { return workload.ZipfGen(n, m, s, seed) }
 
 // HotspotGen streams the YCSB hotspot workload: a hotFrac fraction of the
@@ -365,7 +367,9 @@ func LatestGen(n, m int, s float64, seed int64) Generator {
 func SequentialGen(n, m int) Generator { return workload.SequentialGen(n, m) }
 
 // HistogramGen streams endpoints following an explicit node-popularity
-// histogram (weights[i] is node i+1's relative popularity).
+// histogram (weights[i] is node i+1's relative popularity). It returns an
+// error on fewer than two weights, a bad weight or total, or weights that
+// leave less than 2^-20 of the total outside one node.
 func HistogramGen(n, m int, weights []float64, seed int64) (Generator, error) {
 	return workload.HistogramGen(n, m, weights, seed)
 }
