@@ -48,7 +48,6 @@ type Engine struct {
 	workers  int
 	warmup   int
 	window   int
-	validate bool
 	churn    bool
 	progress func(Progress)
 
@@ -94,15 +93,6 @@ func WithProgress(fn func(Progress)) Option {
 	return func(e *Engine) { e.progress = fn }
 }
 
-// WithValidation toggles trace validation (on by default): runs reject
-// requests whose endpoints fall outside 1..net.N() with an error instead of
-// panicking deep inside a network. Validation is inline — each request is
-// checked as it is drawn from the stream, so a run ends at the first bad
-// request with the contiguous prefix before it measured and reported.
-func WithValidation(on bool) Option {
-	return func(e *Engine) { e.validate = on }
-}
-
 // WithLinkChurn enables physical link-churn accounting on networks that
 // report it (a ChurnReporter), switching on their per-rotation edge
 // tracking first. Off by default because tracking allocates on every
@@ -112,12 +102,9 @@ func WithLinkChurn(on bool) Option {
 }
 
 // New constructs an Engine; defaults are GOMAXPROCS workers, no warmup, no
-// time-series window, validation on, churn tracking off.
+// time-series window, churn tracking off.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		workers:  runtime.GOMAXPROCS(0),
-		validate: true,
-	}
+	e := &Engine{workers: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
 		o(e)
 	}
@@ -221,8 +208,8 @@ func (e *Engine) runOne(ctx context.Context, net sim.Network, gen workload.Gener
 // flush already emits at every boundary including the final partial
 // window, and the checkpoints stay quiet to avoid a duplicate stream.
 //
-// A stream error or (with validation on) an out-of-range request ends the
-// run like cancellation does: partial window flushed, contiguous prefix
+// A stream error or an out-of-range request ends the run like
+// cancellation does: partial window flushed, contiguous prefix
 // measured, the error returned.
 func (e *Engine) runSequential(ctx context.Context, net sim.Network, gen workload.Generator, warm int, res *Result, emit func(Progress)) (hist.Hist, error) {
 	const checkEvery = 2048
@@ -259,10 +246,8 @@ func (e *Engine) runSequential(ctx context.Context, net sim.Network, gen workloa
 				emit(Progress{Requests: i})
 			}
 		}
-		if e.validate {
-			if err := validateReq(rq, i, n); err != nil {
-				return fail(i, err)
-			}
+		if err := validateReq(rq, i, n); err != nil {
+			return fail(i, err)
 		}
 		c := net.Serve(rq.Src, rq.Dst)
 		if i++; i <= warm {

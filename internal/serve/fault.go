@@ -115,8 +115,8 @@ type FaultPlan struct {
 	BackoffCap time.Duration
 	// Seed seeds the backoff jitter stream.
 	Seed uint64
-	// Events is the fault schedule. Per shard, At values must be
-	// strictly increasing.
+	// Events is the fault schedule, in any order. Per shard, At values
+	// must be distinct.
 	Events []FaultEvent
 }
 
@@ -128,53 +128,70 @@ func (p *FaultPlan) checkpointInterval() int64 {
 	return p.CheckpointEvery
 }
 
-// validate checks the plan against the run's shard count and returns the
-// per-shard event schedules, each sorted by At.
-func (p *FaultPlan) validate(shards int) ([][]FaultEvent, error) {
+// Check validates the rules of the plan that hold whatever the run's
+// shard count: non-negative interval, timeout, retries and backoff, a
+// known degraded mode, and per event a shard index >= 0, a trigger point
+// >= 1, a known kind with only that kind's field set, and no second event
+// at the same point of the same shard. Run adds the shard range.
+func (p *FaultPlan) Check() error {
 	if p.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("serve: fault plan: checkpoint interval %d < 0", p.CheckpointEvery)
+		return fmt.Errorf("serve: fault plan: checkpoint interval %d < 0", p.CheckpointEvery)
 	}
 	if p.Degraded != DegradedFail && p.Degraded != DegradedStale {
-		return nil, fmt.Errorf("serve: fault plan: unknown degraded mode %d", p.Degraded)
+		return fmt.Errorf("serve: fault plan: unknown degraded mode %d", p.Degraded)
 	}
 	if p.Timeout < 0 || p.Retries < 0 || p.Backoff < 0 || p.BackoffCap < 0 {
-		return nil, fmt.Errorf("serve: fault plan: negative timeout/retries/backoff")
+		return fmt.Errorf("serve: fault plan: negative timeout/retries/backoff")
 	}
-	perShard := make([][]FaultEvent, shards)
 	for i, ev := range p.Events {
-		if ev.Shard < 0 || ev.Shard >= shards {
-			return nil, fmt.Errorf("serve: fault event %d targets shard %d of %d", i, ev.Shard, shards)
+		if ev.Shard < 0 {
+			return fmt.Errorf("serve: fault event %d targets shard %d", i, ev.Shard)
 		}
 		if ev.At < 1 {
-			return nil, fmt.Errorf("serve: fault event %d fires at %d; trigger points start at 1", i, ev.At)
+			return fmt.Errorf("serve: fault event %d fires at %d; trigger points start at 1", i, ev.At)
 		}
 		switch ev.Kind {
 		case FaultCrash:
 			if ev.RecoverAfter < -1 {
-				return nil, fmt.Errorf("serve: fault event %d: recover-after %d < -1", i, ev.RecoverAfter)
+				return fmt.Errorf("serve: fault event %d: recover-after %d < -1", i, ev.RecoverAfter)
 			}
 			if ev.Stall != 0 {
-				return nil, fmt.Errorf("serve: fault event %d: crash with a stall duration", i)
+				return fmt.Errorf("serve: fault event %d: crash with a stall duration", i)
 			}
 		case FaultStall:
 			if ev.Stall <= 0 {
-				return nil, fmt.Errorf("serve: fault event %d: stall without a positive duration", i)
+				return fmt.Errorf("serve: fault event %d: stall without a positive duration", i)
 			}
 			if ev.RecoverAfter != 0 {
-				return nil, fmt.Errorf("serve: fault event %d: stall with recover-after", i)
+				return fmt.Errorf("serve: fault event %d: stall with recover-after", i)
 			}
 		default:
-			return nil, fmt.Errorf("serve: fault event %d: unknown kind %d", i, ev.Kind)
+			return fmt.Errorf("serve: fault event %d: unknown kind %d", i, ev.Kind)
+		}
+		for _, prev := range p.Events[:i] {
+			if prev.Shard == ev.Shard && prev.At == ev.At {
+				return fmt.Errorf("serve: shard %d has two fault events at serve %d", ev.Shard, ev.At)
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks the plan against the run's shard count and returns the
+// per-shard event schedules, each sorted by At.
+func (p *FaultPlan) validate(shards int) ([][]FaultEvent, error) {
+	if err := p.Check(); err != nil {
+		return nil, err
+	}
+	perShard := make([][]FaultEvent, shards)
+	for i, ev := range p.Events {
+		if ev.Shard >= shards {
+			return nil, fmt.Errorf("serve: fault event %d targets shard %d of %d", i, ev.Shard, shards)
 		}
 		perShard[ev.Shard] = append(perShard[ev.Shard], ev)
 	}
-	for sh, evs := range perShard {
+	for _, evs := range perShard {
 		sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
-		for j := 1; j < len(evs); j++ {
-			if evs[j].At == evs[j-1].At {
-				return nil, fmt.Errorf("serve: shard %d has two fault events at serve %d", sh, evs[j].At)
-			}
-		}
 	}
 	return perShard, nil
 }

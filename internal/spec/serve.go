@@ -89,51 +89,30 @@ type FaultSpec struct {
 	Events          []FaultEventSpec `json:"events,omitempty"`
 }
 
-// check validates the document-level domains. Shard ranges and per-shard
-// schedule ordering depend on the resolved shard count, so they stay
-// with serve.FaultPlan's own validation at Run start.
+// check validates the two names the document spells, the degraded mode
+// and each event's kind, and then the plan they map to with the serving
+// layer's own rules (serve.FaultPlan.Check). Shard ranges depend on the
+// resolved shard count, so serve.Run checks them at start.
 func (f *FaultSpec) check() error {
-	if f.CheckpointEvery < 0 {
-		return fmt.Errorf("spec: faults: checkpoint_every %d < 0", f.CheckpointEvery)
-	}
 	switch f.Degraded {
 	case "", "fail", "stale":
 	default:
 		return fmt.Errorf("spec: faults: unknown degraded mode %q (want \"fail\" or \"stale\")", f.Degraded)
 	}
-	if f.TimeoutMs < 0 || f.Retries < 0 || f.BackoffMs < 0 || f.BackoffCapMs < 0 {
-		return fmt.Errorf("spec: faults: timeout_ms/retries/backoff_ms/backoff_cap_ms must be non-negative")
-	}
 	for i, ev := range f.Events {
-		if ev.Shard < 0 {
-			return fmt.Errorf("spec: faults: event %d: shard %d < 0", i, ev.Shard)
-		}
-		if ev.At < 1 {
-			return fmt.Errorf("spec: faults: event %d: at %d; trigger points start at 1", i, ev.At)
-		}
-		switch ev.Kind {
-		case "crash":
-			if ev.RecoverAfter < -1 {
-				return fmt.Errorf("spec: faults: event %d: recover_after %d < -1", i, ev.RecoverAfter)
-			}
-			if ev.StallMs != 0 {
-				return fmt.Errorf("spec: faults: event %d: crash with stall_ms", i)
-			}
-		case "stall":
-			if ev.StallMs <= 0 {
-				return fmt.Errorf("spec: faults: event %d: stall without a positive stall_ms", i)
-			}
-			if ev.RecoverAfter != 0 {
-				return fmt.Errorf("spec: faults: event %d: stall with recover_after", i)
-			}
-		default:
+		if ev.Kind != "crash" && ev.Kind != "stall" {
 			return fmt.Errorf("spec: faults: event %d: unknown kind %q (want \"crash\" or \"stall\")", i, ev.Kind)
 		}
+	}
+	if err := f.Plan().Check(); err != nil {
+		return fmt.Errorf("spec: faults: %w", err)
 	}
 	return nil
 }
 
-// Plan resolves the spec to the serving layer's runtime fault plan.
+// Plan resolves the spec to the serving layer's runtime fault plan. Every
+// field maps whatever the event's kind, so the plan's check sees a stall
+// duration on a crash.
 func (f *FaultSpec) Plan() *serve.FaultPlan {
 	p := &serve.FaultPlan{
 		CheckpointEvery: f.CheckpointEvery,
@@ -147,10 +126,10 @@ func (f *FaultSpec) Plan() *serve.FaultPlan {
 		p.Degraded = serve.DegradedStale
 	}
 	for _, ev := range f.Events {
-		e := serve.FaultEvent{Shard: ev.Shard, At: ev.At, RecoverAfter: ev.RecoverAfter}
+		e := serve.FaultEvent{Shard: ev.Shard, At: ev.At, RecoverAfter: ev.RecoverAfter,
+			Stall: time.Duration(ev.StallMs * float64(time.Millisecond))}
 		if ev.Kind == "stall" {
 			e.Kind = serve.FaultStall
-			e.Stall = time.Duration(ev.StallMs * float64(time.Millisecond))
 		}
 		p.Events = append(p.Events, e)
 	}

@@ -108,9 +108,10 @@ func TestFaultSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFaultSpecValidation(t *testing.T) {
+// invalidFaultSpecs are fault blocks Validate must reject.
+func invalidFaultSpecs() map[string]*FaultSpec {
 	crash := func(ev FaultEventSpec) *FaultSpec { return &FaultSpec{Events: []FaultEventSpec{ev}} }
-	for name, f := range map[string]*FaultSpec{
+	return map[string]*FaultSpec{
 		"negative checkpoint_every": {CheckpointEvery: -1},
 		"unknown degraded":          {Degraded: "panic"},
 		"negative timeout":          {TimeoutMs: -1},
@@ -124,7 +125,14 @@ func TestFaultSpecValidation(t *testing.T) {
 		"crash with stall_ms":       crash(FaultEventSpec{At: 1, Kind: "crash", StallMs: 1}),
 		"stall without stall_ms":    crash(FaultEventSpec{At: 1, Kind: "stall"}),
 		"stall with recover_after":  crash(FaultEventSpec{At: 1, Kind: "stall", StallMs: 1, RecoverAfter: 1}),
-	} {
+		"two events at one at": {Events: []FaultEventSpec{
+			{Shard: 1, At: 5, Kind: "crash"}, {Shard: 1, At: 5, Kind: "stall", StallMs: 1}}},
+		"stall_ms rounds to zero": crash(FaultEventSpec{At: 1, Kind: "stall", StallMs: 1e-7}),
+	}
+}
+
+func TestFaultSpecValidation(t *testing.T) {
+	for name, f := range invalidFaultSpecs() {
 		l := validLoad()
 		l.Faults = f
 		if err := l.Validate(); err == nil {

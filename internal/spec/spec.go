@@ -22,7 +22,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/ksan-net/ksan/internal/centroidnet"
@@ -36,24 +38,24 @@ import (
 )
 
 // NetworkDef declares one network design by registered kind. The builtin
-// kinds and the parameters they read:
+// kinds and the fields they read besides kind and name (k ≥ 2 and
+// alpha ≥ 1 wherever read; a field the kind does not read must be unset):
 //
-//	kary      — the k-ary SplayNet (K ≥ 2)
-//	centroid  — the centroid-based (K+1)-SplayNet (K ≥ 2)
-//	splaynet  — the binary SplayNet baseline (no parameters)
-//	lazy      — the partially reactive network (K ≥ 2, Alpha > 0)
-//	full      — the static weakly-complete k-ary tree (K ≥ 2)
-//	centroid-tree — the static centroid k-ary tree (K ≥ 2)
-//	uniform-opt   — the static uniform-optimal k-ary tree (K ≥ 2)
+//	kary      — k policy: the k-ary SplayNet
+//	centroid  — k policy: the centroid-based (k+1)-SplayNet
+//	splaynet  — policy: the binary SplayNet baseline
+//	lazy      — k alpha: the partially reactive network
+//	full      — k policy: the static weakly-complete k-ary tree
+//	centroid-tree — k policy: the static centroid k-ary tree
+//	uniform-opt   — k policy: the static uniform-optimal k-ary tree
 //
-// Every builtin kind except lazy additionally accepts a Policy: the kind
-// then only names the topology family, and the policy picks the point of
-// the trigger × adjuster plane served on it (see PolicyDef). Without a
-// policy each kind is its canonical composition — kary/centroid/splaynet
-// are fully reactive (always × their splay), the static kinds are frozen
-// (never × none). The lazy kind is itself the canonical
-// kary × (alpha, rebuild-wb) composition, so it rejects a policy; spell
-// variations as kary defs with an explicit policy.
+// A Policy makes the kind only name the topology family, and the policy
+// picks the point of the trigger × adjuster plane served on it (see
+// PolicyDef). Without a policy each kind is its canonical composition —
+// kary/centroid/splaynet are fully reactive (always × their splay), the
+// static kinds are frozen (never × none). The lazy kind is itself the
+// canonical kary × (alpha, rebuild-wb) composition, so it does not read
+// a policy; spell variations as kary defs with an explicit policy.
 //
 // Name optionally overrides the grid label (progress events) and the
 // network's report name.
@@ -66,15 +68,17 @@ type NetworkDef struct {
 }
 
 // PolicyDef selects a trigger × adjuster composition for a network def's
-// topology. Triggers and the parameters they read:
+// topology. Triggers and the fields they read (m ≥ 1, alpha ≥ 1 and
+// cooldown ≥ 0 wherever read; a field the trigger does not read must be
+// unset):
 //
-//	always — adjust after every request (no parameters)
-//	never  — frozen topology (no parameters)
-//	every  — adjust on every M-th request (M ≥ 1)
-//	first  — adjust on each of the first M requests, then freeze (M ≥ 1)
-//	alpha  — adjust once the routing cost since the last adjustment
-//	         reaches Alpha (Alpha ≥ 1; Cooldown ≥ 0 adds a re-arm delay
-//	         of that many requests, the hysteresis damping)
+//	always — adjust after every request (none)
+//	never  — frozen topology (none)
+//	every  — m: adjust on every m-th request
+//	first  — m: adjust on each of the first m requests, then freeze
+//	alpha  — alpha cooldown: adjust once the routing cost since the last
+//	         adjustment reaches alpha; cooldown adds a re-arm delay of
+//	         that many requests, the hysteresis damping
 //
 // Adjusters (availability depends on the kind — the repertoire is a
 // property of the topology):
@@ -99,38 +103,42 @@ type PolicyDef struct {
 }
 
 // TraceDef declares one workload request stream by registered kind. The
-// builtin kinds and the parameters they read (all except csv and phased
-// require N ≥ 2 and M ≥ 1):
+// builtin kinds and the fields they read besides kind and name:
 //
-//	uniform     — UniformGen(N, M, Seed)
-//	temporal    — TemporalGen(N, M, P, Seed), P in [0,1)
-//	hpc         — HPCGen(N, M, Seed)
-//	projector   — ProjectorGen(N, M, Seed)
-//	facebook    — FacebookGen(N, M, Seed)
-//	zipf        — ZipfGen(N, M, S, Seed), S > 0
-//	hotspot     — HotspotGen(N, M, Hot, HotOpn, Seed): a Hot fraction of
-//	              the nodes receives a HotOpn fraction of the endpoint
-//	              draws (both in (0,1), and Hot·N must leave both sets
-//	              non-empty)
-//	exponential — ExponentialGen(N, M, S, Seed), S > 0 the decay rate
-//	sequential  — SequentialGen(N, M): the deterministic all-pairs sweep;
-//	              reads no seed
-//	histogram   — HistogramGen over explicit node weights read from Path
-//	              (one weight per line; N comes from the file), plus M
-//	              and Seed
-//	latest      — LatestGen(N, M, S, Seed), S > 0 the recency skew
-//	csv         — a trace file written by workload.WriteCSV, streamed from
-//	              Path (N comes from the file; length is unknown up front)
-//	phased      — the concatenation of Phases: each phase is a complete
-//	              trace def of any non-phased, known-length kind whose M
-//	              is the phase's duration; all phases must share one node
-//	              count. Flash crowds, diurnal skew rotation and hot-set
-//	              drift are phase lists (see EXPERIMENTS.md §A6).
+//	uniform     — n m seed: UniformGen
+//	temporal    — n m p seed: TemporalGen
+//	hpc         — n m seed: HPCGen
+//	projector   — n m seed: ProjectorGen
+//	facebook    — n m seed: FacebookGen
+//	zipf        — n m s seed: ZipfGen
+//	hotspot     — n m hot hotopn seed: HotspotGen, a hot fraction of the
+//	              nodes receives a hotopn fraction of the endpoint draws
+//	exponential — n m s seed: ExponentialGen, s the decay rate
+//	latest      — n m s seed: LatestGen, s the recency skew
+//	sequential  — n m: SequentialGen, the deterministic all-pairs sweep
+//	histogram   — m seed path: HistogramGen over explicit node weights
+//	              read from path (one weight per line; n comes from the
+//	              file)
+//	csv         — path: a trace file written by workload.WriteCSV (n
+//	              comes from the file; length is unknown up front)
+//	phased      — phases: the concatenation of the phase defs, each of
+//	              any non-phased, known-length kind, whose m is the
+//	              phase's duration. Flash crowds, diurnal skew rotation
+//	              and hot-set drift are phase lists (see EXPERIMENTS.md
+//	              §A6).
 //
-// The zipf, hotspot, exponential, latest and histogram kinds redraw a
-// request's destination until it differs from its source, so each also
-// rejects parameters or weights that leave less than 2^-20 of an endpoint
-// draw outside its heaviest node (workload.ZipfSpread and its siblings).
+// A builtin def must leave every field its kind does not read unset, and
+// a field it reads must lie in the domain all readers share: n ≥ 2, m ≥ 1,
+// p in [0,1), s > 0, a non-empty path, at least one phase. Some kinds add
+// one rule. The zipf, exponential and latest kinds redraw a request's
+// destination until it differs from its source, so each rejects an s that
+// leaves less than 2^-20 of an endpoint draw outside its heaviest node
+// (workload.ZipfSpread, ExponentialSpread); hotspot needs hot and hotopn
+// in (0,1), hot·n in 1..n-1 and the same spread (workload.HotspotSpread);
+// phased needs every phase to pass its own check and the phases that
+// declare n to agree on it (a histogram phase's n comes from its file and
+// is compared when the phases resolve). A histogram file must pass the
+// same spread test when it is read.
 //
 // Name optionally overrides the trace's report label.
 type TraceDef struct {
@@ -411,50 +419,104 @@ func Decode(r io.Reader) (*Experiment, error) {
 	return &x, nil
 }
 
+// --- strict field checks ---
+
+// param is one def field as the strict checker sees it: its name, its
+// value (for messages), whether the def sets it (any non-zero value), and
+// whether it lies in the domain every kind that reads it shares (domain
+// "" and valid true when any value is, or when the kind's own rule
+// decides).
+type param struct {
+	name   string
+	value  any
+	set    bool
+	domain string
+	valid  bool
+}
+
+// checkParams is the one strict field checker of every def type: trace
+// kinds, network kinds and policy triggers. reads names the fields the
+// kind reads. A field it does not read must be unset: a set-but-ignored
+// field means the document describes a different experiment than the one
+// that would run, the failure DisallowUnknownFields guards against at the
+// JSON layer. A field it reads must lie in its shared domain.
+func checkParams(what, kind, reads string, params []param) error {
+	read := strings.Fields(reads)
+	for _, p := range params {
+		switch {
+		case !slices.Contains(read, p.name):
+			if p.set {
+				return fmt.Errorf("spec: %s %q does not read %s (got %v)", what, kind, p.name, p.value)
+			}
+		case !p.valid:
+			return fmt.Errorf("spec: %s %q needs %s, got %v", what, kind, p.domain, p.value)
+		}
+	}
+	return nil
+}
+
+// params lists the trace def's fields. Every kind that reads n, m, p, s,
+// path or phases requires the same of it; hot and hotopn are the hotspot
+// kind's rule, and any seed is valid.
+func (d TraceDef) params() []param {
+	return []param{
+		{"n", d.N, d.N != 0, "n >= 2", d.N >= 2},
+		{"m", d.M, d.M != 0, "m >= 1", d.M >= 1},
+		{"p", d.P, d.P != 0, "p in [0,1)", !(d.P < 0 || d.P >= 1)},
+		{"s", d.S, d.S != 0, "s > 0", d.S > 0},
+		{"hot", d.Hot, d.Hot != 0, "", true},
+		{"hotopn", d.HotOpn, d.HotOpn != 0, "", true},
+		{"seed", d.Seed, d.Seed != 0, "", true},
+		{"path", d.Path, d.Path != "", "a path", d.Path != ""},
+		{"phases", len(d.Phases), len(d.Phases) != 0, "at least one phase", len(d.Phases) != 0},
+	}
+}
+
+// params lists the network def's fields; a policy is checked against the
+// kind's adjusters when the kind resolves it.
+func (d NetworkDef) params() []param {
+	return []param{
+		{"k", d.K, d.K != 0, "k >= 2", d.K >= 2},
+		{"alpha", d.Alpha, d.Alpha != 0, "alpha >= 1", d.Alpha >= 1},
+		{"policy", d.Policy, d.Policy != nil, "", true},
+	}
+}
+
+// params lists the policy def's trigger fields.
+func (pd *PolicyDef) params() []param {
+	return []param{
+		{"m", pd.M, pd.M != 0, "m >= 1", pd.M >= 1},
+		{"alpha", pd.Alpha, pd.Alpha != 0, "alpha >= 1", pd.Alpha >= 1},
+		{"cooldown", pd.Cooldown, pd.Cooldown != 0, "cooldown >= 0", pd.Cooldown >= 0},
+	}
+}
+
 // --- policy defs ---
 
-// policyTriggers and policyAdjusters list the registered names for error
-// messages.
-var policyTriggers = []string{"always", "never", "every", "first", "alpha"}
+// policyTriggers maps each trigger to the PolicyDef fields it reads and
+// its constructor.
+var policyTriggers = map[string]struct {
+	reads string
+	make  func(pd *PolicyDef) policy.Trigger
+}{
+	"always": {"", func(*PolicyDef) policy.Trigger { return policy.Always() }},
+	"never":  {"", func(*PolicyDef) policy.Trigger { return policy.Never() }},
+	"every":  {"m", func(pd *PolicyDef) policy.Trigger { return policy.EveryM(pd.M) }},
+	"first":  {"m", func(pd *PolicyDef) policy.Trigger { return policy.First(pd.M) }},
+	"alpha":  {"alpha cooldown", func(pd *PolicyDef) policy.Trigger { return policy.AlphaHysteresis(pd.Alpha, pd.Cooldown) }},
+}
 
-// check validates the trigger and its parameters (strict both ways, like
-// the kind checks: set-but-unread parameters are rejected) and that the
-// adjuster is one the kind's topology supports.
+// check validates the trigger's fields (strict both ways, like the kind
+// checks) and that the adjuster is one the kind's topology supports.
 func (pd *PolicyDef) check(kind string, adjusters ...string) error {
-	switch pd.Trigger {
-	case "always", "never":
-		if pd.M != 0 || pd.Alpha != 0 || pd.Cooldown != 0 {
-			return fmt.Errorf("spec: policy trigger %q takes no parameters, got m=%d alpha=%d cooldown=%d",
-				pd.Trigger, pd.M, pd.Alpha, pd.Cooldown)
-		}
-	case "every", "first":
-		if pd.M < 1 {
-			return fmt.Errorf("spec: policy trigger %q needs m >= 1, got %d", pd.Trigger, pd.M)
-		}
-		if pd.Alpha != 0 || pd.Cooldown != 0 {
-			return fmt.Errorf("spec: policy trigger %q does not read alpha/cooldown (got %d/%d)",
-				pd.Trigger, pd.Alpha, pd.Cooldown)
-		}
-	case "alpha":
-		if pd.Alpha < 1 {
-			return fmt.Errorf("spec: policy trigger \"alpha\" needs alpha >= 1, got %d", pd.Alpha)
-		}
-		if pd.M != 0 {
-			return fmt.Errorf("spec: policy trigger \"alpha\" does not read m (got %d)", pd.M)
-		}
-		if pd.Cooldown < 0 {
-			return fmt.Errorf("spec: policy trigger \"alpha\" needs cooldown >= 0, got %d", pd.Cooldown)
-		}
-	default:
-		return fmt.Errorf("spec: unknown policy trigger %q (registered: %v)", pd.Trigger, policyTriggers)
+	t, ok := policyTriggers[pd.Trigger]
+	if !ok {
+		return fmt.Errorf("spec: unknown policy trigger %q (registered: %v)", pd.Trigger, sortedKeys(policyTriggers))
 	}
-	found := false
-	for _, a := range adjusters {
-		if a == pd.Adjuster {
-			found = true
-		}
+	if err := checkParams("policy trigger", pd.Trigger, t.reads, pd.params()); err != nil {
+		return err
 	}
-	if !found {
+	if !slices.Contains(adjusters, pd.Adjuster) {
 		return fmt.Errorf("spec: network kind %q supports policy adjusters %v, got %q", kind, adjusters, pd.Adjuster)
 	}
 	if frozen := pd.Trigger == "never"; frozen != (pd.Adjuster == "none") {
@@ -468,19 +530,7 @@ func (pd *PolicyDef) check(kind string, adjusters ...string) error {
 // so this must be called once per constructed network, never shared
 // across grid cells. It assumes check passed.
 func (pd *PolicyDef) trigger() policy.Trigger {
-	switch pd.Trigger {
-	case "always":
-		return policy.Always()
-	case "never":
-		return policy.Never()
-	case "every":
-		return policy.EveryM(pd.M)
-	case "first":
-		return policy.First(pd.M)
-	case "alpha":
-		return policy.AlphaHysteresis(pd.Alpha, pd.Cooldown)
-	}
-	panic(fmt.Sprintf("spec: unchecked policy trigger %q", pd.Trigger))
+	return policyTriggers[pd.Trigger].make(pd)
 }
 
 // treeAdjuster materializes the adjuster for a core.Tree-backed kind. It
@@ -513,19 +563,34 @@ var treeAdjusterNames = []string{"splay", "semi-splay", "rebuild-wb", "rebuild-o
 
 // --- builtin kinds ---
 
-// registerBuiltinNetwork wraps the builder with an eager parameter check,
-// so Experiment.Validate (which calls Spec and discards the result) can
-// reject bad builtin defs before any grid runs.
-func registerBuiltinNetwork(kind string, check func(NetworkDef) error, build NetworkBuilder) {
+// registerBuiltinNetwork registers build behind the strict check of the
+// fields the kind reads, so Experiment.Validate (which calls Spec and
+// discards the result) rejects bad builtin defs before any grid runs.
+func registerBuiltinNetwork(kind, reads string, build NetworkBuilder) {
 	RegisterNetwork(kind, func(d NetworkDef) (engine.NetworkSpec, error) {
-		if err := check(d); err != nil {
+		if err := checkParams("network kind", kind, reads, d.params()); err != nil {
 			return engine.NetworkSpec{}, err
 		}
 		return build(d)
 	})
 }
 
-func registerBuiltinTrace(kind string, check func(TraceDef) error, build TraceBuilder) {
+// registerBuiltinTrace registers build behind the kind's check: the
+// strict check of the fields it reads, then its extra rule (nil for none)
+// on a def whose fields passed.
+func registerBuiltinTrace(kind, reads string, rule func(TraceDef) error, build TraceBuilder) {
+	check := func(d TraceDef) error {
+		if err := checkParams("trace kind", kind, reads, d.params()); err != nil {
+			return err
+		}
+		if rule == nil {
+			return nil
+		}
+		if err := rule(d); err != nil {
+			return fmt.Errorf("spec: trace kind %q: %w", kind, err)
+		}
+		return nil
+	}
 	RegisterTrace(kind, func(d TraceDef) (workload.Generator, error) {
 		if err := check(d); err != nil {
 			return nil, err
@@ -537,172 +602,27 @@ func registerBuiltinTrace(kind string, check func(TraceDef) error, build TraceBu
 	regMu.Unlock()
 }
 
-// Builtin checks are strict both ways: required parameters must be in
-// range AND parameters the kind does not read must stay zero — a set-but-
-// ignored field means the document describes a different experiment than
-// the one that would run, the same failure mode DisallowUnknownFields
-// guards against at the JSON layer.
-
-func needK(kind string) func(NetworkDef) error {
-	return func(d NetworkDef) error {
-		if d.K < 2 {
-			return fmt.Errorf("spec: network kind %q needs k >= 2, got %d", kind, d.K)
-		}
-		if d.Alpha != 0 {
-			return fmt.Errorf("spec: network kind %q does not read alpha (got %d)", kind, d.Alpha)
-		}
-		return nil
-	}
-}
-
-func noParams(kind string) func(NetworkDef) error {
-	return func(d NetworkDef) error {
-		if d.K != 0 || d.Alpha != 0 {
-			return fmt.Errorf("spec: network kind %q takes no parameters, got k=%d alpha=%d", kind, d.K, d.Alpha)
-		}
-		return nil
-	}
-}
-
-// genCheck validates the shared generator parameters (every builtin trace
-// generator needs at least two nodes to form a self-loop-free pair) and
-// rejects set-but-unread ones: wantP/wantS mark the kinds that read the
-// temporal parameter p and the skew parameter s. Only hotspot reads
-// hot/hotopn and only phased reads phases; both have their own checks, so
-// genCheck rejects those fields outright.
-func genCheck(kind string, wantP, wantS bool) func(TraceDef) error {
-	return func(d TraceDef) error {
-		if d.N < 2 {
-			return fmt.Errorf("spec: trace kind %q needs n >= 2, got %d", kind, d.N)
-		}
-		if d.M < 1 {
-			return fmt.Errorf("spec: trace kind %q needs m >= 1, got %d", kind, d.M)
-		}
-		if d.Path != "" {
-			return fmt.Errorf("spec: trace kind %q does not read path (got %q)", kind, d.Path)
-		}
-		if d.Hot != 0 || d.HotOpn != 0 {
-			return fmt.Errorf("spec: trace kind %q does not read hot/hotopn (got %v/%v)", kind, d.Hot, d.HotOpn)
-		}
-		if len(d.Phases) != 0 {
-			return fmt.Errorf("spec: trace kind %q does not read phases (got %d)", kind, len(d.Phases))
-		}
-		switch {
-		case wantP && (d.P < 0 || d.P >= 1):
-			return fmt.Errorf("spec: trace kind %q needs p in [0,1), got %v", kind, d.P)
-		case !wantP && d.P != 0:
-			return fmt.Errorf("spec: trace kind %q does not read p (got %v)", kind, d.P)
-		}
-		switch {
-		case wantS && d.S <= 0:
-			return fmt.Errorf("spec: trace kind %q needs s > 0, got %v", kind, d.S)
-		case !wantS && d.S != 0:
-			return fmt.Errorf("spec: trace kind %q does not read s (got %v)", kind, d.S)
-		}
-		return nil
-	}
-}
-
-// spreadCheck is genCheck for a kind whose skew s can put nearly all of
-// an endpoint draw on one node, which would make the kind redraw
-// self-loops forever; spread is the workload's test of that.
-func spreadCheck(kind string, spread func(n int, s float64) error) func(TraceDef) error {
-	check := genCheck(kind, false, true)
-	return func(d TraceDef) error {
-		if err := check(d); err != nil {
-			return err
-		}
-		if err := spread(d.N, d.S); err != nil {
-			return fmt.Errorf("spec: trace kind %q: %w", kind, err)
-		}
-		return nil
-	}
-}
-
-// hotspotCheck is genCheck for the one kind that reads hot/hotopn, with
-// the set-size and spread constraints HotspotGen would otherwise panic on.
-func hotspotCheck(d TraceDef) error {
-	if d.N < 2 {
-		return fmt.Errorf("spec: trace kind \"hotspot\" needs n >= 2, got %d", d.N)
-	}
-	if d.M < 1 {
-		return fmt.Errorf("spec: trace kind \"hotspot\" needs m >= 1, got %d", d.M)
-	}
-	if d.P != 0 || d.S != 0 || d.Path != "" || len(d.Phases) != 0 {
-		return fmt.Errorf("spec: trace kind \"hotspot\" reads only n/m/hot/hotopn/seed (got p=%v s=%v path=%q phases=%d)", d.P, d.S, d.Path, len(d.Phases))
-	}
-	if d.HotOpn <= 0 || d.HotOpn >= 1 {
-		return fmt.Errorf("spec: trace kind \"hotspot\" needs hotopn in (0,1), got %v", d.HotOpn)
-	}
-	if hot := int(d.Hot * float64(d.N)); d.Hot <= 0 || d.Hot >= 1 || hot < 1 || hot >= d.N {
-		return fmt.Errorf("spec: trace kind \"hotspot\" needs hot in (0,1) with hot·n in 1..n-1, got hot=%v n=%d", d.Hot, d.N)
-	}
-	if err := workload.HotspotSpread(d.N, d.Hot, d.HotOpn); err != nil {
-		return fmt.Errorf("spec: trace kind \"hotspot\": %w", err)
-	}
-	return nil
-}
-
-// sequentialCheck: the all-pairs sweep is fully deterministic, so a set
-// seed (or any distribution parameter) describes an experiment the kind
-// cannot run.
-func sequentialCheck(d TraceDef) error {
-	if d.N < 2 {
-		return fmt.Errorf("spec: trace kind \"sequential\" needs n >= 2, got %d", d.N)
-	}
-	if d.M < 1 {
-		return fmt.Errorf("spec: trace kind \"sequential\" needs m >= 1, got %d", d.M)
-	}
-	if d.P != 0 || d.S != 0 || d.Seed != 0 || d.Path != "" || d.Hot != 0 || d.HotOpn != 0 || len(d.Phases) != 0 {
-		return fmt.Errorf("spec: trace kind \"sequential\" reads only n and m (got p=%v s=%v seed=%d path=%q hot=%v hotopn=%v phases=%d)",
-			d.P, d.S, d.Seed, d.Path, d.Hot, d.HotOpn, len(d.Phases))
-	}
-	return nil
-}
-
-// histogramCheck: node count and weights come from the file, so n must
-// stay zero like csv's.
-func histogramCheck(d TraceDef) error {
-	if d.Path == "" {
-		return fmt.Errorf("spec: trace kind \"histogram\" needs a path")
-	}
-	if d.M < 1 {
-		return fmt.Errorf("spec: trace kind \"histogram\" needs m >= 1, got %d", d.M)
-	}
-	if d.N != 0 || d.P != 0 || d.S != 0 || d.Hot != 0 || d.HotOpn != 0 || len(d.Phases) != 0 {
-		return fmt.Errorf("spec: trace kind \"histogram\" reads only path/m/seed/name; n comes from the file (got n=%d p=%v s=%v hot=%v hotopn=%v phases=%d)",
-			d.N, d.P, d.S, d.Hot, d.HotOpn, len(d.Phases))
-	}
-	return nil
-}
-
-// phasedCheck validates the phase list recursively: every phase is a
-// complete def of a known-length, non-nested kind, all phases agree on
-// the node count, and the outer def carries nothing but name and phases
-// (its label and length are derived).
-func phasedCheck(d TraceDef) error {
-	if len(d.Phases) == 0 {
-		return fmt.Errorf("spec: trace kind \"phased\" needs at least one phase")
-	}
-	if d.N != 0 || d.M != 0 || d.P != 0 || d.S != 0 || d.Seed != 0 || d.Path != "" || d.Hot != 0 || d.HotOpn != 0 {
-		return fmt.Errorf("spec: trace kind \"phased\" reads only name and phases; n/m and all parameters live on the phase defs (got n=%d m=%d p=%v s=%v seed=%d path=%q hot=%v hotopn=%v)",
-			d.N, d.M, d.P, d.S, d.Seed, d.Path, d.Hot, d.HotOpn)
-	}
+// phasedRule checks the phase list: every phase is a def of a
+// known-length, non-nested kind that passes its own check, and the phases
+// that declare a node count agree on it. A histogram phase's count comes
+// from its file, so it is compared when PhasedGen sees the resolved
+// counts.
+func phasedRule(d TraceDef) error {
 	n := 0
 	for i, pd := range d.Phases {
 		switch pd.Kind {
 		case "phased":
-			return fmt.Errorf("spec: phases[%d]: phased traces do not nest", i)
+			return fmt.Errorf("phases[%d]: phased traces do not nest", i)
 		case "csv":
-			return fmt.Errorf("spec: phases[%d]: kind \"csv\" cannot be a phase (its length is not declared, so the phase duration is unknowable)", i)
+			return fmt.Errorf("phases[%d]: kind \"csv\" cannot be a phase (its length is not declared, so the phase duration is unknowable)", i)
 		}
 		if err := pd.check(); err != nil {
-			return fmt.Errorf("spec: phases[%d]: %w", i, err)
+			return fmt.Errorf("phases[%d]: %w", i, err)
 		}
-		if i == 0 {
+		if n == 0 {
 			n = pd.N
-		} else if pd.N != n {
-			return fmt.Errorf("spec: phases[%d]: node count %d differs from phase 0's %d (one network serves the whole stream)", i, pd.N, n)
+		} else if pd.N != 0 && pd.N != n {
+			return fmt.Errorf("phases[%d]: node count %d differs from an earlier phase's %d (one network serves the whole stream)", i, pd.N, n)
 		}
 	}
 	return nil
@@ -771,52 +691,41 @@ var (
 var triggerOnlyAdjusters = []string{"splay", "none"}
 
 func init() {
-	registerBuiltinNetwork("kary", needK("kary"), func(d NetworkDef) (engine.NetworkSpec, error) {
+	registerBuiltinNetwork("kary", "k policy", func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
 		return policyKindSpec(d, policy.KArySplayNetName(k), reactive, treeAdjusterNames,
 			onTree(func(n int) (*core.Tree, error) { return core.NewBalanced(n, k) }))
 	})
-	registerBuiltinNetwork("centroid", needK("centroid"), func(d NetworkDef) (engine.NetworkSpec, error) {
+	registerBuiltinNetwork("centroid", "k policy", func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
 		return policyKindSpec(d, fmt.Sprintf("%d-SplayNet", k+1), reactive, triggerOnlyAdjusters,
 			func(label string, pd *PolicyDef, n int) (sim.Network, error) {
 				return centroidnet.Compose(label, n, k, pd.trigger())
 			})
 	})
-	registerBuiltinNetwork("splaynet", noParams("splaynet"), func(d NetworkDef) (engine.NetworkSpec, error) {
+	registerBuiltinNetwork("splaynet", "policy", func(d NetworkDef) (engine.NetworkSpec, error) {
 		return policyKindSpec(d, "SplayNet", reactive, triggerOnlyAdjusters,
 			func(label string, pd *PolicyDef, n int) (sim.Network, error) {
 				return splaynet.Compose(label, n, pd.trigger())
 			})
 	})
-	registerBuiltinNetwork("lazy", func(d NetworkDef) error {
-		if d.K < 2 {
-			return fmt.Errorf("spec: network kind \"lazy\" needs k >= 2, got %d", d.K)
-		}
-		if d.Alpha < 1 {
-			return fmt.Errorf("spec: network kind \"lazy\" needs alpha >= 1, got %d", d.Alpha)
-		}
-		if d.Policy != nil {
-			return fmt.Errorf("spec: network kind \"lazy\" is the canonical kary × (alpha, rebuild-wb) composition and takes no policy; use kind \"kary\" with an explicit policy instead")
-		}
-		return nil
-	}, func(d NetworkDef) (engine.NetworkSpec, error) {
+	registerBuiltinNetwork("lazy", "k alpha", func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
 		return policyKindSpec(d, policy.LazyName(k, d.Alpha),
 			PolicyDef{Trigger: "alpha", Alpha: d.Alpha, Adjuster: "rebuild-wb"}, nil,
 			onTree(func(n int) (*core.Tree, error) { return core.NewBalanced(n, k) }))
 	})
-	registerBuiltinNetwork("full", needK("full"), func(d NetworkDef) (engine.NetworkSpec, error) {
+	registerBuiltinNetwork("full", "k policy", func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
 		return policyKindSpec(d, fmt.Sprintf("full %d-ary tree", k), frozen, treeAdjusterNames,
 			onTree(func(n int) (*core.Tree, error) { return statictree.Full(n, k) }))
 	})
-	registerBuiltinNetwork("centroid-tree", needK("centroid-tree"), func(d NetworkDef) (engine.NetworkSpec, error) {
+	registerBuiltinNetwork("centroid-tree", "k policy", func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
 		return policyKindSpec(d, fmt.Sprintf("centroid %d-ary tree", k), frozen, treeAdjusterNames,
 			onTree(func(n int) (*core.Tree, error) { return statictree.Centroid(n, k) }))
 	})
-	registerBuiltinNetwork("uniform-opt", needK("uniform-opt"), func(d NetworkDef) (engine.NetworkSpec, error) {
+	registerBuiltinNetwork("uniform-opt", "k policy", func(d NetworkDef) (engine.NetworkSpec, error) {
 		k := d.K
 		return policyKindSpec(d, fmt.Sprintf("uniform-optimal %d-ary tree", k), frozen, treeAdjusterNames,
 			onTree(func(n int) (*core.Tree, error) {
@@ -825,37 +734,44 @@ func init() {
 			}))
 	})
 
-	registerBuiltinTrace("uniform", genCheck("uniform", false, false), func(d TraceDef) (workload.Generator, error) {
+	// The skewed kinds' rules: an endpoint draw that puts nearly all of
+	// its mass on one node would redraw self-loops forever.
+	zipfSpread := func(d TraceDef) error { return workload.ZipfSpread(d.N, d.S) }
+	registerBuiltinTrace("uniform", "n m seed", nil, func(d TraceDef) (workload.Generator, error) {
 		return workload.UniformGen(d.N, d.M, d.Seed), nil
 	})
-	registerBuiltinTrace("temporal", genCheck("temporal", true, false), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("temporal", "n m p seed", nil, func(d TraceDef) (workload.Generator, error) {
 		return workload.TemporalGen(d.N, d.M, d.P, d.Seed), nil
 	})
-	registerBuiltinTrace("hpc", genCheck("hpc", false, false), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("hpc", "n m seed", nil, func(d TraceDef) (workload.Generator, error) {
 		return workload.HPCGen(d.N, d.M, d.Seed), nil
 	})
-	registerBuiltinTrace("projector", genCheck("projector", false, false), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("projector", "n m seed", nil, func(d TraceDef) (workload.Generator, error) {
 		return workload.ProjectorGen(d.N, d.M, d.Seed), nil
 	})
-	registerBuiltinTrace("facebook", genCheck("facebook", false, false), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("facebook", "n m seed", nil, func(d TraceDef) (workload.Generator, error) {
 		return workload.FacebookGen(d.N, d.M, d.Seed), nil
 	})
-	registerBuiltinTrace("zipf", spreadCheck("zipf", workload.ZipfSpread), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("zipf", "n m s seed", zipfSpread, func(d TraceDef) (workload.Generator, error) {
 		return workload.ZipfGen(d.N, d.M, d.S, d.Seed), nil
 	})
-	registerBuiltinTrace("hotspot", hotspotCheck, func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("hotspot", "n m hot hotopn seed", func(d TraceDef) error {
+		return workload.HotspotSpread(d.N, d.Hot, d.HotOpn)
+	}, func(d TraceDef) (workload.Generator, error) {
 		return workload.HotspotGen(d.N, d.M, d.Hot, d.HotOpn, d.Seed), nil
 	})
-	registerBuiltinTrace("exponential", spreadCheck("exponential", workload.ExponentialSpread), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("exponential", "n m s seed", func(d TraceDef) error {
+		return workload.ExponentialSpread(d.N, d.S)
+	}, func(d TraceDef) (workload.Generator, error) {
 		return workload.ExponentialGen(d.N, d.M, d.S, d.Seed), nil
 	})
-	registerBuiltinTrace("latest", spreadCheck("latest", workload.ZipfSpread), func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("latest", "n m s seed", zipfSpread, func(d TraceDef) (workload.Generator, error) {
 		return workload.LatestGen(d.N, d.M, d.S, d.Seed), nil
 	})
-	registerBuiltinTrace("sequential", sequentialCheck, func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("sequential", "n m", nil, func(d TraceDef) (workload.Generator, error) {
 		return workload.SequentialGen(d.N, d.M), nil
 	})
-	registerBuiltinTrace("histogram", histogramCheck, func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("histogram", "m seed path", nil, func(d TraceDef) (workload.Generator, error) {
 		f, err := os.Open(d.Path)
 		if err != nil {
 			return nil, fmt.Errorf("spec: opening histogram file: %w", err)
@@ -871,23 +787,14 @@ func init() {
 		}
 		return g, nil
 	})
-	registerBuiltinTrace("csv", func(d TraceDef) error {
-		if d.Path == "" {
-			return fmt.Errorf("spec: trace kind \"csv\" needs a path")
-		}
-		if d.N != 0 || d.M != 0 || d.P != 0 || d.S != 0 || d.Seed != 0 || d.Hot != 0 || d.HotOpn != 0 || len(d.Phases) != 0 {
-			return fmt.Errorf("spec: trace kind \"csv\" reads only path and name; everything else comes from the file (got n=%d m=%d p=%v s=%v seed=%d hot=%v hotopn=%v phases=%d)",
-				d.N, d.M, d.P, d.S, d.Seed, d.Hot, d.HotOpn, len(d.Phases))
-		}
-		return nil
-	}, func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("csv", "path", nil, func(d TraceDef) (workload.Generator, error) {
 		g, err := workload.OpenCSV(d.Path)
 		if err != nil {
 			return nil, fmt.Errorf("spec: %s: %w", d.Path, err)
 		}
 		return g, nil
 	})
-	registerBuiltinTrace("phased", phasedCheck, func(d TraceDef) (workload.Generator, error) {
+	registerBuiltinTrace("phased", "phases", phasedRule, func(d TraceDef) (workload.Generator, error) {
 		phases := make([]workload.Phase, len(d.Phases))
 		for i, pd := range d.Phases {
 			g, err := pd.Resolve()

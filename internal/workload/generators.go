@@ -29,18 +29,12 @@ import (
 // sets are uniform inside. Each endpoint flips the hot coin independently;
 // self-loops redraw the destination, coin included.
 //
-// hotFrac must leave both sets non-empty (at least one hot and one cold
-// node); hotOpn lies in (0,1), and HotspotSpread must accept the three.
+// HotspotSpread must accept n, hotFrac and hotOpn: both sets non-empty,
+// hotOpn in (0,1), and a draw that can form pairs.
 func HotspotGen(n, m int, hotFrac, hotOpn float64, seed int64) Generator {
 	checkPairable("Hotspot", n)
-	hot := int(hotFrac * float64(n))
-	if hotFrac <= 0 || hotFrac >= 1 || hot < 1 || hot >= n {
-		panic(fmt.Sprintf("workload: hotspot fraction %v leaves an empty hot or cold set at n=%d", hotFrac, n))
-	}
-	if hotOpn <= 0 || hotOpn >= 1 {
-		panic(fmt.Sprintf("workload: hotspot operation fraction %v outside (0,1)", hotOpn))
-	}
 	mustSpread(HotspotSpread(n, hotFrac, hotOpn))
+	hot := int(hotFrac * float64(n))
 	return &seqGen{label: fmt.Sprintf("hotspot-%.2f-%.2f", hotFrac, hotOpn), n: n, m: m, seed: seed,
 		start: func(rng *rand.Rand) func() sim.Request {
 			perm := rng.Perm(n) // perm[:hot] is the hot set, scattered over 1..n

@@ -156,11 +156,19 @@ func ExponentialSpread(n int, s float64) error {
 	return nil
 }
 
-// HotspotSpread is ZipfSpread for the hotspot kind: a hot node holds
-// hotOpn/hot of an endpoint draw and a cold one (1−hotOpn)/(n−hot). The
-// hot and cold sets must be non-empty.
+// HotspotSpread returns an error unless the hotspot kind can draw from
+// its parameters: hotFrac of the n nodes must leave both the hot and the
+// cold set non-empty, hotOpn must lie in (0,1), and the draw must spread
+// like ZipfSpread's, where a hot node holds hotOpn/hot of it and a cold
+// one (1−hotOpn)/(n−hot).
 func HotspotSpread(n int, hotFrac, hotOpn float64) error {
 	hot := int(hotFrac * float64(n))
+	if hotFrac <= 0 || hotFrac >= 1 || hot < 1 || hot >= n {
+		return fmt.Errorf("workload: hotspot needs hot in (0,1) with hot·n in 1..n-1, got hot=%v n=%d", hotFrac, n)
+	}
+	if hotOpn <= 0 || hotOpn >= 1 {
+		return fmt.Errorf("workload: hotspot needs hotopn in (0,1), got %v", hotOpn)
+	}
 	if err := spreadError(max(hotOpn/float64(hot), (1-hotOpn)/float64(n-hot)), 1); err != nil {
 		return fmt.Errorf("workload: hotspot %v/%v over %d nodes: %w", hotFrac, hotOpn, n, err)
 	}

@@ -425,7 +425,7 @@ func EntropyBoundStream(g Generator) (float64, error) { return workload.EntropyB
 type Engine = engine.Engine
 
 // EngineOption configures an Engine (see WithWorkers, WithWarmup,
-// WithWindow, WithProgress, WithValidation, WithLinkChurn).
+// WithWindow, WithProgress, WithLinkChurn).
 type EngineOption = engine.Option
 
 // EngineResult is the extended per-run result of the streaming engine; it
@@ -459,9 +459,6 @@ func WithWindow(w int) EngineOption { return engine.WithWindow(w) }
 
 // WithProgress installs a progress callback (calls are serialized).
 func WithProgress(fn func(EngineProgress)) EngineOption { return engine.WithProgress(fn) }
-
-// WithValidation toggles trace validation (default on).
-func WithValidation(on bool) EngineOption { return engine.WithValidation(on) }
 
 // WithLinkChurn enables physical link-churn accounting where available.
 func WithLinkChurn(on bool) EngineOption { return engine.WithLinkChurn(on) }
