@@ -186,18 +186,19 @@ func TestTriggerChecksMatchReference(t *testing.T) {
 
 // TestFaultChecksMatchReference compares the fault block's check with
 // the reference on TestFaultSpecValidation's specs, valid specs and the
-// corners where they differ. Two differences are named:
+// corners where they differ. Three differences are named:
 //   - "rejected at Run start": the reference accepted a block whose plan
 //     serve.Run refuses at start; the check may now reject it. These are
 //     two events at one at on one shard and a stall_ms that rounds to a
-//     zero duration (TestFaultSpecValidation asserts both are rejected),
-//     and a duration beyond time.Duration's range, whose conversion is
-//     implementation-defined (negative on amd64);
+//     zero duration (TestFaultSpecValidation asserts both are rejected);
+//   - "beyond a duration's range": the reference accepted a duration
+//     whose conversion to time.Duration is implementation-defined; the
+//     check rejects it on every platform, naming the field;
 //   - "sub-nanosecond plans to zero": a negative duration above -1 ns, or
 //     a crash's stall_ms below 1 ns, maps to a zero duration that the
 //     plan accepts, where the reference rejected the document's value.
 func TestFaultChecksMatchReference(t *testing.T) {
-	const atRun, subNs = "rejected at Run start", "sub-nanosecond plans to zero"
+	const atRun, beyond, subNs = "rejected at Run start", "beyond a duration's range", "sub-nanosecond plans to zero"
 	event := func(ev FaultEventSpec) *FaultSpec { return &FaultSpec{Events: []FaultEventSpec{ev}} }
 	cases := invalidFaultSpecs()
 	for name, f := range map[string]*FaultSpec{
@@ -219,8 +220,8 @@ func TestFaultChecksMatchReference(t *testing.T) {
 	diffs := map[string]string{
 		"two events at one at":                atRun,
 		"stall_ms rounds to zero":             atRun,
-		"timeout_ms beyond the range":         atRun,
-		"stall_ms beyond the range":           atRun,
+		"timeout_ms beyond the range":         beyond,
+		"stall_ms beyond the range":           beyond,
 		"negative sub-ns timeout_ms":          subNs,
 		"negative sub-ns backoff_ms":          subNs,
 		"negative sub-ns backoff_cap_ms":      subNs,
@@ -242,6 +243,13 @@ func TestFaultChecksMatchReference(t *testing.T) {
 				if err := runFaults(f); err == nil {
 					t.Errorf("%s: check returned %v, but serve.Run accepted the plan", name, got)
 				}
+			}
+		case beyond:
+			if want != nil {
+				t.Errorf("%s: the reference rejected the block: %v", name, want)
+			}
+			if field := strings.Fields(name)[0]; got == nil || !strings.Contains(got.Error(), field) {
+				t.Errorf("%s: check returned %v, want an error naming %s", name, got, field)
 			}
 		case subNs:
 			if got != nil || want == nil {

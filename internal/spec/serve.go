@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"github.com/ksan-net/ksan/internal/engine"
@@ -36,6 +37,20 @@ func (d ServeDef) check() error {
 	if d.Shards < 0 || d.Clients < 0 || d.TargetOps < 0 || d.Warmup < 0 ||
 		d.MaxRequests < 0 || d.DurationSeconds < 0 || d.LatencySample < -1 {
 		return fmt.Errorf("spec: serve block fields must be non-negative (latency_sample >= -1), got %+v", d)
+	}
+	if err := checkDuration("duration_seconds", d.DurationSeconds, time.Second); err != nil {
+		return fmt.Errorf("spec: serve block: %w", err)
+	}
+	return nil
+}
+
+// checkDuration rejects a document duration of x units that lies beyond
+// time.Duration's range of ±2⁶³ ns (about 292 years), naming its field:
+// Go leaves the conversion of such a float64 to a Duration
+// implementation-defined (on amd64 it turns negative).
+func checkDuration(field string, x float64, unit time.Duration) error {
+	if ns := math.Abs(x) * float64(unit); !(ns < 1<<63) {
+		return fmt.Errorf("%s %g is beyond a duration's range (about 292 years)", field, x)
 	}
 	return nil
 }
@@ -90,18 +105,30 @@ type FaultSpec struct {
 }
 
 // check validates the two names the document spells, the degraded mode
-// and each event's kind, and then the plan they map to with the serving
-// layer's own rules (serve.FaultPlan.Check). Shard ranges depend on the
-// resolved shard count, so serve.Run checks them at start.
+// and each event's kind, and that every duration converts (checkDuration),
+// and then the plan they map to with the serving layer's own rules
+// (serve.FaultPlan.Check). Shard ranges depend on the resolved shard
+// count, so serve.Run checks them at start.
 func (f *FaultSpec) check() error {
 	switch f.Degraded {
 	case "", "fail", "stale":
 	default:
 		return fmt.Errorf("spec: faults: unknown degraded mode %q (want \"fail\" or \"stale\")", f.Degraded)
 	}
+	for _, d := range []struct {
+		field string
+		ms    float64
+	}{{"timeout_ms", f.TimeoutMs}, {"backoff_ms", f.BackoffMs}, {"backoff_cap_ms", f.BackoffCapMs}} {
+		if err := checkDuration(d.field, d.ms, time.Millisecond); err != nil {
+			return fmt.Errorf("spec: faults: %w", err)
+		}
+	}
 	for i, ev := range f.Events {
 		if ev.Kind != "crash" && ev.Kind != "stall" {
 			return fmt.Errorf("spec: faults: event %d: unknown kind %q (want \"crash\" or \"stall\")", i, ev.Kind)
+		}
+		if err := checkDuration("stall_ms", ev.StallMs, time.Millisecond); err != nil {
+			return fmt.Errorf("spec: faults: event %d: %w", i, err)
 		}
 	}
 	if err := f.Plan().Check(); err != nil {

@@ -146,6 +146,33 @@ func TestFaultSpecValidation(t *testing.T) {
 	}
 }
 
+// TestDurationFieldsInRange: every duration a load document spells must
+// convert to a time.Duration, whose range ends at 2⁶³ ns (about 9.22e12
+// ms or 9.22e9 s). A value beyond it is rejected by name on every
+// platform; one just inside it validates.
+func TestDurationFieldsInRange(t *testing.T) {
+	fields := map[string]func(l *LoadSpec, ms float64){
+		"timeout_ms":     func(l *LoadSpec, ms float64) { l.Faults = &FaultSpec{TimeoutMs: ms} },
+		"backoff_ms":     func(l *LoadSpec, ms float64) { l.Faults = &FaultSpec{BackoffMs: ms} },
+		"backoff_cap_ms": func(l *LoadSpec, ms float64) { l.Faults = &FaultSpec{BackoffCapMs: ms} },
+		"stall_ms": func(l *LoadSpec, ms float64) {
+			l.Faults = &FaultSpec{Events: []FaultEventSpec{{At: 1, Kind: "stall", StallMs: ms}}}
+		},
+		"duration_seconds": func(l *LoadSpec, ms float64) { l.Serve.DurationSeconds = ms / 1e3 },
+	}
+	for field, set := range fields {
+		inside, beyond := validLoad(), validLoad()
+		set(inside, 9e12)
+		set(beyond, 1e13)
+		if err := inside.Validate(); err != nil {
+			t.Errorf("%s at 9e12 ms: %v", field, err)
+		}
+		if err := beyond.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s at 1e13 ms: Validate returned %v, want an error naming %s", field, err, field)
+		}
+	}
+}
+
 // TestFaultSpecPlan pins the spec → runtime mapping: millisecond fields
 // become durations, kind/degraded strings become enums.
 func TestFaultSpecPlan(t *testing.T) {

@@ -7,8 +7,8 @@
 //     tables shared across an arity sweep (row-major, plus column-major
 //     copies of the two planes its min-plus loops read down a column),
 //     an exact admissible-bound root pruning (Knuth-style windows are
-//     unsound for this cost — see dp.go), and an atomic work-counter
-//     parallel fill,
+//     unsound for this cost — see dp.go), and a parallel fill of the long
+//     diagonals on one worker pool per solve,
 //   - UniformSolver / OptimalUniform: the O(n²·k) dynamic program for the
 //     uniform workload (Theorem 4), which optimizes over tree shapes and
 //     imposes the search property afterwards,

@@ -3,6 +3,7 @@ package statictree
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/workload"
@@ -36,9 +37,10 @@ func layoutDemands(n int) []demandCase {
 // TestSolverFillMatchesRowMajor pins the Solver's fill to the former one
 // (rowMajorSolver) cell for cell: every stored plane t = 1..k-1, both
 // column copies, the root table, the cost, the pruning counters and the
-// built tree. Each case runs inline and again on three workers with the
-// spawn threshold at zero, so the concurrent writes of the row cells and
-// of their column copies run under the race detector.
+// built tree. Each case runs inline and again on two and three workers
+// with the spawn threshold at zero, so every diagonal but the last is
+// pooled and the concurrent writes of the row cells and of their column
+// copies, and the barrier between diagonals, run under the race detector.
 func TestSolverFillMatchesRowMajor(t *testing.T) {
 	// A one-worker Solver fills inline at any threshold. The parallel
 	// cases run after this function returns, so Cleanup, which waits for
@@ -50,20 +52,42 @@ func TestSolverFillMatchesRowMajor(t *testing.T) {
 		for _, dc := range layoutDemands(n) {
 			t.Run(fmt.Sprintf("%s/n=%d", dc.name, n), func(t *testing.T) {
 				t.Parallel()
-				checkSolverFill(t, dc.d)
+				checkSolverFill(t, dc.d, 1, 2, 3)
 			})
 		}
 	}
 }
 
-func checkSolverFill(t *testing.T, d *workload.Demand) {
+// TestSolverFillOneProcessor runs two fill workers on one processor
+// (GOMAXPROCS 1) with every diagonal but the last pooled: a worker that
+// waits at the barrier between two diagonals must yield the processor to
+// the one it waits for, or the fill crawls at the scheduler's preemption
+// tick. The fill must finish and match the inline one cell for cell,
+// pruning counters included.
+func TestSolverFillOneProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	old := spawnWorkThreshold
+	spawnWorkThreshold = 0
+	defer func() { spawnWorkThreshold = old }()
+	for _, n := range []int{2, 3, 17, 64, 200} {
+		for _, dc := range layoutDemands(n) {
+			t.Run(fmt.Sprintf("%s/n=%d", dc.name, n), func(t *testing.T) {
+				checkSolverFill(t, dc.d, 1, 2)
+			})
+		}
+	}
+}
+
+// checkSolverFill solves d at several arities on one Solver per worker
+// count and compares each with the row-major fill.
+func checkSolverFill(t *testing.T, d *workload.Demand, workerCounts ...int) {
 	n := d.N
 	sc, err := newSegmentCosts(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var solvers [2]*Solver
-	for m, workers := range []int{1, 3} {
+	solvers := make([]*Solver, len(workerCounts))
+	for m, workers := range workerCounts {
 		if solvers[m], err = NewSolver(d, WithSolverWorkers(workers)); err != nil {
 			t.Fatal(err)
 		}

@@ -194,10 +194,10 @@ func TestSolverSharedSegmentCosts(t *testing.T) {
 	}
 }
 
-// TestSolverWorkerScheduler forces the atomic work-counter fan-out on a
-// small instance (threshold dropped to zero) and checks determinism across
-// worker counts; running under -race additionally proves the scheduler's
-// memory accesses are clean.
+// TestSolverWorkerScheduler forces the worker pool on a small instance
+// (threshold dropped to zero) and checks determinism across worker
+// counts, more workers than processors included; running under -race
+// additionally proves the scheduler's memory accesses are clean.
 func TestSolverWorkerScheduler(t *testing.T) {
 	old := spawnWorkThreshold
 	spawnWorkThreshold = 0

@@ -27,16 +27,30 @@ type Demand struct {
 // DemandFromTrace aggregates a trace into its demand matrix: Pairs sorted
 // by (Src, Dst) with one entry per distinct pair.
 //
-// The aggregation is sort-based rather than map-based: requests are packed
-// into a preallocated key slice, sorted, and run-length encoded. On
-// multi-million-request traces the map version paid one heap-allocated
-// bucket entry per distinct pair plus hash work per request; the sort
-// path does three allocations total (keys, exact-size Pairs, Demand) and
-// is memory-bandwidth bound instead.
+// A trace with at least N² requests whose ids all lie in 1..N is counted
+// in a dense N×N matrix, whose non-zero cells, read row by row, are the
+// pairs in order (countDense). The matrix's 8·N² bytes are then no more
+// than the 8 bytes per request of the key slice the sort path would
+// allocate, and counting touches each request once where the sort moves
+// it O(log m) times.
+//
+// Any other trace is aggregated by sorting rather than through a map:
+// requests are packed into a preallocated key slice, sorted, and
+// run-length encoded. On multi-million-request traces the map version
+// paid one heap-allocated bucket entry per distinct pair plus hash work
+// per request; the sort path allocates only the keys, the exact-size
+// Pairs and the Demand, and is memory-bandwidth bound instead.
 func DemandFromTrace(tr Trace) *Demand {
 	d := &Demand{N: tr.N, Total: int64(len(tr.Reqs)), Pairs: []PairCount{}}
 	if len(tr.Reqs) == 0 {
 		return d
+	}
+	// n ≤ m/n is n² ≤ m without the overflow.
+	if n := tr.N; n > 0 && n <= len(tr.Reqs)/n {
+		if pairs, ok := countDense(tr); ok {
+			d.Pairs = pairs
+			return d
+		}
 	}
 	// Node ids are 1..N by the package contract, so a (Src,Dst) pair packs
 	// into one uint64 whose natural order is the (Src, Dst) lexicographic
@@ -68,6 +82,36 @@ func DemandFromTrace(tr Trace) *Demand {
 		run = 1
 	}
 	return d
+}
+
+// countDense counts the trace's pairs in an N×N matrix, row Src−1 and
+// column Dst−1, and returns its non-zero cells in row-major order, which
+// is (Src, Dst) order, in an exact-size slice. ok is false, and the count
+// abandoned, at the first id outside 1..N.
+func countDense(tr Trace) (pairs []PairCount, ok bool) {
+	n := tr.N
+	counts := make([]int64, n*n)
+	for _, rq := range tr.Reqs {
+		if uint(rq.Src-1) >= uint(n) || uint(rq.Dst-1) >= uint(n) {
+			return nil, false
+		}
+		counts[(rq.Src-1)*n+rq.Dst-1]++
+	}
+	distinct := 0
+	for _, c := range counts {
+		if c != 0 {
+			distinct++
+		}
+	}
+	pairs = make([]PairCount, 0, distinct)
+	for src := 1; src <= n; src++ {
+		for x, c := range counts[(src-1)*n : src*n] {
+			if c != 0 {
+				pairs = append(pairs, PairCount{Src: src, Dst: x + 1, Count: c})
+			}
+		}
+	}
+	return pairs, true
 }
 
 // demandFromTraceCmp is the comparator-sorted slow path of DemandFromTrace

@@ -31,7 +31,15 @@ func demandFromTraceMap(tr Trace) *Demand {
 	return d
 }
 
+// TestDemandFromTraceMatchesMapVersion covers both aggregation paths: a
+// trace of at least N² requests is counted densely (uniform, temporal,
+// hpc, projector, tiny-n, max-repeats, N², N²+1 and the n=511 projector),
+// a shorter one is sorted (zipf, facebook, single, one-pair and N²−1),
+// and a trace carrying an id outside 1..N must leave the dense path.
 func TestDemandFromTraceMatchesMapVersion(t *testing.T) {
+	withReq := func(tr Trace, rq sim.Request) Trace {
+		return Trace{N: tr.N, Reqs: append(slices.Clip(tr.Reqs), rq)}
+	}
 	traces := map[string]Trace{
 		"uniform":     Uniform(40, 5000, 1),
 		"temporal":    Temporal(63, 5000, 0.75, 2),
@@ -44,6 +52,13 @@ func TestDemandFromTraceMatchesMapVersion(t *testing.T) {
 		"one-pair":    {N: 4, Reqs: Uniform(4, 200, 8).Reqs[:1]},
 		"tiny-n":      Uniform(2, 300, 9),
 		"max-repeats": Temporal(16, 4000, 0.9, 10),
+		"N²-1":        Zipf(30, 30*30-1, 1.1, 11),
+		"N²":          Zipf(30, 30*30, 1.1, 11),
+		"N²+1":        Zipf(30, 30*30+1, 1.1, 11),
+		"id 0":        withReq(Uniform(30, 30*30, 12), sim.Request{Src: 0, Dst: 3}),
+		"id N+1":      withReq(Uniform(30, 30*30, 12), sim.Request{Src: 2, Dst: 31}),
+		// perfbench's offline-opt-projector-k4 demand sample.
+		"projector n=511 m=1e6": ProjecToRLike(511, 1_000_000, 1),
 	}
 	for name, tr := range traces {
 		got := DemandFromTrace(tr)
@@ -115,12 +130,23 @@ func TestDemandMergeEqualsWholeTraceAggregation(t *testing.T) {
 	}
 }
 
+// BenchmarkDemandFromTrace times one row per aggregation path: the sort
+// (temporal, fewer than N² requests) and the dense count (perfbench's
+// offline demand sample, 10⁶ requests on 511 nodes).
 func BenchmarkDemandFromTrace(b *testing.B) {
-	tr := Temporal(1023, 200_000, 0.5, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DemandFromTrace(tr)
+	for _, c := range []struct {
+		name string
+		tr   Trace
+	}{
+		{"sparse/temporal/n=1023/m=200000", Temporal(1023, 200_000, 0.5, 1)},
+		{"dense/projector/n=511/m=1000000", ProjecToRLike(511, 1_000_000, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				DemandFromTrace(c.tr)
+			}
+		})
 	}
 }
 
