@@ -12,6 +12,7 @@ package ksan
 // build no per-step slices.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -76,6 +77,30 @@ func TestServeZeroAllocsKAry(t *testing.T) {
 // kernel and memmove-backed span moves carry the serve path.
 func TestServeZeroAllocsKAryLarge(t *testing.T) {
 	assertKAryServeZeroAllocs(t, []int{8, 16, 32})
+}
+
+// TestServeZeroAllocsKAryLinkChurn pins the same contract with link-churn
+// accounting on: an engine run with WithLinkChurn(true) switches the
+// net's edge tracking on, and a tracked rebuild notes the links it can
+// cut in a per-tree buffer allocated when tracking was switched on.
+func TestServeZeroAllocsKAryLinkChurn(t *testing.T) {
+	tr := TemporalWorkload(1023, 20000, 0.75, 1)
+	for _, k := range []int{2, 4, 8, 32} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			net, err := NewKArySplayNet(1023, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := NewEngine(WithLinkChurn(true)).Run(context.Background(), net, tr.Reqs[:100])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LinkChurn == 0 {
+				t.Fatal("the engine run counted no link churn; tracking is off and the test is vacuous")
+			}
+			assertServeZeroAllocs(t, net, tr)
+		})
+	}
 }
 
 func TestServeZeroAllocsKArySemiSplayOnly(t *testing.T) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"runtime/metrics"
 	"strings"
 	"testing"
@@ -95,6 +96,28 @@ func TestExperimentCSVHeader(t *testing.T) {
 	if !strings.HasPrefix(out, "kind,i,j,network,trace,") {
 		header, _, _ := strings.Cut(out, "\n")
 		t.Errorf("CSV header %q, want the prefix kind,i,j,network,trace,", header)
+	}
+}
+
+// TestQuickSuiteGolden runs the whole paper suite at -scale quick and
+// compares its stdout with testdata/quick.golden byte for byte: every
+// table's costs, counts and ratios are deterministic, at any worker count.
+// After a change that means to move a table, regenerate the golden with
+// `go run ./cmd/ksanbench -scale quick > cmd/ksanbench/testdata/quick.golden`
+// and let the diff show exactly which rows moved.
+func TestQuickSuiteGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runOK(t, "-scale", "quick"); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("output differs from testdata/quick.golden at line %d:\ngot:  %q\nwant: %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, testdata/quick.golden %d", len(gl), len(wl))
 	}
 }
 

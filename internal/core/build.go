@@ -196,10 +196,3 @@ func randomCuts(lo, hi, parts int, rng *rand.Rand) []int {
 	sort.Ints(ends)
 	return ends
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

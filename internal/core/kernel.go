@@ -18,9 +18,9 @@ package core
 //   - slotScalar: the original early-exit scan, kept verbatim as the
 //     reference all other kernels are differentially tested against
 //     (kernel_test.go) and the oracle Validate cross-checks.
-//   - slot1..slot7: fully unrolled branchless comparison-counting kernels
-//     for small threshold counts (arities 2..8): a sum of (thr < v) bits,
-//     no data-dependent branches, no loop.
+//   - slot2, slot3, slot4, slot6: fully unrolled branchless
+//     comparison-counting kernels for the merge counts below 8 (arities
+//     2..4): a sum of (thr < v) bits, no data-dependent branches, no loop.
 //   - slotSWAR: the chunked kernel for large counts — two int32 thresholds
 //     are packed into one uint64 and compared against both lanes of a
 //     broadcast value with a single subtraction, accumulating per-lane
@@ -35,11 +35,12 @@ package core
 // n·k beyond MaxInt32), so thr−v never overflows int32 and the packed-lane
 // subtraction below never borrows across lanes.
 //
-// A Tree selects its kernels once at construction — one per threshold
-// count it will ever search (k−1 for node spans, 2(k−1) and 3(k−1) for the
-// d=2/d=3 rebuild merges) — and stores them as fields (tree.go), so the
-// hot paths pay one well-predicted indirect call instead of a per-element
-// branch chain.
+// A Tree selects its kernels once at construction — one per rebuild
+// merge, 2(k−1) thresholds for d=2 and 3(k−1) for d=3 — and stores them as
+// fields (tree.go), so the hot paths pay one well-predicted indirect call
+// instead of a per-element branch chain. A node's own span (k−1
+// thresholds) is searched by slotBisect, called directly: the rebuilds'
+// slot lookups and slotFor share it.
 //
 // Layout decision (DESIGN.md §13 records the numbers): the kernels gather
 // thresholds at stride 2 from the interleaved span rather than from a
@@ -75,10 +76,6 @@ func slotScalar(m []int32, value int32) int {
 // difference — exact because both operands are non-negative int31 values.
 func lt(thr, v int32) int { return int(uint32(thr-v) >> 31) }
 
-func slot1(m []int32, v int32) int {
-	return lt(m[1], v)
-}
-
 func slot2(m []int32, v int32) int {
 	_ = m[3]
 	return lt(m[1], v) + lt(m[3], v)
@@ -94,19 +91,9 @@ func slot4(m []int32, v int32) int {
 	return lt(m[1], v) + lt(m[3], v) + lt(m[5], v) + lt(m[7], v)
 }
 
-func slot5(m []int32, v int32) int {
-	_ = m[9]
-	return lt(m[1], v) + lt(m[3], v) + lt(m[5], v) + lt(m[7], v) + lt(m[9], v)
-}
-
 func slot6(m []int32, v int32) int {
 	_ = m[11]
 	return lt(m[1], v) + lt(m[3], v) + lt(m[5], v) + lt(m[7], v) + lt(m[9], v) + lt(m[11], v)
-}
-
-func slot7(m []int32, v int32) int {
-	_ = m[13]
-	return lt(m[1], v) + lt(m[3], v) + lt(m[5], v) + lt(m[7], v) + lt(m[9], v) + lt(m[11], v) + lt(m[13], v)
 }
 
 // swarSigns masks the sign bit of each packed 32-bit lane.
@@ -175,32 +162,27 @@ func slotBisect(m []int32, value int32) int {
 	return lo + lt(m[2*lo+1], value)
 }
 
-// kernelForCount selects the kernel for a fragment holding c thresholds,
-// per the three regimes BenchmarkSlotFor measures (§13 records the
-// numbers): fully unrolled comparison counting up to c=7 (arities 2..8),
-// the chunked SWAR pass in the narrow mid band where touching all c
-// thresholds two-per-word still beats log₂ c serial dependent loads, and
-// the branchless bisection beyond (by c=31 bisect is ~1.6× faster than
-// SWAR and ~2.5× faster than the early-exit scan; at c=93 ~2.5× and
-// ~2.6×). c is a construction-time constant per tree (k−1, 2(k−1) or
-// 3(k−1)), so selection happens exactly once (newArena) and the serve
-// path only ever sees the result.
+// kernelForCount selects the kernel for a merge fragment holding c
+// thresholds, per the three regimes BenchmarkSlotFor measures (§13
+// records the numbers): fully unrolled comparison counting for the merge
+// counts below 8 (c = 2, 3, 4, 6), the chunked SWAR pass in the narrow
+// mid band where touching all c thresholds two-per-word still beats
+// log₂ c serial dependent loads, and the branchless bisection beyond (by
+// c=31 bisect is ~1.6× faster than SWAR and ~2.5× faster than the
+// early-exit scan; at c=93 ~2.5× and ~2.6×). c is a construction-time
+// constant per tree (2(k−1) or 3(k−1)), so selection happens exactly once
+// (newArena) and the serve path only ever sees the result. Any other c
+// below 14 gets SWAR, which is exact at every count.
 func kernelForCount(c int) slotKernel {
 	switch c {
-	case 1:
-		return slot1
 	case 2:
 		return slot2
 	case 3:
 		return slot3
 	case 4:
 		return slot4
-	case 5:
-		return slot5
 	case 6:
 		return slot6
-	case 7:
-		return slot7
 	}
 	if c < 14 {
 		return slotSWAR

@@ -33,8 +33,9 @@ func benchFragment(c int, rng *rand.Rand) (m []int32, values []int32) {
 // BenchmarkSlotFor is the microbenchmark grid behind the kernel
 // selection (DESIGN.md §13): every kernel family × the threshold counts
 // that actually occur at served arities (c = k−1 node spans for
-// k ∈ {2,5,8,16,32}, and 2(k−1)/3(k−1) rebuild merges). The sink defeats
-// dead-code elimination; the value stream cycles so each probe's slot is
+// k ∈ {2,5,8,16,32}, which slotBisect serves, and 2(k−1)/3(k−1) rebuild
+// merges, which the kernel table serves). The sink defeats dead-code
+// elimination; the value stream cycles so each probe's slot is
 // unpredictable.
 func BenchmarkSlotFor(b *testing.B) {
 	var sink int

@@ -22,12 +22,14 @@ func interleavedVariants(c int) []kernelVariant {
 		{"slotSWAR", slotSWAR, 1},
 		{"slotBisect", slotBisect, 1},
 	}
-	unrolled := []slotKernel{slot1, slot2, slot3, slot4, slot5, slot6, slot7}
-	if c >= 1 && c <= len(unrolled) {
-		vs = append(vs, kernelVariant{"unrolled", unrolled[c-1], c})
+	if fn, ok := unrolled[c]; ok {
+		vs = append(vs, kernelVariant{"unrolled", fn, c})
 	}
 	return vs
 }
+
+// unrolled maps each merge count below 8 to its unrolled kernel.
+var unrolled = map[int]slotKernel{2: slot2, 3: slot3, 4: slot4, 6: slot6}
 
 // fragmentFor packs ascending thresholds into an interleaved fragment
 // (children at even offsets, thresholds at odd offsets).

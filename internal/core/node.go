@@ -71,8 +71,8 @@ func (nd *Node) Degree() int {
 // slotFor returns the child slot index that the search property assigns to
 // the target cut-space value at node ix: the number of thresholds strictly
 // less than the value, so that it falls in the interval (t(slot-1), t(slot)].
-// The search runs through the tree's per-arity routing kernel (kernel.go):
-// branchless comparison counting instead of an early-exit scan.
+// It is the branchless bisection every rebuild slot lookup uses
+// (slotBisect, kernel.go).
 func (t *Tree) slotFor(ix int32, value int32) int {
-	return t.kSpan(t.span(ix), value)
+	return slotBisect(t.span(ix), value)
 }

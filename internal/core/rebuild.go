@@ -68,10 +68,8 @@ func (t *Tree) rebuild2(p, x int32, c int) int {
 	k := t.k
 	w := 2*k - 1 // interleaved span width
 	oldParent := t.parent[p]
-	var before map[edge]struct{}
 	if t.trackEdges {
-		t.pathBuf[0], t.pathBuf[1] = p, x
-		before = t.fragmentEdges(t.pathBuf[:2])
+		t.noteLinks(p, x, 0)
 	}
 
 	spP, spX := t.span(p), t.span(x)
@@ -112,8 +110,7 @@ func (t *Tree) rebuild2(p, x int32, c int) int {
 	// zig in binary splay trees.
 	t.rotations++
 	if t.trackEdges {
-		after := t.fragmentEdges(t.pathBuf[:2])
-		t.edgeChanges += int64(symmetricDiff(before, after))
+		t.edgeChanges += t.notedChurn()
 	}
 	return up
 }
@@ -129,10 +126,8 @@ func (t *Tree) rebuild3(g, p, x int32, cp int) int {
 	k := t.k
 	w := 2*k - 1 // interleaved span width
 	oldParent := t.parent[g]
-	var before map[edge]struct{}
 	if t.trackEdges {
-		t.pathBuf[0], t.pathBuf[1], t.pathBuf[2] = g, p, x
-		before = t.fragmentEdges(t.pathBuf[:3])
+		t.noteLinks(g, p, x)
 	}
 
 	spG, spP, spX := t.span(g), t.span(p), t.span(x)
@@ -189,8 +184,7 @@ func (t *Tree) rebuild3(g, p, x int32, cp int) int {
 	// trees.
 	t.rotations += 2
 	if t.trackEdges {
-		after := t.fragmentEdges(t.pathBuf[:3])
-		t.edgeChanges += int64(symmetricDiff(before, after))
+		t.edgeChanges += t.notedChurn()
 	}
 	return up
 }
@@ -324,36 +318,43 @@ func blockStartAt(policy BlockPolicy, j, b, L int) int {
 	return s
 }
 
-type edge struct{ parent, child int }
-
-// fragmentEdges snapshots the parent-child links incident to the fragment:
-// the links from each path node to its children and to its parent (0 when
-// the node is the tree root).
-func (t *Tree) fragmentEdges(path []int32) map[edge]struct{} {
-	set := make(map[edge]struct{}, len(path)*t.k)
-	for _, ix := range path {
-		sp := t.span(ix)
+// noteLinks records, before a tracked rebuild of the fragment top, mid
+// and low (low is 0 for a two-node fragment), every link the rebuild can
+// cut: the top's link to its parent and each fragment node's links to its
+// children, the fragment's own links among them. A link is noted as the
+// pair (v, p) of a node and its parent. No other link changes, since the
+// rebuild rewires only the fragment's nodes, their children and the
+// top's slot in its parent.
+func (t *Tree) noteLinks(top, mid, low int32) {
+	links := t.links[:0]
+	if op := t.parent[top]; op != 0 {
+		links = append(links, top, op)
+	}
+	for _, f := range [3]int32{top, mid, low} {
+		if f == 0 {
+			break
+		}
+		sp := t.span(f)
 		for i := 0; i < len(sp); i += 2 {
 			if ch := sp[i]; ch != 0 {
-				set[edge{int(ix), int(ch)}] = struct{}{}
+				links = append(links, ch, f)
 			}
 		}
-		set[edge{int(t.parent[ix]), int(ix)}] = struct{}{}
 	}
-	return set
+	t.links = links
 }
 
-func symmetricDiff(a, b map[edge]struct{}) int {
-	d := 0
-	for e := range a {
-		if _, ok := b[e]; !ok {
-			d++
+// notedChurn returns the links the rebuild after noteLinks added plus
+// removed, by the rule SharedLinks applies to rebuild swaps: a noted
+// link {v, p} is gone unless v still hangs under p or p under v. A tree
+// on n nodes always has n−1 links, so the rebuild added as many as it
+// removed.
+func (t *Tree) notedChurn() int64 {
+	gone := int64(0)
+	for i := 0; i < len(t.links); i += 2 {
+		if v, p := t.links[i], t.links[i+1]; t.parent[v] != p && t.parent[p] != v {
+			gone++
 		}
 	}
-	for e := range b {
-		if _, ok := a[e]; !ok {
-			d++
-		}
-	}
-	return d
+	return 2 * gone
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -202,6 +204,10 @@ func TestRotationCounterAdvances(t *testing.T) {
 	}
 }
 
+// TestEdgeChangeTracking: a zig at the root of a balanced binary tree is
+// a BST rotation, which moves one subtree across and so changes exactly
+// two links: one removed, one added. The link between the two rotated
+// nodes stays, however its direction turns.
 func TestEdgeChangeTracking(t *testing.T) {
 	tr := MustNewBalanced(63, 2)
 	tr.SetTrackEdges(true)
@@ -212,18 +218,91 @@ func TestEdgeChangeTracking(t *testing.T) {
 			break
 		}
 	}
-	if err := tr.SemiSplay(ch); err != nil {
+	if err := trackedStep(t, tr, tr.SemiSplay, ch); err != nil {
 		t.Fatal(err)
 	}
-	if tr.EdgeChanges() == 0 {
-		t.Error("a semi-splay at the root must change at least one link")
+	if got := tr.EdgeChanges(); got != 2 {
+		t.Errorf("a zig at the root changed %d links, want 2", got)
 	}
-	// A BST zig changes exactly 2 edges when the subtree moves across
-	// (parent link of fragment is the virtual root link): old edges
-	// (0,root),(root,ch),(ch,…) vs new. Just sanity-bound it.
-	if tr.EdgeChanges() > int64(4*tr.K()) {
-		t.Errorf("edge churn %d implausibly high for one rotation", tr.EdgeChanges())
+}
+
+// TestRebuildChurnMatchesParentDiff applies SemiSplay and SplayStep to
+// random nodes of random trees, under both block policies, and checks
+// after every rebuild that EdgeChanges grew by exactly the links that
+// differ between the parent arrays before and after it.
+func TestRebuildChurnMatchesParentDiff(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 8, 16, 32} {
+		for _, policy := range []BlockPolicy{BlockCentered, BlockLeftmost} {
+			t.Run(fmt.Sprintf("k=%d/policy=%d", k, policy), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(10*k) + int64(policy)))
+				var steps [2]int
+				for trial := 0; trial < 6; trial++ {
+					n := 2 + rng.Intn(150)
+					tr, err := NewRandom(n, k, rng.Int63())
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr.SetBlockPolicy(policy)
+					tr.SetTrackEdges(true)
+					for range 300 {
+						x := tr.NodeByID(1 + rng.Intn(n))
+						kind := rng.Intn(2)
+						step := tr.SemiSplay
+						if kind == 1 {
+							step = tr.SplayStep
+						}
+						if trackedStep(t, tr, step, x) == nil {
+							steps[kind]++
+						}
+					}
+					if err := tr.Validate(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if steps[0] == 0 || steps[1] == 0 {
+					t.Fatalf("%d semi-splay and %d splay steps ran; want both kinds", steps[0], steps[1])
+				}
+			})
+		}
 	}
+}
+
+// trackedStep runs one single-step rotation, step(x), on tr, whose edge
+// tracking is on, and fails t unless EdgeChanges grew by parentDiff of
+// the parent arrays around it. It returns step's error (a root cannot
+// rotate, nor a child of the root take a k-splay step).
+func trackedStep(t *testing.T, tr *Tree, step func(*Node) error, x *Node) error {
+	t.Helper()
+	before := slices.Clone(tr.parent)
+	churn := tr.EdgeChanges()
+	if err := step(x); err != nil {
+		return err
+	}
+	if got, want := tr.EdgeChanges()-churn, parentDiff(before, tr.parent); got != want {
+		t.Fatalf("rotating node %d (k=%d) counted %d changed links, the parent arrays differ in %d", x.ID(), tr.K(), got, want)
+	}
+	return nil
+}
+
+// parentDiff is the number of links in one of the trees two parent
+// arrays describe but not in the other, counted through a map of
+// undirected links. Index 0 is not a node.
+func parentDiff(before, after []int32) int64 {
+	links := make(map[[2]int32]int)
+	for d, par := range [2][]int32{before, after} {
+		for v := int32(1); v < int32(len(par)); v++ {
+			if p := par[v]; p != 0 {
+				links[[2]int32{min(v, p), max(v, p)}] += 1 - 2*d
+			}
+		}
+	}
+	diff := int64(0)
+	for _, c := range links {
+		if c != 0 {
+			diff++
+		}
+	}
+	return diff
 }
 
 func TestBlockPolicyLeftmostStillValid(t *testing.T) {

@@ -112,7 +112,7 @@ func TestFromSnapshotRejectsCorruption(t *testing.T) {
 // FuzzFromSnapshot mutates a valid random tree's snapshot: FromSnapshot
 // must reject it with an error, or return a tree that passes Validate,
 // answers DistanceID on every pair, and then rotates exactly like the
-// pointer reference (rotateLikeReference). Each five bytes of muts are
+// pointer reference, with edge tracking on (rotateLikeReference). Each five bytes of muts are
 // one mutation: a target (parent link, span entry, root, arity or node
 // count), a 16-bit index and a signed 16-bit value.
 func FuzzFromSnapshot(f *testing.F) {
@@ -168,13 +168,15 @@ func FuzzFromSnapshot(f *testing.F) {
 // reference mirrored from it, and fails on the first rendering that
 // differs or if tr no longer validates. Requests cycle through the k-ary
 // SplayNet pattern with k-splay steps, the same with k-semi-splay steps,
-// and one exported SplayStep or SemiSplay. The rebuilds derive each
+// and one exported SplayStep or SemiSplay, whose tracked churn must match
+// the parent arrays around it (trackedStep). The rebuilds derive each
 // on-path node's slot from its id value, which Validate's interval check
 // licenses; a tree FromSnapshot accepts must therefore rotate exactly as
 // the reference does.
 func rotateLikeReference(t *testing.T, tr *Tree, seed int64, ops int) {
 	t.Helper()
 	ref := newRefTree(tr)
+	tr.SetTrackEdges(true)
 	rng := rand.New(rand.NewSource(seed))
 	for op := 0; op < ops; op++ {
 		u, v := 1+rng.Intn(tr.N()), 1+rng.Intn(tr.N())
@@ -199,12 +201,12 @@ func rotateLikeReference(t *testing.T, tr *Tree, seed int64, ops int) {
 			switch {
 			case ra.parent == nil:
 			case ra.parent.parent == nil:
-				if err := tr.SemiSplay(a); err != nil {
+				if err := trackedStep(t, tr, tr.SemiSplay, a); err != nil {
 					t.Fatal(err)
 				}
 				ref.rebuild([]*refNode{ra.parent, ra})
 			default:
-				if err := tr.SplayStep(a); err != nil {
+				if err := trackedStep(t, tr, tr.SplayStep, a); err != nil {
 					t.Fatal(err)
 				}
 				ref.rebuild([]*refNode{ra.parent.parent, ra.parent, ra})

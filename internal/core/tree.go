@@ -42,13 +42,11 @@ type Tree struct {
 	// permanence).
 	nodes []Node
 
-	// Routing kernels, selected once at construction by threshold count
-	// (kernel.go): kSpan searches a node's own span (k−1 thresholds),
-	// kMerge2/kMerge3 search the d=2/d=3 rebuild merges (2(k−1) and
-	// 3(k−1) thresholds). Every greedy routing decision and every block
-	// placement goes through these; the scalar early-exit scan survives
-	// only as the reference oracle (slotScalar).
-	kSpan   slotKernel
+	// Merge kernels, selected once at construction by threshold count
+	// (kernel.go): kMerge2/kMerge3 search the d=2/d=3 rebuild merges
+	// (2(k−1) and 3(k−1) thresholds) for every block placement. A node's
+	// own span is searched by slotBisect; the scalar early-exit scan
+	// survives only as the reference oracle (slotScalar).
 	kMerge2 slotKernel
 	kMerge3 slotKernel
 
@@ -62,8 +60,13 @@ type Tree struct {
 	// determinism contract, so a single set of buffers per tree suffices;
 	// sharing them across concurrent mutators of the same tree is not
 	// supported (see DESIGN.md on serve-path reentrancy).
-	pathBuf [3]int32 // fragment path for edge-churn snapshots (d ≤ 3)
-	scratch []int32  // interleaved in-order expansion of the fragment
+	scratch []int32 // interleaved in-order expansion of the fragment
+
+	// links holds a tracked rebuild's noted links as (node, parent)
+	// pairs, at most 3k+1 of them (noteLinks). It is allocated when
+	// tracking is first switched on, so a tracked rebuild allocates
+	// nothing.
+	links []int32
 
 	// routeBuf backs RoutePath results (grown to the longest path seen,
 	// never shrunk); same single-owner, non-reentrant rules as scratch.
@@ -105,7 +108,6 @@ func newArena(n, k int) *Tree {
 
 		scratch: make([]int32, 3*(2*k-1)-2),
 
-		kSpan:   kernelForCount(k - 1),
 		kMerge2: kernelForCount(2 * (k - 1)),
 		kMerge3: kernelForCount(3 * (k - 1)),
 	}
@@ -149,14 +151,22 @@ func (t *Tree) Scale() int { return t.scale }
 func (t *Tree) Rotations() int64 { return t.rotations }
 
 // EdgeChanges returns the cumulative number of physical links added or
-// removed by rotations. It is only maintained when edge tracking is enabled
-// with SetTrackEdges (the raw adjustment cost of the paper's model, used by
-// the cost-accounting ablation).
+// removed by rotations: each rebuild adds the size of the symmetric
+// difference of the undirected link sets before and after it. It is only
+// maintained when edge tracking is enabled with SetTrackEdges (the raw
+// adjustment cost of the paper's model, used by the cost-accounting
+// ablation).
 func (t *Tree) EdgeChanges() int64 { return t.edgeChanges }
 
 // SetTrackEdges enables or disables per-rotation edge-churn accounting.
-// Tracking is off by default because it allocates on every rotation.
-func (t *Tree) SetTrackEdges(on bool) { t.trackEdges = on }
+// Tracking is off by default: it reads every fragment node's child slots
+// twice per rebuild.
+func (t *Tree) SetTrackEdges(on bool) {
+	t.trackEdges = on
+	if on && t.links == nil {
+		t.links = make([]int32, 0, 2*(3*t.k+1))
+	}
+}
 
 // ResetCounters zeroes the rotation and edge-change counters.
 func (t *Tree) ResetCounters() {

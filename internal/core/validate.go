@@ -51,8 +51,8 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("core: tree holds %d nodes, want %d", w.count, t.n)
 	}
 	// Greedy search must find every id along its tree path. Search runs
-	// through the selected routing kernel, so this also exercises the
-	// kernel on every span the tree currently holds.
+	// through slotFor, so this also exercises the span search on every
+	// span the tree currently holds.
 	for id := 1; id <= t.n; id++ {
 		hops, err := t.searchHops(id)
 		if err != nil {
@@ -62,19 +62,19 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("core: search for %d took %d hops, node depth is %d", id, hops, want)
 		}
 	}
-	// The selected span kernel must agree with the scalar reference on
-	// every live span, probed exactly where branchless arithmetic could
+	// The span search must agree with the scalar reference on every live
+	// span, probed exactly where branchless arithmetic could
 	// plausibly diverge from the early-exit scan: at each threshold value
 	// itself (the ≥ boundary), one cut on either side of it, and the
 	// node's own id value.
 	for id := 1; id <= t.n; id++ {
 		sp := t.span(int32(id))
-		if err := t.probeKernel(id, sp, int32(t.idValue(id))); err != nil {
+		if err := probeSpanSearch(id, sp, int32(t.idValue(id))); err != nil {
 			return err
 		}
 		for i := 1; i < len(sp); i += 2 {
 			for _, c := range [3]int32{sp[i] - 1, sp[i], sp[i] + 1} {
-				if err := t.probeKernel(id, sp, c); err != nil {
+				if err := probeSpanSearch(id, sp, c); err != nil {
 					return err
 				}
 			}
@@ -150,11 +150,11 @@ func (v *validation) walk(ix int32, lo, hi int, hiElem bool) error {
 	return nil
 }
 
-// probeKernel checks that the span kernel and the scalar reference pick
-// the same slot of node id's span sp for cut-space value v.
-func (t *Tree) probeKernel(id int, sp []int32, v int32) error {
-	if got, want := t.kSpan(sp, v), slotScalar(sp, v); got != want {
-		return fmt.Errorf("core: node %d kernel slot %d for value %d, scalar reference says %d", id, got, v, want)
+// probeSpanSearch checks that the span search (slotBisect) and the scalar
+// reference pick the same slot of node id's span sp for cut-space value v.
+func probeSpanSearch(id int, sp []int32, v int32) error {
+	if got, want := slotBisect(sp, v), slotScalar(sp, v); got != want {
+		return fmt.Errorf("core: node %d span search slot %d for value %d, scalar reference says %d", id, got, v, want)
 	}
 	return nil
 }

@@ -150,7 +150,9 @@ func (c *client) sleepStop(d time.Duration) bool {
 
 // run drives the client loop. It returns normally on stream end, budget
 // exhaustion, or a pool-wide stop (duration elapsed or context
-// cancelled); a stream error is terminal and recorded in the accumulator.
+// cancelled); a stream error is terminal and recorded in the accumulator,
+// and so is a request naming an id outside 1..n, which also halts the
+// pool.
 // Only fully-OK requests enter the warmup/measured serving totals;
 // degraded and failed requests go to the fault ledger, with the OK halves
 // of mixed requests still attributed to the shards that served them.
@@ -188,6 +190,13 @@ func (c *client) run() {
 			break
 		}
 		if p.stop.Load() {
+			break
+		}
+		// An id outside 1..n has no shard: the run ends here, as the
+		// engine's does. The split keeps stream positions id, id+C, ….
+		if err := rq.CheckRange(c.id+int(served)*p.cfg.Clients, p.part.N()); err != nil {
+			c.acc.err = err
+			p.halt()
 			break
 		}
 		if interval > 0 {

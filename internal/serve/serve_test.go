@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
+	"strings"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/policy"
@@ -315,6 +317,32 @@ func TestServeStreamError(t *testing.T) {
 	_, err := Run(context.Background(), Config{}, mkKary, errGen{boom: boom})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the stream error surfaced", err)
+	}
+}
+
+// TestServeRejectsOutOfRangeRequest: a request naming an id outside 1..n
+// ends the run with the engine's range error and the partial Stats, on
+// one or two shards and clients, instead of crashing a client goroutine
+// (an id past n indexed the router out of range, id 0 reached the net).
+func TestServeRejectsOutOfRangeRequest(t *testing.T) {
+	const n = 16
+	for _, bad := range []sim.Request{{Src: 3, Dst: n + 1}, {Src: 0, Dst: 5}, {Src: -1, Dst: 2}} {
+		reqs := workload.Uniform(n, 40, 1).Reqs
+		reqs[21] = bad
+		tr := workload.Trace{Name: "bad", N: n, Reqs: reqs}
+		for _, shards := range []int{1, 2} {
+			for _, clients := range []int{1, 2} {
+				name := fmt.Sprintf("%d→%d/S=%d/C=%d", bad.Src, bad.Dst, shards, clients)
+				stats, err := Run(context.Background(), Config{Shards: shards, Clients: clients}, mkKary, tr)
+				want := fmt.Sprintf("request 21 (%d→%d) outside 1..%d", bad.Src, bad.Dst, n)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: err = %v, want it to name %q", name, err, want)
+				}
+				if stats == nil || stats.Requests == 0 || stats.Requests >= int64(len(reqs)) {
+					t.Errorf("%s: stats %+v, want the partial stats of the run", name, stats)
+				}
+			}
+		}
 	}
 }
 

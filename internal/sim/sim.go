@@ -10,6 +10,8 @@
 // separately for the cost-accounting ablation.
 package sim
 
+import "fmt"
+
 // Cost is the price of serving a single communication request.
 type Cost struct {
 	// Routing is the path length, in edges, between source and destination
@@ -35,6 +37,16 @@ type Network interface {
 // Request is a single communication request from Src to Dst (ids 1..n).
 type Request struct {
 	Src, Dst int
+}
+
+// CheckRange returns an error naming the request as stream position i
+// unless both of its endpoints lie in 1..n. The engine, the trace
+// validator and the serving clients all check requests with it.
+func (r Request) CheckRange(i, n int) error {
+	if r.Src < 1 || r.Src > n || r.Dst < 1 || r.Dst > n {
+		return fmt.Errorf("request %d (%d→%d) outside 1..%d", i, r.Src, r.Dst, n)
+	}
+	return nil
 }
 
 // Result aggregates the cost of serving a trace on one network.

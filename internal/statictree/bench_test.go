@@ -29,7 +29,7 @@ func BenchmarkOptimal(b *testing.B) {
 			}
 		})
 	}
-	for _, n := range []int{128, 256, 512} {
+	for _, n := range []int{64, 128, 256, 512} {
 		d := benchDemand(n)
 		for _, k := range []int{2, 4, 8} {
 			run(fmt.Sprintf("n=%d/k=%d", n, k), d, k)
@@ -75,18 +75,16 @@ func BenchmarkSolverSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimalExhaustive pins the WithoutPruning reference path, so
-// the baseline records how much the admissible-bound pruning buys.
+// BenchmarkOptimalExhaustive times the exhaustive reference fill of
+// layoutref_test.go (every root of every segment evaluated, on one
+// goroutine) on BenchmarkOptimal's n=256/k=8 demand, so its -cpu 1 row
+// shows how much the admissible-bound pruning buys.
 func BenchmarkOptimalExhaustive(b *testing.B) {
 	d := benchDemand(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewSolver(d, WithoutPruning())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := s.Optimal(8); err != nil {
+		if _, _, err := exhaustiveSolver(b, d).Optimal(8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,8 +16,13 @@ const inf = math.MaxInt64 / 4
 // spawnWorkThreshold is the estimated per-diagonal operation count
 // (segments × length × k) below which a diagonal is filled inline by the
 // caller instead of by the worker pool (a var so tests can force the pool
-// on small instances).
-var spawnWorkThreshold = 4096
+// on small instances). Solves alternated with a one-processor inline fill
+// on a 2-vCPU host set it (EXPERIMENTS.md, "The DP pool threshold"): at
+// 4 096 the pooled diagonals of n = 64 and 96 solves made them up to 11%
+// slower on two processors than inline, at 16 384 an n = 96, k = 8 solve
+// was still 4% slower, and at 20 480 no solve of n = 64..256 at
+// k ∈ {2, 4, 8} was slower.
+var spawnWorkThreshold = 20480
 
 // barrierSpins is how many times a fill worker that has reached the
 // barrier between two pooled diagonals re-reads the arrival count before
@@ -55,10 +60,9 @@ func Optimal(d *workload.Demand, k int) (*core.Tree, int64, error) {
 // The demand is only read during construction; the returned trees are
 // freshly built and independent of the Solver.
 type Solver struct {
-	n          int
-	sc         *segmentCosts
-	exhaustive bool
-	workers    int
+	n       int
+	sc      *segmentCosts
+	workers int
 
 	// Per-call state, reused across Optimal calls (grown, never cleared:
 	// every fill writes each cell of its segment before anything reads it).
@@ -97,16 +101,6 @@ type Solver struct {
 // SolverOption configures a Solver at construction.
 type SolverOption func(*Solver)
 
-// WithoutPruning disables the admissible-bound root pruning: every segment
-// evaluates the full split cost of every root, exactly like the seed DP.
-// Pruning is exact by construction (bounds only ever exclude roots that
-// provably cannot beat an already-found split), so this exists purely as
-// the reference semantics for the differential tests and as a debugging
-// aid — costs are bit-identical in both modes.
-func WithoutPruning() SolverOption {
-	return func(s *Solver) { s.exhaustive = true }
-}
-
 // WithSolverWorkers bounds the DP fill's worker count (default GOMAXPROCS).
 // Values below 1 are ignored. Callers embedding Optimal calls inside their
 // own worker pools can set 1 to avoid oversubscription.
@@ -127,7 +121,7 @@ func WithSolverWorkers(n int) SolverOption {
 func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 	n := d.N
 	if n > 4096 {
-		return nil, fmt.Errorf("statictree: n=%d too large for the cubic DP (limit 4096); downscale the demand first", n)
+		return nil, fmt.Errorf("statictree: n=%d too large for the cubic DP (limit 4096); WeightBalanced approximates beyond it", n)
 	}
 	sc, err := newSegmentCosts(d)
 	if err != nil {
@@ -141,9 +135,10 @@ func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 }
 
 // Optimal runs the DP at arity k and reconstructs an optimal tree. The
-// cost is deterministic and independent of worker count and pruning mode
-// (pruning is exact; the differential tests enforce bit-identity anyway);
-// the returned tree is one cost-minimal witness.
+// cost is deterministic and independent of worker count, and the root
+// pruning is exact (the differential tests pin it to an exhaustive root
+// scan kept in layoutref_test.go); the returned tree is one cost-minimal
+// witness.
 func (s *Solver) Optimal(k int) (*core.Tree, int64, error) {
 	if err := core.CheckIDRange(s.n, k); err != nil {
 		return nil, 0, fmt.Errorf("statictree: %w", err)
@@ -194,36 +189,9 @@ func (s *Solver) get2(i, j, t int) int64 {
 	return s.dp2[(t-1)*s.T+s.sc.t.at(i, j)]
 }
 
-// splitCost is the cheapest way to hang the children of a node with id r
-// whose segment is [i,j]: the left children cover [i,r-1], the right
-// children cover [r+1,j], and the routing array has room for k children
-// when both sides are used, or k-1 children plus the node's own id
-// threshold when one side is empty (routing-based trees keep r in the
-// routing array).
-func (s *Solver) splitCost(i, r, j int) int64 {
-	k, T := s.k, s.T
-	top := (k - 2) * T
-	switch {
-	case r == i && r == j:
-		return 0
-	case r == i:
-		return s.dp2[top+s.sc.t.at(r+1, j)]
-	case r == j:
-		return s.dp2[top+s.sc.t.at(i, r-1)]
-	default:
-		li := s.sc.t.at(i, r-1)
-		ri := s.sc.t.at(r+1, j)
-		best := int64(inf)
-		for dl := 1; dl <= k-1; dl++ {
-			if v := s.dp2[(dl-1)*T+li] + s.dp2[(k-dl-1)*T+ri]; v < best {
-				best = v
-			}
-		}
-		return best
-	}
-}
-
-// splitCostBeat is splitCost for an interior root, with an early exit: as
+// splitCostBeat is the cheapest way to hang the children of an interior
+// root r of [i,j] — dl ≤ k-1 child trees on [i,r-1] and k-dl on [r+1,j],
+// as the routing array has room for k children — with an early exit: as
 // dl grows, the right side is allowed fewer parts, so its dp2 term only
 // ever grows; once even the left side's unconstrained minimum (lmin, its
 // k-1-part dp2) plus that right term reaches beat, no later dl can beat
@@ -375,17 +343,9 @@ func (s *Solver) fillSegment(i, j int, w *fillWorker) {
 	cell := s.sc.t.col(i, j)
 	var best int64
 	var bestR int
-	switch {
-	case i == j:
+	if i == j {
 		best, bestR = 0, i
-	case s.exhaustive:
-		best, bestR = inf, i
-		for r := i; r <= j; r++ {
-			if v := s.splitCost(i, r, j); v < best {
-				best, bestR = v, r
-			}
-		}
-	default:
+	} else {
 		var evaluated, skipped int64
 		best, bestR, evaluated, skipped = s.prunedRootSearch(i, j, w.lb)
 		w.evaluated += evaluated

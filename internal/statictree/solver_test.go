@@ -66,8 +66,20 @@ func bandedDemand(n int) *workload.Demand {
 	return band
 }
 
+// exhaustiveSolver is the row-major reference fill of layoutref_test.go
+// in its exhaustive mode: every root of every segment is evaluated with
+// the full split cost, as the seed DP did. It fills on one goroutine.
+func exhaustiveSolver(tb testing.TB, d *workload.Demand) *rowMajorSolver {
+	tb.Helper()
+	sc, err := newSegmentCosts(d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &rowMajorSolver{n: d.N, sc: sc, exhaustive: true, workers: 1}
+}
+
 // TestSolverPrunedMatchesExhaustive is the differential property test of
-// the PR 4 solver: on every demand family and arity, the pruned DP's cost
+// the root pruning: on every demand family and arity, the Solver's cost
 // must be bit-identical to the exhaustive DP's, and both trees must be
 // valid witnesses of their (equal) costs.
 func TestSolverPrunedMatchesExhaustive(t *testing.T) {
@@ -77,10 +89,7 @@ func TestSolverPrunedMatchesExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := NewSolver(tc.d, WithoutPruning())
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact := exhaustiveSolver(t, tc.d)
 			for k := 2; k <= 6; k++ {
 				ptree, pcost, err := pruned.Optimal(k)
 				if err != nil {
@@ -121,10 +130,7 @@ func TestRootMonotonicityCounterexample(t *testing.T) {
 		{Src: 4, Dst: 1, Count: 7}, {Src: 4, Dst: 2, Count: 3},
 		{Src: 4, Dst: 3, Count: 2},
 	}}
-	s, err := NewSolver(d, WithoutPruning())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := exhaustiveSolver(t, d)
 	_, cost, err := s.Optimal(2)
 	if err != nil {
 		t.Fatal(err)

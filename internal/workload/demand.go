@@ -2,9 +2,7 @@ package workload
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/ksan-net/ksan/internal/sim"
 )
@@ -207,55 +205,6 @@ func UniformDemand(n int) *Demand {
 	}
 	d.Total = int64(n) * int64(n-1) / 2
 	return d
-}
-
-// Dense expands the demand into an n×n matrix (0-indexed by id-1). It
-// refuses implausible sizes to protect callers from accidental huge
-// allocations; the cubic DP guards its own input size separately.
-func (d *Demand) Dense(maxN int) ([][]int64, error) {
-	if d.N > maxN {
-		return nil, fmt.Errorf("workload: dense matrix for n=%d exceeds limit %d", d.N, maxN)
-	}
-	m := make([][]int64, d.N)
-	for i := range m {
-		m[i] = make([]int64, d.N)
-	}
-	for _, pc := range d.Pairs {
-		m[pc.Src-1][pc.Dst-1] += pc.Count
-	}
-	return m, nil
-}
-
-// Downscale maps a demand on 1..N onto a smaller node count nNew by folding
-// ids modulo nNew (dropping pairs that collide onto self-loops). It is used
-// to run the cubic DP on reduced instances of very large traces, mirroring
-// the paper's own inability to compute the optimum at Facebook scale.
-func (d *Demand) Downscale(nNew int) *Demand {
-	if nNew >= d.N {
-		return d
-	}
-	type key struct{ u, v int }
-	acc := make(map[key]int64)
-	for _, pc := range d.Pairs {
-		u := 1 + (pc.Src-1)%nNew
-		v := 1 + (pc.Dst-1)%nNew
-		if u == v {
-			continue
-		}
-		acc[key{u, v}] += pc.Count
-	}
-	out := &Demand{N: nNew}
-	for k, c := range acc {
-		out.Pairs = append(out.Pairs, PairCount{Src: k.u, Dst: k.v, Count: c})
-		out.Total += c
-	}
-	sort.Slice(out.Pairs, func(i, j int) bool {
-		if out.Pairs[i].Src != out.Pairs[j].Src {
-			return out.Pairs[i].Src < out.Pairs[j].Src
-		}
-		return out.Pairs[i].Dst < out.Pairs[j].Dst
-	})
-	return out
 }
 
 // Requests converts a demand matrix back into an arbitrary-order request

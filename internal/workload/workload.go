@@ -42,8 +42,8 @@ func (tr Trace) Len() int { return len(tr.Reqs) }
 // Validate checks all endpoints lie in 1..N and no request is a self-loop.
 func (tr Trace) Validate() error {
 	for i, rq := range tr.Reqs {
-		if rq.Src < 1 || rq.Src > tr.N || rq.Dst < 1 || rq.Dst > tr.N {
-			return fmt.Errorf("workload: request %d (%d→%d) outside 1..%d", i, rq.Src, rq.Dst, tr.N)
+		if err := rq.CheckRange(i, tr.N); err != nil {
+			return fmt.Errorf("workload: %w", err)
 		}
 		if rq.Src == rq.Dst {
 			return fmt.Errorf("workload: request %d is a self-loop at %d", i, rq.Src)

@@ -331,50 +331,6 @@ func TestUniformDemand(t *testing.T) {
 	}
 }
 
-func TestDense(t *testing.T) {
-	tr := Uniform(20, 500, 11)
-	d := DemandFromTrace(tr)
-	m, err := d.Dense(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for i := range m {
-		if m[i][i] != 0 {
-			t.Errorf("self-demand at %d", i)
-		}
-		for j := range m[i] {
-			total += m[i][j]
-		}
-	}
-	if total != 500 {
-		t.Errorf("dense total %d, want 500", total)
-	}
-	if _, err := d.Dense(10); err == nil {
-		t.Error("Dense must refuse n beyond the limit")
-	}
-}
-
-func TestDownscale(t *testing.T) {
-	tr := FacebookLike(1000, 5000, 12)
-	d := DemandFromTrace(tr)
-	small := d.Downscale(100)
-	if small.N != 100 {
-		t.Fatalf("downscaled N=%d", small.N)
-	}
-	if small.Total > d.Total {
-		t.Errorf("downscale grew total from %d to %d", d.Total, small.Total)
-	}
-	for _, pc := range small.Pairs {
-		if pc.Src < 1 || pc.Src > 100 || pc.Dst < 1 || pc.Dst > 100 || pc.Src == pc.Dst {
-			t.Errorf("bad downscaled pair %+v", pc)
-		}
-	}
-	if same := d.Downscale(2000); same != d {
-		t.Error("downscale to larger n must be the identity")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr := ProjecToRLike(30, 200, 13)
 	var buf bytes.Buffer

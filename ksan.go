@@ -252,13 +252,10 @@ func OptimalStaticTree(d *Demand, k int) (*Tree, int64, error) { return statictr
 // (the DP fill itself is parallel) or build one solver per goroutine.
 type OptimalSolver = statictree.Solver
 
-// OptimalSolverOption configures NewOptimalSolver: SolverWithoutPruning
-// selects the exhaustive reference DP (pruning is exact, so this is a
-// debugging aid), SolverWorkers bounds the fill's parallelism.
+// OptimalSolverOption configures NewOptimalSolver. Its one option,
+// SolverWorkers, bounds the fill's parallelism; the root pruning is exact
+// and always on.
 type OptimalSolverOption = statictree.SolverOption
-
-// SolverWithoutPruning disables the admissible-bound root pruning.
-func SolverWithoutPruning() OptimalSolverOption { return statictree.WithoutPruning() }
 
 // SolverWorkers bounds the DP fill's worker count (default GOMAXPROCS).
 func SolverWorkers(n int) OptimalSolverOption { return statictree.WithSolverWorkers(n) }
