@@ -67,38 +67,28 @@ func Compose(label string, n, k int, trig policy.Trigger) (*Net, error) {
 	net := &Net{k: k, c1: c1, c2: c2}
 	aParts := evenParts(1, smallTotal, k-1)
 	bParts := evenParts(smallTotal+2, n-1, k)
-
-	// c2's spec: k subtrees, own id n in the last slot's interval.
-	c2spec := &core.Spec{ID: c2}
-	for i, p := range bParts {
-		c2spec.Children = append(c2spec.Children, core.BalancedSpec(p[0], p[1], k))
-		if i < len(bParts)-1 {
-			c2spec.Thresholds = append(c2spec.Thresholds, p[1])
-		}
+	for _, p := range bParts {
 		net.regions = append(net.regions, region{lo: p[0], hi: p[1], anchor: c2})
 	}
-	if len(bParts) == 0 {
-		c2spec.Children = nil
-	}
-
-	// c1's spec: k−1 small subtrees, then c2's subtree.
-	c1spec := &core.Spec{ID: c1}
-	for i, p := range aParts {
-		c1spec.Children = append(c1spec.Children, core.BalancedSpec(p[0], p[1], k))
-		if i < len(aParts)-1 {
-			c1spec.Thresholds = append(c1spec.Thresholds, p[1])
-		}
+	for _, p := range aParts {
 		net.regions = append(net.regions, region{lo: p[0], hi: p[1], anchor: c1})
 	}
-	c1spec.Thresholds = append(c1spec.Thresholds, c1)
-	if len(aParts) == 0 {
-		c1spec.Children = append(c1spec.Children, nil)
-	}
-	c1spec.Children = append(c1spec.Children, c2spec)
 
-	t, err := core.Build(k, c1spec)
+	// c1 is the root: the k−1 small subtrees, then c2's subtree above
+	// c1's own id. c2 holds the k large subtrees, its own id n in the
+	// last one's slot. Each subtree is weakly complete.
+	t, root, err := core.Arena(nil, n, k)
 	if err != nil {
 		return nil, fmt.Errorf("centroidnet: %w", err)
+	}
+	ths := make([]int, 0, k)
+	at1 := t.Place(root, c1, append(innerEnds(ths, aParts), c1))
+	for i, p := range aParts {
+		t.PlaceBalanced(at1.Child(i), p[0], p[1])
+	}
+	at2 := t.Place(at1.Child(max(len(aParts), 1)), c2, innerEnds(ths, bParts))
+	for i, p := range bParts {
+		t.PlaceBalanced(at2.Child(i), p[0], p[1])
 	}
 	p, err := policy.New(label, t, trig, adjuster{net})
 	if err != nil {
@@ -115,6 +105,16 @@ func MustNew(n, k int) *Net {
 		panic(err)
 	}
 	return net
+}
+
+// innerEnds returns buf[:0] with the last id of every part but the last:
+// the routing elements between the parts' slots.
+func innerEnds(buf []int, parts [][2]int) []int {
+	buf = buf[:0]
+	for i := 1; i < len(parts); i++ {
+		buf = append(buf, parts[i-1][1])
+	}
+	return buf
 }
 
 // evenParts splits [lo,hi] into up to want non-empty contiguous pieces of

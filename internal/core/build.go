@@ -7,52 +7,46 @@ import (
 
 // NewBalanced constructs a weakly-complete (all levels full except possibly
 // the last, which is packed to the left) k-ary search tree network on ids
-// 1..n. This is the usual demand-oblivious initial topology.
+// 1..n. This is the usual demand-oblivious initial topology. It writes
+// the arena directly (PlaceBalanced), with no Spec.
 func NewBalanced(n, k int) (*Tree, error) {
-	if err := CheckIDRange(n, k); err != nil {
+	t, root, err := Arena(nil, n, k)
+	if err != nil {
 		return nil, err
 	}
-	return Build(k, BalancedSpec(1, n, k))
+	t.PlaceBalanced(root, 1, n)
+	return t, nil
 }
 
-// MustNewBalanced is NewBalanced for known-good parameters.
-func MustNewBalanced(n, k int) *Tree {
-	t, err := NewBalanced(n, k)
-	if err != nil {
-		panic(err)
-	}
-	return t
+// PlaceBalanced writes the weakly-complete k-ary search tree on the ids
+// lo..hi (lo ≤ hi) into slot s. The root's id doubles as its first
+// routing element (routing-based placement): slot 0 holds the ids below
+// it, and every later non-empty child slot ends at its last id, except
+// the last child's, which is open-ended. The scratch for a node's
+// routing elements is allocated once per call, not per node.
+func (t *Tree) PlaceBalanced(s Slot, lo, hi int) {
+	t.placeBalanced(s, lo, hi, make([]int, 0, t.k))
 }
 
-// BalancedSpec returns the Spec of a weakly-complete k-ary search tree on
-// the id interval [lo,hi]. It returns nil for an empty interval. The root's
-// id doubles as its first routing element (routing-based placement), sitting
-// between the first child interval and the rest.
-func BalancedSpec(lo, hi, k int) *Spec {
-	m := hi - lo + 1
-	if m <= 0 {
-		return nil
+func (t *Tree) placeBalanced(s Slot, lo, hi int, ths []int) {
+	w := weaklyComplete(hi-lo, t.k)
+	id := lo + w.size(0)
+	ths = append(ths[:0], id)
+	end := id
+	for q := 1; q < t.k && w.size(q) > 0; q++ { // sizes only shrink
+		end += w.size(q)
+		ths = append(ths, end)
 	}
-	sizes := WeaklyCompleteSizes(m-1, k)
-	id := lo + sizes[0]
-	spec := &Spec{ID: id}
-	// Slot 0 covers (lo-1, id]: the first child's ids plus the root id.
-	spec.Thresholds = append(spec.Thresholds, id)
-	spec.Children = append(spec.Children, BalancedSpec(lo, id-1, k))
-	slotLo := id + 1
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] == 0 {
-			continue
-		}
-		end := slotLo + sizes[i] - 1
-		spec.Thresholds = append(spec.Thresholds, end)
-		spec.Children = append(spec.Children, BalancedSpec(slotLo, end, k))
-		slotLo = end + 1
+	f := t.Place(s, id, ths[:len(ths)-1])
+	// ths is free again: the children's bounds come from the sizes.
+	if id > lo {
+		t.placeBalanced(f.Child(0), lo, id-1, ths)
 	}
-	// Drop the final threshold: the last child lives in the open-ended last
-	// slot, keeping the routing array within k-1 entries.
-	spec.Thresholds = spec.Thresholds[:len(spec.Thresholds)-1]
-	return spec
+	start := id + 1
+	for q := 1; q < t.k && w.size(q) > 0; q++ {
+		t.placeBalanced(f.Child(q), start, start+w.size(q)-1, ths)
+		start += w.size(q)
+	}
 }
 
 // WeaklyCompleteSizes splits c nodes into k subtree sizes of a
@@ -61,28 +55,31 @@ func BalancedSpec(lo, hi, k int) *Spec {
 // the leftmost subtrees. F(h) = 1 + k + ... + k^(h−1).
 func WeaklyCompleteSizes(c, k int) []int {
 	sizes := make([]int, k)
-	if c <= 0 {
-		return sizes
-	}
-	full := 0    // F(h-1): nodes in one full subtree of height h-1
-	lastCap := 1 // k^(h-1): capacity of one subtree's last level at height h
-	for k*(full+lastCap) < c {
-		full += lastCap
-		lastCap *= k
-	}
-	last := c - k*full // nodes on the (partial) last level
+	w := weaklyComplete(c, k)
 	for i := range sizes {
-		take := last
-		if take > lastCap {
-			take = lastCap
-		}
-		if take < 0 {
-			take = 0
-		}
-		sizes[i] = full + take
-		last -= take
+		sizes[i] = w.size(i)
 	}
 	return sizes
+}
+
+// wcShape is c nodes split into k weakly-complete subtrees: each holds
+// full = F(h−1) interior nodes, and the last nodes of the last level
+// fill the subtrees left to right, at most lastCap = k^(h−1) each.
+type wcShape struct{ full, lastCap, last int }
+
+func weaklyComplete(c, k int) wcShape {
+	w := wcShape{lastCap: 1}
+	for k*(w.full+w.lastCap) < c {
+		w.full += w.lastCap
+		w.lastCap *= k
+	}
+	w.last = c - k*w.full
+	return w
+}
+
+// size is the node count of subtree q.
+func (w wcShape) size(q int) int {
+	return w.full + min(max(w.last-q*w.lastCap, 0), w.lastCap)
 }
 
 // NewPath constructs the degenerate path topology 1→2→…→n (each node has a

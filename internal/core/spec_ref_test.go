@@ -112,6 +112,19 @@ func (t *Tree) refBuildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int
 	return ix, nil
 }
 
+// specIDRange returns the minimum and maximum id in the spec subtree.
+func specIDRange(s *Spec) (lo, hi int) {
+	lo, hi = s.ID, s.ID
+	for _, ch := range s.Children {
+		if ch == nil {
+			continue
+		}
+		clo, chi := specIDRange(ch)
+		lo, hi = min(lo, clo), max(hi, chi)
+	}
+	return lo, hi
+}
+
 // pathSpec is NewPath's spec: 1→2→…→n, each node's child right of its id.
 func pathSpec(n int) *Spec {
 	var spec *Spec

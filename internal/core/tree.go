@@ -26,7 +26,7 @@ import (
 // slices double as the tree's serialization format (see Snapshot).
 //
 // The zero value is not usable; construct trees with NewBalanced, NewPath,
-// NewRandom, Build (from a Spec) or FromSnapshot.
+// NewRandom, Build (from a Spec), FromSnapshot, or Place into an Arena.
 type Tree struct {
 	k     int
 	n     int
@@ -71,11 +71,6 @@ type Tree struct {
 	// routeBuf backs RoutePath results (grown to the longest path seen,
 	// never shrunk); same single-owner, non-reentrant rules as scratch.
 	routeBuf []int
-
-	// seen holds BuildInto's per-id marks, kept so that building into
-	// this arena again allocates nothing (nil on a FromSnapshot tree
-	// until its first BuildInto).
-	seen []bool
 }
 
 // span returns node ix's interleaved child/threshold span of the packed

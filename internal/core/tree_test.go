@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNewBalancedValid(t *testing.T) {
@@ -257,9 +258,10 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		{"non-increasing thresholds", 3, &Spec{ID: 2, Thresholds: []int{2, 2}, Children: []*Spec{{ID: 1}, nil, {ID: 3}}}, "not strictly increasing"},
 		{"threshold beyond its interval", 3, &Spec{ID: 2, Thresholds: []int{2, 5}, Children: []*Spec{{ID: 1}, nil, {ID: 3}}}, "exceeds its interval"},
 		// One threshold at k=3 needs one pad cut below id 2, but slot 0
-		// holds ids on both sides of it.
+		// holds ids on both sides of it: its root, id 1, takes the part
+		// below the pad, which id 3 lies outside of.
 		{"padding splits a child slot", 3, &Spec{ID: 2, Thresholds: []int{3}, Children: []*Spec{
-			{ID: 1, Thresholds: []int{1}, Children: []*Spec{nil, {ID: 3}}}, nil}}, "cannot pad"},
+			{ID: 1, Thresholds: []int{1}, Children: []*Spec{nil, {ID: 3}}}, nil}}, "id 3 outside its slot"},
 		// The last threshold sits at the slot's upper end, leaving the
 		// open-ended last slot empty.
 		{"child in an empty slot", 2, &Spec{ID: 1, Thresholds: []int{2}, Children: []*Spec{nil, {ID: 2}}}, "empty slot"},
@@ -271,20 +273,45 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Build rejected it with %q, want the %q rejection", c.name, err, c.want)
 		}
-		// Built into a used arena of the node count Build would have
-		// made, the spec must meet the same rejection.
-		dst := dirtyArena(t, max(countSpec(c.spec), 1), max(c.k, 2), 1)
-		if _, err := BuildInto(dst, c.k, c.spec); err == nil {
-			t.Errorf("%s: BuildInto accepted an invalid spec", c.name)
-		} else if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: BuildInto rejected it with %q, want the %q rejection", c.name, err, c.want)
+	}
+}
+
+// TestBuildPaddedPathLinear: on a left path at k=3 every node has one
+// threshold, its own id, so it is padded below the id, and its child
+// sits in the slot the pad splits. Build puts the child on the side its
+// own id lies on, so it runs in time linear in the height; walking each
+// such child's subtree for its id range took 3.9 s at 20 000 nodes, and
+// would take about 100 s at this size.
+func TestBuildPaddedPathLinear(t *testing.T) {
+	const n, k = 100_000, 3
+	var spec *Spec
+	for id := 1; id <= n; id++ {
+		spec = &Spec{ID: id, Thresholds: []int{id}, Children: []*Spec{spec, nil}}
+	}
+	start := time.Now()
+	tr, err := Build(k, spec)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Validate searches for every id, quadratic on a path: check the
+	// links instead.
+	if tr.root != n {
+		t.Fatalf("root %d, want %d", tr.root, n)
+	}
+	for id := 1; id < n; id++ {
+		if p := tr.parent[id]; p != int32(id+1) {
+			t.Fatalf("node %d hangs under %d, want %d", id, p, id+1)
 		}
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("Build of a %d-node padded path took %v, want well under 10 s", n, elapsed)
 	}
 }
 
 // dirtyArena returns a random n-node k-ary tree that has been splayed
 // with edge tracking on and the leftmost block policy set: an arena
-// holding everything BuildInto must reset.
+// holding everything Arena must reset.
 func dirtyArena(t *testing.T, n, k int, seed int64) *Tree {
 	t.Helper()
 	tr, err := NewRandom(n, k, seed)
@@ -300,70 +327,50 @@ func dirtyArena(t *testing.T, n, k int, seed int64) *Tree {
 	return tr
 }
 
-// TestBuildIntoMatchesBuild pins BuildInto to Build: built into a used
-// arena (splayed, with edge tracking and the leftmost block policy on),
-// and again after a rejected spec left it half written, a spec yields
-// the same snapshot as a new arena, zero counters and default settings,
-// and the second build into the same arena allocates nothing.
-func TestBuildIntoMatchesBuild(t *testing.T) {
+// TestArenaResetsUsedArena: a construction written into a used arena
+// (splayed, with edge tracking and the leftmost block policy on) yields
+// the tree it writes into a new one, with zero counters and default
+// settings, and readying the same arena again allocates nothing. An
+// arena of another arity or node count is refused.
+func TestArenaResetsUsedArena(t *testing.T) {
 	const n = 300
 	for _, k := range []int{2, 3, 4, 8} {
-		for _, shape := range []string{"balanced", "random"} {
-			spec := BalancedSpec(1, n, k)
-			if shape == "random" {
-				spec = randomSpec(1, n, k, rand.New(rand.NewSource(int64(k))))
+		want := MustNewBalanced(n, k)
+		dst := dirtyArena(t, n, k, int64(k))
+		if dst.Rotations() == 0 || dst.EdgeChanges() == 0 {
+			t.Fatal("the dirty arena was never splayed; the test is vacuous")
+		}
+		got, root, err := Arena(dst, n, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if got != dst {
+			t.Fatalf("k=%d: Arena returned a new tree, not its destination", k)
+		}
+		got.PlaceBalanced(root, 1, n)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !sameArena(got, want) {
+			t.Fatalf("k=%d: the tree written into a used arena differs from NewBalanced's", k)
+		}
+		if got.Rotations() != 0 || got.EdgeChanges() != 0 || got.trackEdges || got.blockPolicy != BlockCentered {
+			t.Fatalf("k=%d: rotations %d, edge changes %d, tracking %v, block policy %v; want a new tree's",
+				k, got.Rotations(), got.EdgeChanges(), got.trackEdges, got.blockPolicy)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := Arena(dst, n, k); err != nil {
+				t.Fatal(err)
 			}
-			want := MustBuild(k, spec)
-			dst := dirtyArena(t, n, k, int64(k))
-			if dst.Rotations() == 0 || dst.EdgeChanges() == 0 {
-				t.Fatal("the dirty arena was never splayed; the test is vacuous")
-			}
-			for _, step := range []string{"used arena", "after a rejected spec"} {
-				if step == "after a rejected spec" {
-					// Valid down to the last node, whose id repeats.
-					bad := randomSpec(1, n, k, rand.New(rand.NewSource(7)))
-					leaf := bad
-					for len(leaf.Children) > 0 {
-						for _, ch := range leaf.Children {
-							if ch != nil {
-								leaf = ch
-							}
-						}
-					}
-					leaf.ID = bad.ID
-					if _, err := BuildInto(dst, k, bad); err == nil {
-						t.Fatalf("k=%d %s: BuildInto accepted a spec with a duplicate id", k, shape)
-					}
-				}
-				got, err := BuildInto(dst, k, spec)
-				if err != nil {
-					t.Fatalf("k=%d %s %s: %v", k, shape, step, err)
-				}
-				if got != dst {
-					t.Fatalf("k=%d %s %s: BuildInto returned a new tree, not its destination", k, shape, step)
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatalf("k=%d %s %s: %v", k, shape, step, err)
-				}
-				if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
-					t.Fatalf("k=%d %s %s: snapshot differs from Build's", k, shape, step)
-				}
-				if got.Rotations() != 0 || got.EdgeChanges() != 0 || got.trackEdges || got.blockPolicy != BlockCentered {
-					t.Fatalf("k=%d %s %s: rotations %d, edge changes %d, tracking %v, block policy %v; want a new tree's",
-						k, shape, step, got.Rotations(), got.EdgeChanges(), got.trackEdges, got.blockPolicy)
-				}
-			}
-			if allocs := testing.AllocsPerRun(20, func() {
-				if _, err := BuildInto(dst, k, spec); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("k=%d %s: building into a used arena made %.0f allocs, want 0", k, shape, allocs)
-			}
+		}); allocs != 0 {
+			t.Errorf("k=%d: readying a used arena made %.0f allocs, want 0", k, allocs)
 		}
 	}
-	if _, err := BuildInto(MustNewBalanced(7, 3), 4, BalancedSpec(1, 7, 4)); err == nil {
-		t.Error("BuildInto built a 4-ary tree into a 3-ary arena")
+	if _, _, err := Arena(MustNewBalanced(7, 3), 7, 4); err == nil {
+		t.Error("Arena readied a 3-ary arena for a 4-ary tree")
+	}
+	if _, _, err := Arena(MustNewBalanced(7, 3), 8, 3); err == nil {
+		t.Error("Arena readied a 7-node arena for 8 nodes")
 	}
 }
 

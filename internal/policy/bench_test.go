@@ -27,7 +27,11 @@ func BenchmarkLazyFiring(b *testing.B) {
 		{"demand-builder", Rebuild("rebuild-wb", new(statictree.WeightBalancer).Build)},
 	} {
 		b.Run(a.name, func(b *testing.B) {
-			net, err := New("lazy", core.MustNewBalanced(n, k), Alpha(20000), a.adj)
+			t, err := core.NewBalanced(n, k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net, err := New("lazy", t, Alpha(20000), a.adj)
 			if err != nil {
 				b.Fatal(err)
 			}

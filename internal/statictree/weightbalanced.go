@@ -32,17 +32,15 @@ func WeightBalanced(d *workload.Demand, k int) (*core.Tree, int64, error) {
 }
 
 // WeightBalancer builds weight-balanced trees and keeps its scratch
-// between builds: the point weights and the spec, threshold and child
-// slabs, which core.Build only reads. A network that rebuilds repeatedly
-// (the lazy net's rebuild-wb adjuster) owns one and builds from point
-// weights into its retired arena (Weights, BuildWeights), so a rebuild
-// allocates nothing. The zero value is ready to use; a WeightBalancer
-// must not be used by two goroutines at once.
+// between builds: the point weights and the routing elements of the
+// nodes being written. A network that rebuilds repeatedly (the lazy
+// net's rebuild-wb adjuster) owns one and builds from point weights into
+// its retired arena (Weights, BuildWeights), so a rebuild allocates
+// nothing. The zero value is ready to use; a WeightBalancer must not be
+// used by two goroutines at once.
 type WeightBalancer struct {
 	prefix []int64
-	specs  []core.Spec
 	ths    []int
-	kids   []*core.Spec
 }
 
 // Build is WeightBalanced on b's scratch: BuildWeights over the demand's
@@ -76,10 +74,10 @@ func (b *WeightBalancer) Weights(n int) []int64 {
 }
 
 // BuildWeights is the construction behind Build, from point weights: it
-// builds the weight-balanced tree of arity k over the nodes 1..n, with
+// writes the weight-balanced tree of arity k over the nodes 1..n, with
 // n = len(w)−1 and w[x] node x's point weight (w[0] is ignored), into
-// dst's arena (core.BuildInto; nil allocates a new one). It needs no
-// pair list, so a caller that keeps point weights skips the sort that
+// dst's arena (core.Arena; nil allocates a new one). It needs no pair
+// list, so a caller that keeps point weights skips the sort that
 // aggregating requests into pairs costs. It overwrites w with its
 // prefix sums.
 func (b *WeightBalancer) BuildWeights(dst *core.Tree, w []int64, k int) (*core.Tree, error) {
@@ -90,20 +88,19 @@ func (b *WeightBalancer) BuildWeights(dst *core.Tree, w []int64, k int) (*core.T
 	if n < 1 {
 		return nil, fmt.Errorf("statictree: empty demand")
 	}
+	t, root, err := core.Arena(dst, n, k)
+	if err != nil {
+		return nil, fmt.Errorf("statictree: %w", err)
+	}
 	// +1 per node so untouched nodes still spread evenly.
 	w[0] = 0
 	for x := 1; x <= n; x++ {
 		w[x] += w[x-1] + 1
 	}
-	b.specs = resize(b.specs, n) // cleared: a leaf sets only its ID
 	b.ths = resize(b.ths, n)
-	b.kids = resize(b.kids, 2*n)
-	wb := wbBuilder{k: k, prefix: w, specs: b.specs, ths: b.ths, kids: b.kids}
-	tree, err := core.BuildInto(dst, k, wb.build(1, n))
-	if err != nil {
-		return nil, fmt.Errorf("statictree: weight-balanced construction invalid: %w", err)
-	}
-	return tree, nil
+	wb := wbWriter{t: t, k: k, prefix: w}
+	wb.write(root, 1, n, b.ths)
+	return t, nil
 }
 
 // resize returns s with length n and every element zero, reusing its
@@ -114,32 +111,28 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// wbBuilder is one build's cursor over a WeightBalancer's slabs: it
-// carves the weight-balanced Spec out of three slabs instead of
-// allocating per node. Each child slot holds one of the n−1 non-root
-// nodes or is the single empty slot beside a node whose ids lie on one
-// side only, and a node has one threshold fewer than slots, so the whole
-// spec needs at most n−1 thresholds and 2(n−1) child slots for any k.
-type wbBuilder struct {
+// wbWriter is one build's cursor: it writes the weight-balanced tree
+// over prefix's ids into t, node by node, top down.
+type wbWriter struct {
+	t      *core.Tree
 	k      int
 	prefix []int64 // prefix[x]: point weights of ids 1..x
-	specs  []core.Spec
-	ths    []int
-	kids   []*core.Spec
 }
 
 // wsum is the point weight of the ids in [i,j] (0 for j = i−1).
-func (b *wbBuilder) wsum(i, j int) int64 {
+func (b *wbWriter) wsum(i, j int) int64 {
 	return b.prefix[j] - b.prefix[i-1]
 }
 
-// build returns the spec of the non-empty segment [i,j].
-func (b *wbBuilder) build(i, j int) *core.Spec {
-	spec := &b.specs[0]
-	b.specs = b.specs[1:]
+// write places the tree on the non-empty segment [i,j] into slot s. A
+// node's routing elements go at the front of free and its subtrees use
+// the rest in turn. A node has one routing element fewer than child
+// slots, and at most one slot is empty, so a segment's nodes hold at
+// most one routing element per id: len(free) ≥ j−i+1 is enough.
+func (b *wbWriter) write(s core.Slot, i, j int, free []int) {
 	if i == j {
-		spec.ID = i
-		return spec
+		b.t.Place(s, i, nil)
+		return
 	}
 	// Weighted median of [i,j] as the root.
 	half := b.wsum(i, j) / 2
@@ -147,7 +140,6 @@ func (b *wbBuilder) build(i, j int) *core.Spec {
 	for r < j && b.wsum(i, r) < half {
 		r++
 	}
-	spec.ID = r
 	// Split each side into near-equal-weight parts, slots proportional
 	// to each side's share (at least one slot per non-empty side).
 	leftN, rightN := r-i, j-r
@@ -164,48 +156,46 @@ func (b *wbBuilder) build(i, j int) *core.Spec {
 		dl = minInt(dl, leftN)
 		dr = minInt(b.k-dl, rightN)
 	}
-	slots := dl + dr
-	if dl == 0 || dr == 0 {
-		slots++ // the empty slot beside the node id
+	// The routing elements: the left parts' ends with r for the last
+	// one's (r alone for an empty left side, whose slot stays empty),
+	// then the right parts' ends but the last.
+	ths := free[:0]
+	start := i
+	for p := dl; p > 1; p-- {
+		end := b.partEnd(start, r-1, p)
+		ths = append(ths, end)
+		start = end + 1
 	}
-	spec.Thresholds, b.ths = b.ths[:0:slots-1], b.ths[slots-1:]
-	spec.Children, b.kids = b.kids[:0:slots], b.kids[slots:]
-
-	if dl > 0 {
-		start := i
-		for p := dl; p > 0; p-- {
-			end := b.partEnd(start, r-1, p)
-			spec.Children = append(spec.Children, b.build(start, end))
-			if p > 1 {
-				spec.Thresholds = append(spec.Thresholds, end)
-			} else {
-				spec.Thresholds = append(spec.Thresholds, r)
-			}
-			start = end + 1
+	ths = append(ths, r)
+	start = r + 1
+	for p := dr; p > 1; p-- {
+		end := b.partEnd(start, j, p)
+		ths = append(ths, end)
+		start = end + 1
+	}
+	at := b.t.Place(s, r, ths)
+	// Child slot c holds the ids after routing element c−1 up to
+	// element c (j past the last), r aside.
+	lo := i
+	for c := 0; c <= len(ths); c++ {
+		hi := j
+		if c < len(ths) {
+			hi = ths[c]
 		}
-	} else {
-		spec.Thresholds = append(spec.Thresholds, r)
-		spec.Children = append(spec.Children, nil)
-	}
-	if dr > 0 {
-		start := r + 1
-		for p := dr; p > 0; p-- {
-			end := b.partEnd(start, j, p)
-			spec.Children = append(spec.Children, b.build(start, end))
-			if p > 1 {
-				spec.Thresholds = append(spec.Thresholds, end)
-			}
-			start = end + 1
+		next := hi + 1
+		if hi == r {
+			hi--
 		}
-	} else {
-		spec.Children = append(spec.Children, nil)
+		if lo <= hi {
+			b.write(at.Child(c), lo, hi, free[len(ths):])
+		}
+		lo = next
 	}
-	return spec
 }
 
 // partEnd is where the next part ends when [start,j] is split into parts
 // contiguous non-empty parts of near-equal weight.
-func (b *wbBuilder) partEnd(start, j, parts int) int {
+func (b *wbWriter) partEnd(start, j, parts int) int {
 	if parts == 1 {
 		return j
 	}

@@ -12,17 +12,23 @@ import (
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-// refWeightBalanced is the spec-building WeightBalanced that the slab
-// builder replaced: one heap Spec, threshold slice and child slice per
-// node, and one parts slice per split. It is kept as the test oracle the
-// slab builder must match tree for tree.
+// refWeightBalanced is the spec-building WeightBalanced that the arena
+// writer replaced: one heap Spec, threshold slice and child slice per
+// node, and one parts slice per split, materialized by core.Build. It is
+// kept as the test oracle the writer must match tree for tree.
 func refWeightBalanced(d *workload.Demand, k int) (*core.Tree, error) {
-	n := d.N
-	weight := make([]int64, n+2)
+	weight := make([]int64, d.N+1)
 	for _, pc := range d.Pairs {
 		weight[pc.Src] += pc.Count
 		weight[pc.Dst] += pc.Count
 	}
+	return refWeightBalancedWeights(weight, k)
+}
+
+// refWeightBalancedWeights is refWeightBalanced on point weights:
+// weight[x] for the nodes x in 1..len(weight)−1, weight[0] ignored.
+func refWeightBalancedWeights(weight []int64, k int) (*core.Tree, error) {
+	n := len(weight) - 1
 	prefix := make([]int64, n+2)
 	for x := 1; x <= n; x++ {
 		prefix[x] = prefix[x-1] + weight[x] + 1
@@ -145,7 +151,7 @@ func TestWeightBalancedMatchesReference(t *testing.T) {
 					t.Fatalf("n=%d k=%d %s: reference: %v", n, k, name, err)
 				}
 				if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
-					t.Fatalf("n=%d k=%d %s: slab-built tree differs from the reference", n, k, name)
+					t.Fatalf("n=%d k=%d %s: written tree differs from the reference", n, k, name)
 				}
 				if ref := TotalDistance(want, d); cost != ref {
 					t.Fatalf("n=%d k=%d %s: cost %d, reference tree costs %d", n, k, name, cost, ref)
@@ -185,9 +191,56 @@ func TestWeightBalancerReuse(t *testing.T) {
 	}
 }
 
+// FuzzWeightBalancer fuzzes the weight-balanced writer against the Spec
+// path: n = 1 + nRaw mod 2048 nodes, arity k = 2 + kRaw mod 64, and node
+// x's point weight from byte x−1 of weights (cycled; none when empty),
+// its low five bits times 8 to the power of its top three, so that
+// weights from 0 to about 6.5·10⁷ mix. BuildWeights into a new arena and
+// into a spare one that a splayed, edge-tracking tree still holds must
+// both write refWeightBalanced's tree, and it must validate.
+func FuzzWeightBalancer(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nRaw uint16, kRaw uint8, weights []byte) {
+		n, k := 1+int(nRaw)%2048, 2+int(kRaw)%64
+		w := make([]int64, n+1)
+		for x := 1; x <= n && len(weights) > 0; x++ {
+			c := weights[(x-1)%len(weights)]
+			w[x] = int64(c&31) << (3 * (c >> 5))
+		}
+		want, err := refWeightBalancedWeights(w, k)
+		if err != nil {
+			t.Fatalf("n=%d k=%d: reference: %v", n, k, err)
+		}
+		spare, err := core.NewRandom(n, k, int64(nRaw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spare.SetTrackEdges(true)
+		spare.SetBlockPolicy(core.BlockLeftmost)
+		for id := 1; id <= n; id += 3 {
+			spare.SplayUntilParent(spare.NodeByID(id), nil)
+		}
+		var b WeightBalancer
+		for _, dst := range []*core.Tree{nil, spare} {
+			got, err := b.BuildWeights(dst, slices.Clone(w), k)
+			if err != nil {
+				t.Fatalf("n=%d k=%d spare=%v: %v", n, k, dst != nil, err)
+			}
+			if dst != nil && (got != dst || got.Rotations() != 0 || got.EdgeChanges() != 0) {
+				t.Fatalf("n=%d k=%d: the spare arena was not reset and reused", n, k)
+			}
+			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+				t.Fatalf("n=%d k=%d spare=%v: written tree differs from the reference", n, k, dst != nil)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("n=%d k=%d spare=%v: %v", n, k, dst != nil, err)
+			}
+		}
+	})
+}
+
 // TestWeightBalancerReuseAllocatesOnlyTheTree pins what the reuse buys:
-// once a builder's slabs have grown, a build of the same size allocates
-// exactly what core.Build allocates for the tree, and none of the
+// once a builder's scratch has grown, a build of the same size allocates
+// exactly what a new arena of that size allocates, and none of the
 // scratch.
 func TestWeightBalancerReuseAllocatesOnlyTheTree(t *testing.T) {
 	const n, k = 4095, 4
@@ -198,22 +251,19 @@ func TestWeightBalancerReuseAllocatesOnlyTheTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	wb := wbBuilder{k: k, prefix: b.prefix,
-		specs: make([]core.Spec, n), ths: make([]int, n), kids: make([]*core.Spec, 2*n)}
-	spec := wb.build(1, n)
-	tree := testing.AllocsPerRun(5, func() {
-		if _, err := core.Build(k, spec); err != nil {
+	arena := testing.AllocsPerRun(5, func() {
+		if _, _, err := core.Arena(nil, n, k); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if reused != tree {
-		t.Errorf("a reused builder made %.0f allocs per build; core.Build alone makes %.0f", reused, tree)
+	if reused != arena {
+		t.Errorf("a reused builder made %.0f allocs per build; a new arena alone makes %.0f", reused, arena)
 	}
 }
 
-// TestWeightBalancedAllocsConstantInN pins the slab builder's allocation
-// contract: a fixed set of slabs and arena slices, the same count at any
-// node count — a rebuild's garbage no longer grows with the tree.
+// TestWeightBalancedAllocsConstantInN pins the writer's allocation
+// contract: a fixed set of scratch and arena slices, the same count at
+// any node count — a rebuild's garbage does not grow with the tree.
 func TestWeightBalancedAllocsConstantInN(t *testing.T) {
 	for _, k := range []int{2, 4, 32} {
 		var allocs [2]float64

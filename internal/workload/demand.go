@@ -3,8 +3,6 @@ package workload
 import (
 	"cmp"
 	"slices"
-
-	"github.com/ksan-net/ksan/internal/sim"
 )
 
 // PairCount is one aggregated demand-matrix entry: Count requests from Src
@@ -205,16 +203,4 @@ func UniformDemand(n int) *Demand {
 	}
 	d.Total = int64(n) * int64(n-1) / 2
 	return d
-}
-
-// Requests converts a demand matrix back into an arbitrary-order request
-// sequence (used by tests to round-trip traces).
-func (d *Demand) Requests() []sim.Request {
-	reqs := make([]sim.Request, 0, d.Total)
-	for _, pc := range d.Pairs {
-		for c := int64(0); c < pc.Count; c++ {
-			reqs = append(reqs, sim.Request{Src: pc.Src, Dst: pc.Dst})
-		}
-	}
-	return reqs
 }

@@ -298,13 +298,25 @@ func TestZipfSampler(t *testing.T) {
 	}
 }
 
+// requestsOf converts a demand matrix back into a request sequence, each
+// pair repeated by its count, in pair order.
+func requestsOf(d *Demand) []sim.Request {
+	reqs := make([]sim.Request, 0, d.Total)
+	for _, pc := range d.Pairs {
+		for c := int64(0); c < pc.Count; c++ {
+			reqs = append(reqs, sim.Request{Src: pc.Src, Dst: pc.Dst})
+		}
+	}
+	return reqs
+}
+
 func TestDemandFromTraceRoundTrip(t *testing.T) {
 	tr := Temporal(40, 5000, 0.5, 9)
 	d := DemandFromTrace(tr)
 	if d.Total != int64(tr.Len()) {
 		t.Fatalf("demand total %d != trace length %d", d.Total, tr.Len())
 	}
-	back := d.Requests()
+	back := requestsOf(d)
 	if len(back) != tr.Len() {
 		t.Fatalf("requests round-trip length %d != %d", len(back), tr.Len())
 	}
