@@ -27,22 +27,6 @@ func (t *Tree) SearchFromRoot(id int) ([]int, error) {
 	}
 }
 
-// searchHops is SearchFromRoot without the path: how many hops greedy
-// search for id (in 1..n) takes from the root. Validate runs it for
-// every id, so it must not allocate.
-func (t *Tree) searchHops(id int) (int, error) {
-	value := int32(t.idValue(id))
-	hops := 0
-	for ix := t.root; int(ix) != id; hops++ {
-		ch := t.span(ix)[2*t.slotFor(ix, value)]
-		if ch == 0 {
-			return hops, fmt.Errorf("core: search for %d dead-ends at node %d (search property violated)", id, ix)
-		}
-		ix = ch
-	}
-	return hops, nil
-}
-
 // RoutePath returns the node ids along the routing path from u to v: the
 // reverse-search path up to their lowest common ancestor followed by the
 // greedy search path down to v. Its length minus one equals Distance.

@@ -52,6 +52,19 @@ func (t *Tree) SnapshotInto(s *Snapshot) {
 // never served). The round trip Snapshot → FromSnapshot yields a tree whose
 // Render, Parents and distance answers are bit-identical to the original's.
 func FromSnapshot(s Snapshot) (*Tree, error) {
+	t, err := restore(s)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// restore copies a snapshot into a new arena after checking its sizes
+// and that every link indexes the arena, so that Validate can read it.
+func restore(s Snapshot) (*Tree, error) {
 	if err := CheckIDRange(s.N, s.K); err != nil {
 		return nil, err
 	}
@@ -79,9 +92,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 				return nil, fmt.Errorf("core: snapshot child slot %d of node %d out of range: %d", i/2, id, ch)
 			}
 		}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
 	}
 	return t, nil
 }

@@ -109,41 +109,69 @@ func TestFromSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// FuzzFromSnapshot mutates a valid random tree's snapshot: FromSnapshot
-// must reject it with an error, or return a tree that passes Validate,
-// answers DistanceID on every pair, and then rotates exactly like the
-// pointer reference, with edge tracking on (rotateLikeReference). Each five bytes of muts are
-// one mutation: a target (parent link, span entry, root, arity or node
-// count), a 16-bit index and a signed 16-bit value.
-func FuzzFromSnapshot(f *testing.F) {
-	f.Add(uint8(20), uint8(3), int64(1), []byte{})
-	f.Add(uint8(20), uint8(3), int64(1), []byte{0, 5, 0, 0, 0})       // node 5 loses its parent
-	f.Add(uint8(33), uint8(2), int64(2), []byte{1, 7, 0, 200, 0})     // a span entry out of range
-	f.Add(uint8(9), uint8(5), int64(3), []byte{2, 0, 0, 4, 0})        // another root
-	f.Add(uint8(40), uint8(4), int64(4), []byte{1, 1, 0, 2, 0, 3, 0}) // a threshold moved, then a stray byte
-	f.Add(uint8(56), uint8(0), int64(-54), []byte{1, 1, 0, 2, 0})     // node 1's threshold repeats its bound
-	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, seed int64, muts []byte) {
-		n, k := 1+int(nRaw)%64, 2+int(kRaw)%7
-		tr, err := NewRandom(n, k, seed)
-		if err != nil {
-			t.Fatal(err)
+// fromSnapshotSeed is one input of FuzzFromSnapshot: a random tree of
+// 1 + nRaw mod 64 nodes and arity 2 + kRaw mod 7, and the mutations of
+// its snapshot. Each five bytes of muts are one mutation: a target
+// (parent link, span entry, root, arity or node count), a 16-bit index
+// and a signed 16-bit value.
+type fromSnapshotSeed struct {
+	nRaw, kRaw uint8
+	seed       int64
+	muts       []byte
+}
+
+// fromSnapshotSeeds is FuzzFromSnapshot's seed corpus;
+// TestValidateMatchesSearchReference runs it through both Validate checks.
+var fromSnapshotSeeds = []fromSnapshotSeed{
+	{20, 3, 1, []byte{}},
+	{20, 3, 1, []byte{0, 5, 0, 0, 0}},       // node 5 loses its parent
+	{33, 2, 2, []byte{1, 7, 0, 200, 0}},     // a span entry out of range
+	{9, 5, 3, []byte{2, 0, 0, 4, 0}},        // another root
+	{40, 4, 4, []byte{1, 1, 0, 2, 0, 3, 0}}, // a threshold moved, then a stray byte
+	{56, 0, -54, []byte{1, 1, 0, 2, 0}},     // node 1's threshold repeats its bound
+}
+
+// snapshot builds the seed's tree and returns its mutated snapshot.
+func (in fromSnapshotSeed) snapshot(t *testing.T) Snapshot {
+	t.Helper()
+	tr, err := NewRandom(1+int(in.nRaw)%64, 2+int(in.kRaw)%7, in.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.Snapshot()
+	for muts := in.muts; len(muts) >= 5; muts = muts[5:] {
+		at := int(muts[1]) | int(muts[2])<<8
+		v := int32(int16(uint16(muts[3]) | uint16(muts[4])<<8))
+		switch muts[0] % 5 {
+		case 0:
+			s.Parent[at%len(s.Parent)] = v
+		case 1:
+			s.RC[at%len(s.RC)] = v
+		case 2:
+			s.Root = v
+		case 3:
+			s.K = int(v)
+		case 4:
+			s.N = int(v)
 		}
-		s := tr.Snapshot()
-		for ; len(muts) >= 5; muts = muts[5:] {
-			at := int(muts[1]) | int(muts[2])<<8
-			v := int32(int16(uint16(muts[3]) | uint16(muts[4])<<8))
-			switch muts[0] % 5 {
-			case 0:
-				s.Parent[at%len(s.Parent)] = v
-			case 1:
-				s.RC[at%len(s.RC)] = v
-			case 2:
-				s.Root = v
-			case 3:
-				s.K = int(v)
-			case 4:
-				s.N = int(v)
-			}
+	}
+	return s
+}
+
+// FuzzFromSnapshot mutates a valid random tree's snapshot
+// (fromSnapshotSeed): FromSnapshot must reject it with an error exactly
+// when the former greedy-search check (validateBySearch) rejects it, or
+// return a tree that passes Validate, answers DistanceID on every pair,
+// and then rotates exactly like the pointer reference, with edge
+// tracking on (rotateLikeReference).
+func FuzzFromSnapshot(f *testing.F) {
+	for _, in := range fromSnapshotSeeds {
+		f.Add(in.nRaw, in.kRaw, in.seed, in.muts)
+	}
+	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, seed int64, muts []byte) {
+		s := fromSnapshotSeed{nRaw, kRaw, seed, muts}.snapshot(t)
+		if _, _, err := checksAgree(s); err != nil {
+			t.Fatal(err)
 		}
 		back, err := FromSnapshot(s)
 		if err != nil {

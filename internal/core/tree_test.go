@@ -281,7 +281,9 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 // sits in the slot the pad splits. Build puts the child on the side its
 // own id lies on, so it runs in time linear in the height; walking each
 // such child's subtree for its id range took 3.9 s at 20 000 nodes, and
-// would take about 100 s at this size.
+// would take about 100 s at this size. Validate, and so FromSnapshot,
+// are linear in the height too: a greedy search for every id took about
+// 69 s on this path.
 func TestBuildPaddedPathLinear(t *testing.T) {
 	const n, k = 100_000, 3
 	var spec *Spec
@@ -290,22 +292,27 @@ func TestBuildPaddedPathLinear(t *testing.T) {
 	}
 	start := time.Now()
 	tr, err := Build(k, spec)
-	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Validate searches for every id, quadratic on a path: check the
-	// links instead.
-	if tr.root != n {
-		t.Fatalf("root %d, want %d", tr.root, n)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromSnapshot(tr.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if back.root != n {
+		t.Fatalf("root %d, want %d", back.root, n)
 	}
 	for id := 1; id < n; id++ {
-		if p := tr.parent[id]; p != int32(id+1) {
+		if p := back.parent[id]; p != int32(id+1) {
 			t.Fatalf("node %d hangs under %d, want %d", id, p, id+1)
 		}
 	}
 	if elapsed > 10*time.Second {
-		t.Errorf("Build of a %d-node padded path took %v, want well under 10 s", n, elapsed)
+		t.Errorf("Build, Validate and FromSnapshot of a %d-node padded path took %v, want well under 10 s", n, elapsed)
 	}
 }
 

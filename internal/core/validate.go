@@ -17,14 +17,18 @@ import "fmt"
 //     no two nodes share a routing element (a rotation's in-order merge
 //     needs them distinct),
 //   - non-nil children occupy non-empty intervals, and the rebuilds' slot
-//     search (slotBisect on the child's id value) finds each child in
-//     the slot it sits in,
-//   - greedy search from the root reaches every id along its tree path
-//     (local greedy routing works).
+//     search (slotBisect) sends the smallest and the largest id of each
+//     child's subtree to the slot the child sits in,
+//   - so greedy search from the root reaches every id along its tree
+//     path (local greedy routing works): slotBisect counts the thresholds
+//     below a value, which is monotone over a node's strictly increasing
+//     thresholds, so every id between a subtree's extremes goes to its
+//     slot too.
 //
-// Validate is O(n·depth) and makes the same allocations at every tree
-// size and shape; it is used pervasively by tests and is cheap enough to
-// call after every operation on small trees.
+// Validate takes time linear in the node count, O(n·k·log k) with the
+// span-search probes, and makes the same allocations at every tree size
+// and shape; it is used pervasively by tests and is cheap enough to call
+// after every operation on small trees.
 func (t *Tree) Validate() error {
 	if t.root == 0 {
 		return fmt.Errorf("core: nil root")
@@ -44,23 +48,11 @@ func (t *Tree) Validate() error {
 		}
 	}
 	w := validation{t: t, seen: make([]bool, t.n+1)}
-	if err := w.walk(t.root, 0, t.n*t.scale, false); err != nil {
+	if _, _, err := w.walk(t.root, 0, t.n*t.scale, false); err != nil {
 		return err
 	}
 	if w.count != t.n {
 		return fmt.Errorf("core: tree holds %d nodes, want %d", w.count, t.n)
-	}
-	// Greedy search must find every id along its tree path. Search runs
-	// through slotFor, so this also exercises the span search on every
-	// span the tree currently holds.
-	for id := 1; id <= t.n; id++ {
-		hops, err := t.searchHops(id)
-		if err != nil {
-			return err
-		}
-		if want := t.depthIx(int32(id)); hops != want {
-			return fmt.Errorf("core: search for %d took %d hops, node depth is %d", id, hops, want)
-		}
 	}
 	// The span search must agree with the scalar reference on every live
 	// span, probed exactly where branchless arithmetic could
@@ -94,37 +86,39 @@ type validation struct {
 
 // walk checks the subtree of arena index ix, whose slot covers the
 // cut-space interval (lo, hi]; hiElem reports that hi is an ancestor's
-// routing element rather than the top cut n·k.
-func (v *validation) walk(ix int32, lo, hi int, hiElem bool) error {
+// routing element rather than the top cut n·k. It returns the smallest
+// and the largest id in the subtree.
+func (v *validation) walk(ix int32, lo, hi int, hiElem bool) (first, last int, err error) {
 	t := v.t
 	id := int(ix)
 	if id < 1 || id > t.n {
-		return fmt.Errorf("core: node id %d out of range 1..%d", id, t.n)
+		return 0, 0, fmt.Errorf("core: node id %d out of range 1..%d", id, t.n)
 	}
 	if v.seen[id] {
-		return fmt.Errorf("core: id %d appears twice", id)
+		return 0, 0, fmt.Errorf("core: id %d appears twice", id)
 	}
 	v.seen[id] = true
 	v.count++
 	iv := t.idValue(id)
 	if iv <= lo || iv > hi {
-		return fmt.Errorf("core: node %d outside its slot interval", id)
+		return 0, 0, fmt.Errorf("core: node %d outside its slot interval", id)
 	}
 	sp := t.span(ix)
 	prev := lo
 	for i := 1; i < len(sp); i += 2 {
 		th := int(sp[i])
 		if th <= prev {
-			return fmt.Errorf("core: node %d routing elements not strictly increasing inside its interval", id)
+			return 0, 0, fmt.Errorf("core: node %d routing elements not strictly increasing inside its interval", id)
 		}
 		if th > hi {
-			return fmt.Errorf("core: node %d routing element exceeds its interval", id)
+			return 0, 0, fmt.Errorf("core: node %d routing element exceeds its interval", id)
 		}
 		if th == hi && hiElem {
-			return fmt.Errorf("core: node %d repeats the routing element that bounds its interval", id)
+			return 0, 0, fmt.Errorf("core: node %d repeats the routing element that bounds its interval", id)
 		}
 		prev = th
 	}
+	first, last = id, id
 	slotLo := lo
 	for i := 0; i < len(sp); i += 2 {
 		slotHi := hi
@@ -133,21 +127,24 @@ func (v *validation) walk(ix int32, lo, hi int, hiElem bool) error {
 		}
 		if ch := sp[i]; ch != 0 {
 			if t.parent[ch] != ix {
-				return fmt.Errorf("core: node %d is child of %d but points at a different parent", ch, id)
+				return 0, 0, fmt.Errorf("core: node %d is child of %d but points at a different parent", ch, id)
 			}
 			if slotLo >= slotHi {
-				return fmt.Errorf("core: node %d has child %d in an empty slot", id, ch)
+				return 0, 0, fmt.Errorf("core: node %d has child %d in an empty slot", id, ch)
 			}
-			if err := v.walk(ch, slotLo, slotHi, hiElem || i+1 < len(sp)); err != nil {
-				return err
+			cFirst, cLast, err := v.walk(ch, slotLo, slotHi, hiElem || i+1 < len(sp))
+			if err != nil {
+				return 0, 0, err
 			}
-			if c := slotBisect(sp, int32(t.idValue(int(ch)))); c != i/2 {
-				return fmt.Errorf("core: node %d sits in slot %d of %d but the rebuilds' slot lookup says %d", ch, i/2, id, c)
+			if a, b := slotBisect(sp, int32(t.idValue(cFirst))), slotBisect(sp, int32(t.idValue(cLast))); a != i/2 || b != i/2 {
+				return 0, 0, fmt.Errorf("core: child %d sits in slot %d of %d, but the rebuilds' slot lookup sends its subtree's ids %d and %d to slots %d and %d",
+					ch, i/2, id, cFirst, cLast, a, b)
 			}
+			first, last = min(first, cFirst), max(last, cLast)
 		}
 		slotLo = slotHi
 	}
-	return nil
+	return first, last, nil
 }
 
 // probeSpanSearch checks that the span search (slotBisect) and the scalar

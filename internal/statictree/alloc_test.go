@@ -1,6 +1,7 @@
 package statictree
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/core"
@@ -43,6 +44,31 @@ func TestDistIndexRebuildZeroAllocs(t *testing.T) {
 			if got, want := ix.Dist(u, v), int64(t2.DistanceID(u, v)); got != want {
 				t.Fatalf("Dist(%d,%d) after reuse = %d, tree walk says %d", u, v, got, want)
 			}
+		}
+	}
+}
+
+// TestOptimalUniformAllocsConstantInN pins the uniform solve's allocation
+// contract: its tables, the writer's scratch of k−1 routing elements and
+// the arena, the same count at any node count. Reconstructing the tree
+// used to allocate per node. The first collection in a process starts
+// the runtime's mark workers, allocations AllocsPerRun would count
+// against the n=4095 solves, which can trigger it; runtime.GC starts
+// them first.
+func TestOptimalUniformAllocsConstantInN(t *testing.T) {
+	runtime.GC()
+	for _, k := range []int{2, 4, 32} {
+		var allocs [2]float64
+		for i, n := range []int{255, 4095} {
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if _, _, err := OptimalUniform(n, k); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("k=%d: OptimalUniform made %.0f allocs at n=255 but %.0f at n=4095, want the same count",
+				k, allocs[0], allocs[1])
 		}
 	}
 }

@@ -40,9 +40,11 @@ func BenchmarkOptimal(b *testing.B) {
 
 // BenchmarkUniformOptimal is one uniform-workload solve per (n, k);
 // n = 4095, k = 4 is the initial tree of perfbench's lazy-hotspot-faulted.
+// The k = 32 rows are where stopping each forest search at the smallest
+// tree's bound removes the most work.
 func BenchmarkUniformOptimal(b *testing.B) {
 	for _, n := range []int{1023, 4095} {
-		for _, k := range []int{2, 4, 8} {
+		for _, k := range []int{2, 4, 8, 32} {
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

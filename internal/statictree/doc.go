@@ -9,9 +9,13 @@
 //     an exact admissible-bound root pruning (Knuth-style windows are
 //     unsound for this cost — see dp.go), and a parallel fill of the long
 //     diagonals on one worker pool per solve,
-//   - UniformSolver / OptimalUniform: the O(n²·k) dynamic program for the
+//   - UniformSolver / OptimalUniform: the dynamic program for the
 //     uniform workload (Theorem 4), which optimizes over tree shapes and
-//     imposes the search property afterwards,
+//     imposes the search property afterwards, in O(n²·log k), tightening
+//     the theorem's O(n²·k): a forest's cost does not depend on the order
+//     of its trees, so the search for the best forest of t trees on L
+//     nodes need only try first trees of up to ⌊L/t⌋ nodes, the size of
+//     its smallest,
 //   - Centroid: the O(n) centroid k-ary search tree (Theorem 8/35) built
 //     from a (k+1)-degree centroid tree re-rooted at a leaf,
 //   - Full: the weakly-complete (full) k-ary tree baseline (Lemma 9),

@@ -7,6 +7,19 @@ import (
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
+// naiveW computes W[i][j] straight from the definition.
+func naiveW(d *workload.Demand, i, j int) int64 {
+	var w int64
+	for _, pc := range d.Pairs {
+		inU := pc.Src >= i && pc.Src <= j
+		inV := pc.Dst >= i && pc.Dst <= j
+		if inU != inV {
+			w += pc.Count
+		}
+	}
+	return w
+}
+
 // bruteForceOptimal enumerates every routing-based k-ary search tree on
 // [1..n] and returns the minimal total distance — an independent oracle for
 // the DP on tiny instances. The enumeration mirrors the DP's recursive

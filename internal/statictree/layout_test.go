@@ -2,8 +2,10 @@ package statictree
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/workload"
@@ -135,11 +137,20 @@ func checkSolverFill(t *testing.T, d *workload.Demand, workerCounts ...int) {
 	}
 }
 
-// TestUniformFillMatchesInterleaved pins the UniformSolver's plane-major
-// fill to the former interleaved one (interleavedUniformSolver): the
-// single-tree costs, every forest value and the built tree.
+// TestUniformFillMatchesInterleaved pins the UniformSolver's fill, whose
+// forest search stops at the smallest tree's bound ⌊L/t⌋, and its arena
+// writer to the former full-range interleaved fill and Build of its Spec
+// (interleavedUniformSolver): the single-tree costs, every forest value
+// and the tree. It runs every n up to 130, where ⌊L/t⌋ changes at every
+// length, and three larger n up to lazy-hotspot-faulted's 4095.
 func TestUniformFillMatchesInterleaved(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 64, 1023, 4095} {
+	t.Run("n=1..130", func(t *testing.T) {
+		t.Parallel()
+		for n := 1; n <= 130; n++ {
+			checkUniformFill(t, n)
+		}
+	})
+	for _, n := range []int{511, 1023, 4095} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
 			checkUniformFill(t, n)
@@ -152,33 +163,69 @@ func checkUniformFill(t *testing.T, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{2, 3, 4, 8} {
-		ref := &interleavedUniformSolver{n: n}
-		refTree, refCost, err := ref.Optimal(k)
-		if err != nil {
-			t.Fatalf("k=%d interleaved fill: %v", k, err)
-		}
-		tree, cost, err := s.Optimal(k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if cost != refCost {
-			t.Fatalf("k=%d: cost %d, interleaved fill %d", k, cost, refCost)
-		}
-		if x := firstDiff(s.tree, ref.tree); x >= 0 {
-			t.Fatalf("k=%d: best tree on %d nodes costs %d, interleaved fill %d", k, x, s.tree[x], ref.tree[x])
-		}
-		for p := 1; p <= k; p++ {
-			for size := 0; size <= n; size++ {
-				if got, want := s.plane(p)[size], ref.forest[size*(k+1)+p]; got != want {
-					t.Fatalf("k=%d: forest of %d trees on %d nodes costs %d, interleaved fill %d", k, p, size, got, want)
-				}
-			}
-		}
-		if !reflect.DeepEqual(tree.Snapshot(), refTree.Snapshot()) {
-			t.Fatalf("k=%d: tree differs from the interleaved fill's", k)
+	for _, k := range []int{2, 3, 4, 5, 8, 16, 32} {
+		if err := matchUniformFill(s, k); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// matchUniformFill solves s at arity k and compares the fill and the tree
+// with the interleaved fill's; the tree must also validate.
+func matchUniformFill(s *UniformSolver, k int) error {
+	n := s.n
+	ref := &interleavedUniformSolver{n: n}
+	refTree, refCost, err := ref.Optimal(k)
+	if err != nil {
+		return fmt.Errorf("n=%d k=%d interleaved fill: %v", n, k, err)
+	}
+	tree, cost, err := s.Optimal(k)
+	if err != nil {
+		return fmt.Errorf("n=%d k=%d: %v", n, k, err)
+	}
+	if cost != refCost {
+		return fmt.Errorf("n=%d k=%d: cost %d, interleaved fill %d", n, k, cost, refCost)
+	}
+	if x := firstDiff(s.tree, ref.tree); x >= 0 {
+		return fmt.Errorf("n=%d k=%d: best tree on %d nodes costs %d, interleaved fill %d", n, k, x, s.tree[x], ref.tree[x])
+	}
+	for p := 1; p <= k; p++ {
+		for size := 0; size <= n; size++ {
+			if got, want := s.plane(p)[size], ref.forest[size*(k+1)+p]; got != want {
+				return fmt.Errorf("n=%d k=%d: forest of %d trees on %d nodes costs %d, interleaved fill %d", n, k, p, size, got, want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(tree.Snapshot(), refTree.Snapshot()) {
+		return fmt.Errorf("n=%d k=%d: tree differs from the interleaved fill's", n, k)
+	}
+	if err := tree.Validate(); err != nil {
+		return fmt.Errorf("n=%d k=%d: %v", n, k, err)
+	}
+	return nil
+}
+
+// FuzzUniformSolver fuzzes the uniform fill and writer against the
+// interleaved fill and Build of its Spec, as matchUniformFill compares
+// them: the node count is 1 + nRaw mod 700 and the arity 2 + kRaw mod
+// 1024, so most arities exceed n, where the length, not k, bounds a
+// forest's part count. An arity near CheckIDRange's limit (n·k < 2³¹)
+// would need gigabytes of arena and forest table at any n, so each input
+// also asks for the first arity past the limit, which must be refused.
+func FuzzUniformSolver(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nRaw, kRaw uint16) {
+		n, k := 1+int(nRaw)%700, 2+int(kRaw)%1024
+		s, err := NewUniformSolver(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := matchUniformFill(s, k); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Optimal(math.MaxInt32/n + 1); err == nil || !strings.Contains(err.Error(), "overflows the int32 cut space") {
+			t.Fatalf("n=%d k=%d: error %v, want the cut-space overflow", n, math.MaxInt32/n+1, err)
+		}
+	})
 }
 
 // firstDiff returns the first index where a and b differ, or -1 when they

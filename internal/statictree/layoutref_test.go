@@ -20,7 +20,10 @@ import (
 //     DP's root scan: the reference the pruning differential of
 //     solver_test.go compares the Solver with;
 //   - interleavedUniformSolver interleaves its forest table as
-//     forest[s*(k+1)+t], so the convolution strides k+1 words.
+//     forest[s*(k+1)+t], so the convolution strides k+1 words. It also
+//     tries every first-tree size a = 1..L−t+1 and builds its tree
+//     through a Spec and core.Build, so it is the reference of the
+//     shipped fill's ⌊L/t⌋ bound and arena writer too.
 //
 // Apart from the type names and the //go:norace lines the code below is
 // the former dp.go and uniform.go verbatim. It shares segmentCosts, inf

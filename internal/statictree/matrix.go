@@ -115,16 +115,3 @@ func (sc *segmentCosts) W(i, j int) int64 {
 	}
 	return sc.w[sc.t.at(i, j)]
 }
-
-// naiveW computes W[i][j] straight from the definition, for tests.
-func naiveW(d *workload.Demand, i, j int) int64 {
-	var w int64
-	for _, pc := range d.Pairs {
-		inU := pc.Src >= i && pc.Src <= j
-		inV := pc.Dst >= i && pc.Dst <= j
-		if inU != inV {
-			w += pc.Count
-		}
-	}
-	return w
-}

@@ -8,9 +8,10 @@ import (
 )
 
 func TestOptimalUniformMatchesGenericDP(t *testing.T) {
-	// On the uniform demand, the shape-based O(n²k) DP must never exceed the
-	// routing-based O(n³k) DP (it optimizes over a superset of trees), and
-	// both reconstructions must report their true total distance.
+	// On the uniform demand, the shape-based O(n²·log k) DP must never
+	// exceed the routing-based O(n³k) DP (it optimizes over a superset of
+	// trees), and both reconstructions must report their true total
+	// distance.
 	for _, k := range []int{2, 3, 4, 6} {
 		for _, n := range []int{2, 3, 5, 9, 14, 20} {
 			d := workload.UniformDemand(n)

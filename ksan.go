@@ -15,12 +15,13 @@
 //     composition of the policy layer below;
 //   - a composable policy layer decoupling routing from adjustment: a
 //     PolicyNet pairs a Trigger (when to adjust — TriggerAlways,
-//     TriggerNever, TriggerEveryM, TriggerAlpha with optional
-//     hysteresis, TriggerFirst) with an Adjuster (how — AdjusterSplay,
-//     AdjusterSemiSplay, AdjusterRebuild, AdjusterNone) over any tree
-//     topology (NewPolicyNet), turning lazy k-ary splay, periodic
-//     semi-splay or frozen-after-warmup networks into one-line
-//     compositions (also file-addressable via PolicyDef);
+//     TriggerNever, TriggerEveryM, TriggerAlpha, TriggerFirst; a
+//     PolicyDef's alpha trigger also takes a hysteresis cooldown) with
+//     an Adjuster (how — AdjusterSplay, AdjusterSemiSplay,
+//     AdjusterRebuild, AdjusterNone) over any tree topology
+//     (NewPolicyNet), turning lazy k-ary splay, periodic semi-splay or
+//     frozen-after-warmup networks into one-line compositions (also
+//     file-addressable via PolicyDef);
 //   - offline/static designs: the DP-optimal routing-based tree
 //     (OptimalStaticTree, with NewOptimalSolver sharing one demand's
 //     precomputation across an arity sweep), the uniform-workload optimum
@@ -132,8 +133,7 @@ type StaticNet = policy.Net
 type PolicyNet = policy.Net
 
 // PolicyTrigger decides when a PolicyNet adjusts; see TriggerAlways,
-// TriggerNever, TriggerEveryM, TriggerAlpha, TriggerAlphaHysteresis and
-// TriggerFirst. Triggers are stateful: compose a fresh instance per
+// TriggerNever, TriggerEveryM, TriggerAlpha and TriggerFirst. Triggers are stateful: compose a fresh instance per
 // network.
 type PolicyTrigger = policy.Trigger
 
@@ -167,12 +167,6 @@ func TriggerEveryM(m int64) PolicyTrigger { return policy.EveryM(m) }
 // TriggerAlpha fires once the routing cost accumulated since the last
 // adjustment reaches alpha (the lazy/partially-reactive regime).
 func TriggerAlpha(alpha int64) PolicyTrigger { return policy.Alpha(alpha) }
-
-// TriggerAlphaHysteresis is TriggerAlpha with a re-arm delay: after an
-// adjustment the trigger stays quiet for at least cooldown requests.
-func TriggerAlphaHysteresis(alpha, cooldown int64) PolicyTrigger {
-	return policy.AlphaHysteresis(alpha, cooldown)
-}
 
 // TriggerFirst fires on each of the first m served requests and never
 // again (frozen-after-warmup).
@@ -237,9 +231,6 @@ func NewBalancedTree(n, k int) (*Tree, error) { return core.NewBalanced(n, k) }
 // NewPathTree builds the degenerate path topology (worst-case start).
 func NewPathTree(n, k int) (*Tree, error) { return core.NewPath(n, k) }
 
-// NewRandomTree builds a random valid k-ary search tree network.
-func NewRandomTree(n, k int, seed int64) (*Tree, error) { return core.NewRandom(n, k, seed) }
-
 // OptimalStaticTree computes the optimal static routing-based k-ary search
 // tree for a demand (Theorem 2; O(n³·k) time) and its total distance. It
 // is a one-shot wrapper over OptimalSolver; sweep arities through one
@@ -252,24 +243,19 @@ func OptimalStaticTree(d *Demand, k int) (*Tree, int64, error) { return statictr
 // (the DP fill itself is parallel) or build one solver per goroutine.
 type OptimalSolver = statictree.Solver
 
-// OptimalSolverOption configures NewOptimalSolver. Its one option,
-// SolverWorkers, bounds the fill's parallelism; the root pruning is exact
-// and always on.
-type OptimalSolverOption = statictree.SolverOption
-
-// SolverWorkers bounds the DP fill's worker count (default GOMAXPROCS).
-func SolverWorkers(n int) OptimalSolverOption { return statictree.WithSolverWorkers(n) }
-
 // NewOptimalSolver builds a reusable solver for the demand's optimal
-// static trees (see OptimalSolver).
-func NewOptimalSolver(d *Demand, opts ...OptimalSolverOption) (*OptimalSolver, error) {
-	return statictree.NewSolver(d, opts...)
-}
+// static trees (see OptimalSolver). Its DP fill runs on up to GOMAXPROCS
+// workers.
+func NewOptimalSolver(d *Demand) (*OptimalSolver, error) { return statictree.NewSolver(d) }
 
 // OptimalUniformTree computes the optimal static k-ary search tree for the
-// uniform workload (Theorem 4; O(n²·k) time) and its total distance. It is
-// a one-shot wrapper over statictree's UniformSolver; the Remark 10 grid
-// reuses one solver per node count.
+// uniform workload (Theorem 4) and its total distance in O(n²·log k)
+// time, tighter than the theorem's O(n²·k): a forest's cost does not
+// depend on the order of its trees, so some best forest of t trees on L
+// nodes starts with its smallest tree, of at most ⌊L/t⌋ nodes, and the
+// DP searches only those first-tree sizes. It is a one-shot wrapper over
+// statictree's UniformSolver; the Remark 10 grid reuses one solver per
+// node count.
 func OptimalUniformTree(n, k int) (*Tree, int64, error) { return statictree.OptimalUniform(n, k) }
 
 // CentroidTree builds the centroid k-ary search tree in O(n) (Theorem 8);
@@ -377,9 +363,6 @@ func PhasedGen(label string, phases []Phase) (Generator, error) {
 	return workload.PhasedGen(label, phases)
 }
 
-// CollectTrace materializes a generator's stream into a Trace.
-func CollectTrace(g Generator) (Trace, error) { return workload.Collect(g) }
-
 // DemandFromTrace aggregates a trace into its demand matrix.
 func DemandFromTrace(tr Trace) *Demand { return workload.DemandFromTrace(tr) }
 
@@ -397,14 +380,6 @@ func WriteTraceCSV(w io.Writer, tr Trace) error { return workload.WriteCSV(w, tr
 
 // ReadTraceCSV parses a trace written by WriteTraceCSV, materializing it.
 func ReadTraceCSV(r io.Reader) (Trace, error) { return workload.ReadCSV(r) }
-
-// OpenTraceCSV opens a trace file as a streaming Generator: rows are read
-// per pass, line-numbered errors preserved, and the file is never loaded
-// whole.
-func OpenTraceCSV(path string) (Generator, error) { return workload.OpenCSV(path) }
-
-// WriteTraceCSVFrom streams a generator to CSV without materializing it.
-func WriteTraceCSVFrom(w io.Writer, g Generator) error { return workload.WriteCSVFrom(w, g) }
 
 // MeasureStream computes trace statistics from a generator's stream in
 // one pass, in memory proportional to the demand (distinct pairs), not
