@@ -106,18 +106,38 @@ func TestExperimentCSVHeader(t *testing.T) {
 // `go run ./cmd/ksanbench -scale quick > cmd/ksanbench/testdata/quick.golden`
 // and let the diff show exactly which rows moved.
 func TestQuickSuiteGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/quick.golden")
+	checkGolden(t, "testdata/quick.golden", "-scale", "quick")
+}
+
+// TestPaperSuiteGolden is TestQuickSuiteGolden at the paper's own
+// dimensions, -scale paper, against testdata/paper.golden (regenerated
+// the same way). It is the only test whose optimal trees come from the
+// cubic DP at 1023 nodes, and it takes about a minute on two processors,
+// so -short skips it, and so does the race detector, which would make it
+// many times slower.
+func TestPaperSuiteGolden(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("the paper-scale suite takes about a minute; skipped under -short and -race")
+	}
+	checkGolden(t, "testdata/paper.golden", "-scale", "paper")
+}
+
+// checkGolden runs ksanbench with args and compares its stdout with the
+// golden file byte for byte, naming the first line that differs.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runOK(t, "-scale", "quick"); got != string(want) {
+	if got := runOK(t, args...); got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := range min(len(gl), len(wl)) {
 			if gl[i] != wl[i] {
-				t.Fatalf("output differs from testdata/quick.golden at line %d:\ngot:  %q\nwant: %q", i+1, gl[i], wl[i])
+				t.Fatalf("output differs from %s at line %d:\ngot:  %q\nwant: %q", golden, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("output has %d lines, testdata/quick.golden %d", len(gl), len(wl))
+		t.Fatalf("output has %d lines, %s %d", len(gl), golden, len(wl))
 	}
 }
 

@@ -69,7 +69,7 @@ var Default = Scale{
 // Paper uses the paper's dimensions wherever the algorithms allow; the
 // 10⁴-node Facebook optimum remains out of reach exactly as in the
 // paper (Table 3 prints "-"). `ksanbench -scale paper` runs in about
-// 1 min 24 s on a 2-vCPU KVM guest, 69 s of it Tables 1–7, mostly the
+// 1 min 4 s on a 2-vCPU KVM guest, 42–46 s of it Tables 1–7, mostly the
 // cubic DP of the 1023-node temporal tables.
 var Paper = Scale{
 	Name:          "paper",

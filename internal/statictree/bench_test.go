@@ -2,6 +2,7 @@ package statictree
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/workload"
@@ -14,14 +15,21 @@ func benchDemand(n int) *workload.Demand {
 }
 
 // BenchmarkOptimal is the perf-trajectory grid: one cubic-DP solve per
-// (n, k), plus the offline workload's solve (the projector row: the demand
-// of the first 10⁶ requests of a 511-node projector trace, seed 1, solved
-// at k = 4 as perfbench's offline-opt-projector-k4 does at set-up).
-// EXPERIMENTS.md records its history.
+// (n, k) on a Zipf demand, plus the offline workload's solve (the
+// projector row: the demand of the first 10⁶ requests of a 511-node
+// projector trace, seed 1, solved at k = 4 as perfbench's
+// offline-opt-projector-k4 does at set-up) and two demands on which the
+// former pruned root search degraded to a full scan of every root: a
+// near-uniform one (10⁶ uniform requests on 384 nodes) and a temporal one
+// (10⁶ requests on 511 nodes at p = 0.75), each at k ∈ {4, 8, 10}. The
+// demands are built outside the timer, once. EXPERIMENTS.md records the
+// grid's history.
 func BenchmarkOptimal(b *testing.B) {
-	run := func(name string, d *workload.Demand, k int) {
+	run := func(name string, d func() *workload.Demand, k int) {
 		b.Run(name, func(b *testing.B) {
+			d := d()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := Optimal(d, k); err != nil {
 					b.Fatal(err)
@@ -30,12 +38,24 @@ func BenchmarkOptimal(b *testing.B) {
 		})
 	}
 	for _, n := range []int{64, 128, 256, 512} {
-		d := benchDemand(n)
+		d := sync.OnceValue(func() *workload.Demand { return benchDemand(n) })
 		for _, k := range []int{2, 4, 8} {
 			run(fmt.Sprintf("n=%d/k=%d", n, k), d, k)
 		}
 	}
-	run("projector/n=511/k=4", workload.DemandFromTrace(workload.ProjecToRLike(511, 1_000_000, 1)), 4)
+	run("projector/n=511/k=4", func() *workload.Demand {
+		return workload.DemandFromTrace(workload.ProjecToRLike(511, 1_000_000, 1))
+	}, 4)
+	uniform := sync.OnceValue(func() *workload.Demand {
+		return workload.DemandFromTrace(workload.Uniform(384, 1_000_000, 1))
+	})
+	temporal := sync.OnceValue(func() *workload.Demand {
+		return workload.DemandFromTrace(workload.Temporal(511, 1_000_000, 0.75, 1))
+	})
+	for _, k := range []int{4, 8, 10} {
+		run(fmt.Sprintf("uniform/n=384/k=%d", k), uniform, k)
+		run(fmt.Sprintf("temporal/n=511/k=%d", k), temporal, k)
+	}
 }
 
 // BenchmarkUniformOptimal is one uniform-workload solve per (n, k);
@@ -78,9 +98,10 @@ func BenchmarkSolverSweep(b *testing.B) {
 }
 
 // BenchmarkOptimalExhaustive times the exhaustive reference fill of
-// layoutref_test.go (every root of every segment evaluated, on one
-// goroutine) on BenchmarkOptimal's n=256/k=8 demand, so its -cpu 1 row
-// shows how much the admissible-bound pruning buys.
+// layoutref_test.go (every root of every segment evaluated with its full
+// split cost, on one goroutine) on BenchmarkOptimal's n=256/k=8 demand,
+// so against that row at -cpu 1 it shows what the hole planes save over
+// the seed DP's root scan.
 func BenchmarkOptimalExhaustive(b *testing.B) {
 	d := benchDemand(256)
 	b.ReportAllocs()

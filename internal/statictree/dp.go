@@ -13,16 +13,16 @@ import (
 
 const inf = math.MaxInt64 / 4
 
-// spawnWorkThreshold is the estimated per-diagonal operation count
-// (segments × length × k) below which a diagonal is filled inline by the
-// caller instead of by the worker pool (a var so tests can force the pool
-// on small instances). Solves alternated with a one-processor inline fill
-// on a 2-vCPU host set it (EXPERIMENTS.md, "The DP pool threshold"): at
-// 4 096 the pooled diagonals of n = 64 and 96 solves made them up to 11%
-// slower on two processors than inline, at 16 384 an n = 96, k = 8 solve
-// was still 4% slower, and at 20 480 no solve of n = 64..256 at
-// k ∈ {2, 4, 8} was slower.
-var spawnWorkThreshold = 20480
+// spawnWorkThreshold is the per-diagonal kernel step count (segments ×
+// (2k−3) × (length−1), see pooled) below which a diagonal is filled
+// inline by the caller instead of by the worker pool (a var so tests can
+// force the pool on small instances). Solves alternated with a
+// one-processor inline fill on a 2-vCPU host set it (EXPERIMENTS.md, "The
+// DP pool threshold"): at 32 768 and 65 536 the pooled n = 128 and 160
+// solves at k = 8 ran 1.11–1.23× slower on two processors than inline,
+// and at 131 072 no solve of n = 64..256 at k ∈ {2, 4, 8} was slower,
+// while n = 256, k = 8 read 0.79–0.82× and n = 511, k = 4 0.63×.
+var spawnWorkThreshold = 131072
 
 // barrierSpins is how many times a fill worker that has reached the
 // barrier between two pooled diagonals re-reads the arrival count before
@@ -49,9 +49,10 @@ func Optimal(d *workload.Demand, k int) (*core.Tree, int64, error) {
 // Solver answers Optimal(k) queries for one fixed demand at any arity.
 // Construction precomputes the boundary-traffic matrix W (O(n²), shared by
 // every arity); each Optimal call runs the O(n³·k) dynamic program of the
-// paper's Theorem 2/15 proof, with an admissible-bound root pruning that
-// typically removes the k-factor from the root search (see fillSegment)
-// and one worker pool per call for the diagonals worth sharing (see run).
+// paper's Theorem 2/15 proof, with no root search: hole planes (see
+// fillSegment) make every segment 2k−3 min-plus passes, whatever the
+// demand, and one worker pool per call fills the diagonals worth sharing
+// (see run).
 //
 // Scratch ownership mirrors the serve-path contract of DESIGN.md §3: the
 // DP tables are owned by the Solver and recycled across Optimal calls, so
@@ -67,35 +68,29 @@ type Solver struct {
 	// Per-call state, reused across Optimal calls (grown, never cleared:
 	// every fill writes each cell of its segment before anything reads it).
 	//
-	// dp2[(t-1)*T + tri(i,j)] = minimal cost of partitioning segment [i,j]
-	// into AT MOST t routing-based k-ary search trees (the children of
-	// some node), t ∈ 1..k-1, where the cost of a tree on [a,b] includes
-	// W[a,b], the traffic crossing the link to its parent. The exact-t
-	// table of the seed DP is redundant — the recurrence closes over the
-	// prefix-minimum form directly (see fillSegment). Plane k is not
-	// stored: a node hangs at most k-1 trees on either side of its id, so
-	// nothing reads it.
+	// dp2[(t-1)*T + tri(i,j)] = F(i,j,t), the minimal cost of partitioning
+	// segment [i,j] into AT MOST t routing-based k-ary search trees (the
+	// children of some node), t ∈ 1..k-1, where the cost of a tree on
+	// [a,b] includes W[a,b], the traffic crossing the link to its parent.
+	// Plane k is not stored: a node hangs at most k-1 trees on either side
+	// of its id, so nothing reads it.
+	//
+	// hole[(t-2)*T + tri(i,j)] = H(i,j,t), t ∈ 2..k-1: the least cost of
+	// [i,j] laid out as trees, a hole for a root's id, then trees, in at
+	// most t child slots, where an empty left side takes a slot (the
+	// routing element below the id delimits it). H(·,·,1) is plane 1
+	// shifted by one id and is not stored.
 	//
 	// The planes are row-major triangles (tri.at: row i is contiguous in
-	// j). Each min-plus inner loop also walks a column (fixed j, i
-	// varying) of one plane: the forest recurrence of plane 1, the root
-	// bound of plane k-1. col1 and colTop repeat those two planes
-	// column-major (tri.col), so both reads of every inner loop are
-	// contiguous slices. They are views into dp2's allocation after its
-	// k-1 row-major planes; at k = 2 plane 1 is plane k-1 and they are one
-	// view. The table is k+1 planes of T words, 2 at k = 2.
-	k, T   int     // current arity; T = n(n+1)/2 plane size
-	dp2    []int64 // planes 1..k-1 row-major, then the column copies
-	col1   []int64 // col1[tri.col(i,j)] = dp2(i,j,1)
-	colTop []int64 // colTop[tri.col(i,j)] = dp2(i,j,k-1)
-	root   []int32 // root[tri(i,j)] = an argmin root of the 1-tree cost on [i,j]
-	lb     []int64 // the calling worker's bound scratch for prunedRootSearch
-
-	// Pruning diagnostics: exact O(k) split evaluations vs roots excluded
-	// by the admissible bound, per Optimal call. Each fill worker counts
-	// into its own fillWorker and adds its totals here once.
-	rootsEvaluated atomic.Int64
-	rootsSkipped   atomic.Int64
+	// j). Every min-plus pass reads row i of one plane against column j
+	// of plane 1 (fixed j, i varying); col1 repeats plane 1 column-major
+	// (tri.col), so both reads are contiguous slices. col1 and hole are
+	// views into dp2's allocation after its k-1 row-major planes: the
+	// table is 2k-2 planes of T words.
+	k, T int     // current arity; T = n(n+1)/2 plane size
+	dp2  []int64 // planes 1..k-1 row-major, col1, then the hole planes
+	col1 []int64 // col1[tri.col(i,j)] = dp2(i,j,1)
+	hole []int64 // hole planes 2..k-1, row-major
 }
 
 // SolverOption configures a Solver at construction.
@@ -114,10 +109,10 @@ func WithSolverWorkers(n int) SolverOption {
 
 // NewSolver builds the shared per-demand state: the flattened triangular
 // boundary-traffic matrix. A demand pair naming an id outside 1..N is an
-// error. Memory is Θ(n²) words here plus (k+1)·n(n+1)/2 words of DP
-// table (2·n(n+1)/2 at k = 2) on the first Optimal(k) call; callers
-// should keep n in the low thousands (the paper itself could not compute
-// the optimum for its 10⁴-node Facebook trace; see Table 3).
+// error. Memory is Θ(n²) words here plus (2k−2)·n(n+1)/2 words of DP
+// table on the first Optimal(k) call; callers should keep n in the low
+// thousands (the paper itself could not compute the optimum for its
+// 10⁴-node Facebook trace; see Table 3).
 func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 	n := d.N
 	if n > 4096 {
@@ -135,10 +130,10 @@ func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 }
 
 // Optimal runs the DP at arity k and reconstructs an optimal tree. The
-// cost is deterministic and independent of worker count, and the root
-// pruning is exact (the differential tests pin it to an exhaustive root
-// scan kept in layoutref_test.go); the returned tree is one cost-minimal
-// witness.
+// cost is deterministic and independent of worker count, and the
+// differential tests pin every cell, root and tree to the pruned and
+// exhaustive root searches kept in layoutref_test.go; the returned tree
+// is one cost-minimal witness.
 func (s *Solver) Optimal(k int) (*core.Tree, int64, error) {
 	if err := core.CheckIDRange(s.n, k); err != nil {
 		return nil, 0, fmt.Errorf("statictree: %w", err)
@@ -158,23 +153,13 @@ func (s *Solver) prepare(k int) {
 	s.k = k
 	T := s.sc.t.size()
 	s.T = T
-	planes := k + 1 // k-1 row-major planes and two column copies
-	if k == 2 {
-		planes = 2 // plane 1 is plane k-1: one copy serves both
-	}
-	if size := planes * T; cap(s.dp2) < size {
+	if size := (2*k - 2) * T; cap(s.dp2) < size {
 		s.dp2 = make([]int64, size)
 	} else {
 		s.dp2 = s.dp2[:size]
 	}
 	s.col1 = s.dp2[(k-1)*T : k*T]
-	s.colTop = s.dp2[(planes-1)*T:]
-	if s.root == nil {
-		s.root = make([]int32, s.T)
-		s.lb = make([]int64, s.n+1)
-	}
-	s.rootsEvaluated.Store(0)
-	s.rootsSkipped.Store(0)
+	s.hole = s.dp2[k*T:]
 }
 
 // get2 reads dp2[i][j][t] (min over up to t parts); empty segments are
@@ -189,54 +174,18 @@ func (s *Solver) get2(i, j, t int) int64 {
 	return s.dp2[(t-1)*s.T+s.sc.t.at(i, j)]
 }
 
-// splitCostBeat is the cheapest way to hang the children of an interior
-// root r of [i,j] — dl ≤ k-1 child trees on [i,r-1] and k-dl on [r+1,j],
-// as the routing array has room for k children — with an early exit: as
-// dl grows, the right side is allowed fewer parts, so its dp2 term only
-// ever grows; once even the left side's unconstrained minimum (lmin, its
-// k-1-part dp2) plus that right term reaches beat, no later dl can beat
-// the incumbent and the scan stops. The returned value is the exact
-// minimum whenever it is below beat (values ≥ beat may be partial, which
-// is sound: callers only use them for `< beat` comparisons).
-func (s *Solver) splitCostBeat(i, r, j int, beat int64) int64 {
-	k, T := s.k, s.T
-	li := s.sc.t.at(i, r-1)
-	ri := s.sc.t.at(r+1, j)
-	lmin := s.dp2[(k-2)*T+li]
-	best := int64(inf)
-	for dl := 1; dl <= k-1; dl++ {
-		rv := s.dp2[(k-dl-1)*T+ri]
-		if lmin+rv >= beat && best < inf {
-			break
-		}
-		if v := s.dp2[(dl-1)*T+li] + rv; v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// fillWorker is one fill worker's private state: the bound scratch of
-// prunedRootSearch (length ≥ n+1) and its pruning counts, added to the
-// Solver's counters once, when the worker is done.
-type fillWorker struct {
-	lb                 []int64
-	evaluated, skipped int64
-}
-
 // run fills the table diagonal by diagonal: all segments of one length
 // depend only on shorter ones. A diagonal worth sharing (pooled) is filled
 // by the worker pool of fillPool, every other one inline by the caller.
-// The pooled lengths form one range, since segs·length = (n−length+1)·
-// length is concave in length, so a call starts at most one pool;
-// short diagonals at either end start no goroutine and wait on no
-// barrier.
+// The pooled lengths form one range, since segs·(length−1) =
+// (n−length+1)·(length−1) is concave in length, so a call starts at most
+// one pool; short diagonals at either end start no goroutine and wait on
+// no barrier.
 func (s *Solver) run() {
-	w := fillWorker{lb: s.lb}
 	for length := 1; length <= s.n; length++ {
 		if !s.pooled(length) {
 			for i := 1; i <= s.n-length+1; i++ {
-				s.fillSegment(i, i+length-1, &w)
+				s.fillSegment(i, i+length-1)
 			}
 			continue
 		}
@@ -244,37 +193,38 @@ func (s *Solver) run() {
 		for hi < s.n && s.pooled(hi+1) {
 			hi++
 		}
-		s.fillPool(length, hi, &w)
+		s.fillPool(length, hi)
 		length = hi
 	}
-	s.rootsEvaluated.Add(w.evaluated)
-	s.rootsSkipped.Add(w.skipped)
 }
 
 // pooled reports whether the diagonal of segments of this length goes to
 // the worker pool: there is more than one worker and more than one
-// segment, and the estimated work segs·length·k reaches
-// spawnWorkThreshold. Below it, sharing costs more than it buys.
+// segment, and the diagonal's kernel steps reach spawnWorkThreshold. A
+// segment of length L is 2k−3 min-plus passes of L−1 steps each on any
+// demand, so the count is exact. Below the threshold, sharing costs more
+// than it buys.
 func (s *Solver) pooled(length int) bool {
 	segs := s.n - length + 1
-	return s.workers > 1 && segs > 1 && segs*length*s.k >= spawnWorkThreshold
+	return s.workers > 1 && segs > 1 && segs*(2*s.k-3)*(length-1) >= spawnWorkThreshold
 }
 
 // fillPool fills the diagonals of lengths lo..hi on one pool of nw
-// workers: the caller as worker 0, with w's scratch, and nw−1 goroutines
-// that exit after diagonal hi. Within a diagonal a worker claims
-// max(1, segs/(16·nw)) segments at a time from the diagonal's own atomic
-// counter, so pruning's skewed segment costs balance to within a chunk.
-// Between two diagonals the workers meet at a barrier, a count of
+// workers: the caller as worker 0 and nw−1 goroutines that exit after
+// diagonal hi. Within a diagonal a worker claims max(1, segs/(16·nw))
+// segments at a time from the diagonal's own atomic counter. Every
+// segment of a diagonal costs the same, but a worker the host
+// deschedules falls behind; dynamic claims let the others take its
+// share. Between two diagonals the workers meet at a barrier, a count of
 // arrivals that only grows: a worker that arrives early re-reads it
 // barrierSpins times and then yields with runtime.Gosched between reads.
 // It never parks: a parked worker's thread sleeps, and waking it at each
 // of ~n diagonals costs more than the fill of a short diagonal.
-func (s *Solver) fillPool(lo, hi int, w *fillWorker) {
+func (s *Solver) fillPool(lo, hi int) {
 	nw := min(s.workers, s.n-lo+1) // diagonal lo is the widest
 	claims := make([]atomic.Int64, hi-lo+1)
 	var arrived atomic.Int64
-	work := func(w *fillWorker) {
+	work := func() {
 		for length := lo; length <= hi; length++ {
 			segs := s.n - length + 1
 			chunk := max(1, segs/(16*nw))
@@ -286,7 +236,7 @@ func (s *Solver) fillPool(lo, hi int, w *fillWorker) {
 					break
 				}
 				for i := start; i <= min(end, segs); i++ {
-					s.fillSegment(i, i+length-1, w)
+					s.fillSegment(i, i+length-1)
 				}
 			}
 			if length == hi {
@@ -307,162 +257,123 @@ func (s *Solver) fillPool(lo, hi int, w *fillWorker) {
 	for range nw - 1 {
 		go func() {
 			defer wg.Done()
-			w := fillWorker{lb: make([]int64, s.n+1)}
-			work(&w)
-			s.rootsEvaluated.Add(w.evaluated)
-			s.rootsSkipped.Add(w.skipped)
+			work()
 		}()
 	}
-	work(w)
+	work()
 	wg.Wait()
 }
 
-// fillSegment computes dp2[i][j][·], its two column copies and
-// root[i][j]; all shorter segments are already filled. w is the calling
-// worker's scratch and counts.
+// fillSegment computes F(i,j,·), its column copy and H(i,j,·); all
+// shorter segments are already filled. Writing F1 for F(·,·,1) and
+// "last" for the column F1(l+1,j), l = i..j-1, every value but the
+// diagonal's is one min-plus pass of a row against last:
 //
-// t = 1 is the root search. A classic Knuth-style window
-// r*(i,j-1) ≤ r ≤ r*(i+1,j) would be UNSOUND here: the boundary-traffic
-// cost W violates the quadrangle inequality, and root monotonicity
-// genuinely fails (TestRootMonotonicityCounterexample pins a 4-node demand
-// where the optimal root of [1,4] lies outside the window). Instead the
-// pruning is branch-and-bound with an admissible bound — exact by
-// construction, falling back to full evaluation exactly for the roots the
-// bound cannot exclude (see prunedRootSearch).
+//   - t = 1, the root: an empty right side takes the slot above the root
+//     id, so the right side is empty, F(i,j-1,k-1), or its last tree is
+//     some [l+1,j] and the rest, hole and all, fits k-1 slots,
+//     H(i,l,k-1) + F1(l+1,j). Every root, edge or interior, and every
+//     left/right split of the k slots is one of those layouts, so no
+//     root is searched and nothing depends on the demand's shape.
+//   - F(i,j,t), t = 2..k-1, peels the last child tree off the segment:
+//     a forest of ≤ t trees is one of ≤ t-1 trees, or one of ≤ t-1 trees
+//     on [i,l] plus a last tree on [l+1,j].
+//   - H(i,j,t), t = 2..k-1, peels the last tree right of the hole the
+//     same way, or has the hole at j: F(i,j-1,t).
 //
-// t = 2..k-1 peels the last child tree off the segment, directly in
-// prefix-minimum form: a forest of ≤ t trees is either one of ≤ t-1 trees
-// (the t-1 entry) or a forest of ≤ t-1 trees on [i,l] plus a last tree
-// on [l+1,j]. The first term walks row i of plane t-1 and the second
-// column j of plane 1, read from col1. Peeling the first tree instead
-// gives the same minimum, over the same forests.
-func (s *Solver) fillSegment(i, j int, w *fillWorker) {
+// That is 2k−3 passes of j−i steps each. A classic Knuth-style window
+// r*(i,j-1) ≤ r ≤ r*(i+1,j) could not have shortened the root's pass:
+// the boundary-traffic cost W violates the quadrangle inequality, and
+// root monotonicity genuinely fails (TestRootMonotonicityCounterexample
+// pins a 4-node demand where the optimal root of [1,4] lies outside the
+// window).
+func (s *Solver) fillSegment(i, j int) {
 	k, T := s.k, s.T
 	row := int(s.sc.t.off[i]) // tri(i,i)
-	base := row + j - i       // tri(i,j)
+	d := j - i
+	base := row + d // tri(i,j)
 	cell := s.sc.t.col(i, j)
-	var best int64
-	var bestR int
-	if i == j {
-		best, bestR = 0, i
-	} else {
-		var evaluated, skipped int64
-		best, bestR, evaluated, skipped = s.prunedRootSearch(i, j, w.lb)
-		w.evaluated += evaluated
-		w.skipped += skipped
-	}
-	s.root[base] = int32(bestR)
-	s.dp2[base] = best + s.sc.w[base]
-	s.col1[cell] = s.dp2[base]
-	last := s.col1[cell+1 : cell+1+j-i] // dp2(l+1, j, 1) for l = i..j-1
-	for t := 2; t < k; t++ {
-		prev := s.dp2[(t-2)*T+row : (t-2)*T+base+1] // dp2(i, i..j, t-1)
-		b := prev[j-i]                              // a forest of ≤ t-1 trees is also one of ≤ t
-		head := prev[:j-i]
-		tail := last[:len(head)]
-		for x, v := range head {
-			if v += tail[x]; v < b {
-				b = v
-			}
+	if d == 0 {
+		for t := 1; t < k; t++ {
+			s.dp2[(t-1)*T+base] = s.sc.w[base]
 		}
-		s.dp2[(t-1)*T+base] = b
+		s.col1[cell] = s.sc.w[base]
+		for t := 2; t < k; t++ {
+			s.hole[(t-2)*T+base] = 0
+		}
+		return
 	}
-	s.colTop[cell] = s.dp2[(k-2)*T+base]
+	last := s.col1[cell+1 : cell+1+d] // F1(l+1, j) for l = i..j-1
+	top := (k - 2) * T
+	s.dp2[base] = min(s.dp2[top+base-1], s.holePass(k-1, row, last)) + s.sc.w[base]
+	s.col1[cell] = s.dp2[base]
+	for t := 2; t < k; t++ {
+		prev := s.dp2[(t-2)*T+row:] // F(i, i.., t-1)
+		s.dp2[(t-1)*T+base] = min(prev[d], minPlus(prev, last))
+		s.hole[(t-2)*T+base] = min(s.dp2[(t-1)*T+base-1], s.holePass(t-1, row, last))
+	}
 }
 
-// prunedRootSearch finds the minimum split cost over all roots of [i,j]
-// (i < j) and one argmin. Edge roots cost a single read. For each interior
-// root r, dp2(i,r-1,k-1) + dp2(r+1,j,k-1) is a lower bound on its split
-// cost — it relaxes the dl+dr ≤ k routing-array constraint to dl,dr ≤ k-1
-// — and dp2's monotonicity in t makes the bound admissible. The search
-// bounds every interior root (2 reads each: row i of plane k-1 against
-// column j of its copy colTop), evaluates the most promising
-// one exactly to seed a tight incumbent, then runs the exact O(k) split
-// only for roots whose bound beats the incumbent. Worst case (bounds all
-// tie, e.g. near-uniform demands) it degrades gracefully to the seed DP's
-// full O(len·k) scan; on skewed demands it removes the k factor. It also
-// returns how many interior roots it evaluated and skipped. lb is scratch
-// of length ≥ j-i+1.
-func (s *Solver) prunedRootSearch(i, j int, lb []int64) (int64, int, int64, int64) {
-	k, T := s.k, s.T
-	row := s.dp2[(k-2)*T+int(s.sc.t.off[i]):][:j-i] // dp2(i, i..j-1, k-1)
-	col := s.colTop[s.sc.t.col(i+1, j):][:j-i]      // dp2(i+1..j, j, k-1)
-	best := col[0]                                  // r = i: right side [i+1,j] gets k-1 slots
-	bestR := i
-	if v := row[j-i-1]; v < best { // r = j: left side [i,j-1]
-		best, bestR = v, j
+// holePass returns min over l = i..j-1 of H(i,l,t) + F1(l+1,j), where
+// row = tri(i,i) and last = F1(i+1..j, j). H(i,i,1) is 0 and H(i,l,1) =
+// F1(i,l-1) for l > i, so at t = 1 the pass reads plane 1 one id behind.
+func (s *Solver) holePass(t, row int, last []int64) int64 {
+	if t == 1 {
+		return min(last[0], minPlus(s.dp2[row:], last[1:]))
 	}
-	if j-i == 1 {
-		return best, bestR, 0, 0
+	return minPlus(s.hole[(t-2)*s.T+row:], last)
+}
+
+// bestRootSplit re-derives an argmin of the 1-tree cost on [i,j]: the
+// root id and the left/right child counts. The fill keeps no root table;
+// the rule below picks the root the former pruned root search stored
+// (rowMajorSolver in layoutref_test.go), so trees stay as they were:
+//
+//  1. r = i, if F(i+1,j,k-1) reaches the cost;
+//  2. else r = j, if F(i,j-1,k-1) reaches it;
+//  3. else the interior root with the least bound F(i,r-1,k-1) +
+//     F(r+1,j,k-1) (the first on ties), if its split reaches the cost;
+//  4. else the first interior root, in order, whose split reaches it.
+func (s *Solver) bestRootSplit(i, j int) (r, dl, dr int) {
+	k := s.k
+	target := s.get2(i, j, 1) - s.sc.W(i, j)
+	switch {
+	case i == j:
+		return i, 0, 0
+	case s.get2(i+1, j, k-1) == target:
+		return i, 0, s.minParts(i+1, j, k-1)
+	case s.get2(i, j-1, k-1) == target:
+		return j, s.minParts(i, j-1, k-1), 0
 	}
-	// Interior root r = i+1+x bounds with dp2(i,r-1) = left[x] and
-	// dp2(r+1,j) = right[x].
-	left := row[:j-i-1]
-	right := col[1:][:len(left)]
-	bounds := lb[1:][:len(left)] // lb[r-i]
+	// A segment of two ids has only edge roots, so [i,j] has an interior
+	// root here.
 	minLB, minR := int64(inf), 0
-	for x, v := range left {
-		v += right[x]
-		bounds[x] = v
-		if v < minLB {
-			minLB, minR = v, i+1+x
+	for r := i + 1; r < j; r++ {
+		if v := s.get2(i, r-1, k-1) + s.get2(r+1, j, k-1); v < minLB {
+			minLB, minR = v, r
 		}
 	}
-	evaluated, skipped := int64(0), int64(0)
-	if minLB < best {
-		evaluated++
-		if v := s.splitCostBeat(i, minR, j, best); v < best {
-			best, bestR = v, minR
-		}
-	} else {
-		skipped++
+	if dl, dr, ok := s.interiorSplit(i, minR, j, target); ok {
+		return minR, dl, dr
 	}
 	for r := i + 1; r < j; r++ {
-		if r == minR {
-			continue // counted in the seeding step above
-		}
-		if lb[r-i] >= best {
-			skipped++
-			continue
-		}
-		evaluated++
-		if v := s.splitCostBeat(i, r, j, best); v < best {
-			best, bestR = v, r
+		if dl, dr, ok := s.interiorSplit(i, r, j, target); ok {
+			return r, dl, dr
 		}
 	}
-	return best, bestR, evaluated, skipped
+	panic(fmt.Sprintf("statictree: no root reproduces the 1-tree cost on [%d,%d]", i, j))
 }
 
-// bestRootSplit re-derives the argmin of the 1-tree cost on [i,j] from the
-// stored root: the root id and the left/right child counts. Recomputing
-// the split on demand keeps the tables at one int64 plane stack plus the
-// int32 root row.
-func (s *Solver) bestRootSplit(i, j int) (r, dl, dr int) {
-	target := s.get2(i, j, 1) - s.sc.W(i, j)
-	r = int(s.root[s.sc.t.at(i, j)])
-	leftEmpty := r == i
-	rightEmpty := r == j
-	switch {
-	case leftEmpty && rightEmpty:
-		if target == 0 {
-			return r, 0, 0
-		}
-	case leftEmpty:
-		if s.get2(r+1, j, s.k-1) == target {
-			return r, 0, s.minParts(r+1, j, s.k-1)
-		}
-	case rightEmpty:
-		if s.get2(i, r-1, s.k-1) == target {
-			return r, s.minParts(i, r-1, s.k-1), 0
-		}
-	default:
-		for dl := 1; dl <= s.k-1; dl++ {
-			if s.get2(i, r-1, dl)+s.get2(r+1, j, s.k-dl) == target {
-				return r, s.minParts(i, r-1, dl), s.minParts(r+1, j, s.k-dl)
-			}
+// interiorSplit reports whether the interior root r of [i,j] reaches
+// target, with dl ≤ k-1 trees on [i,r-1] and k-dl on [r+1,j], and if so
+// the child counts of the first dl that does.
+func (s *Solver) interiorSplit(i, r, j int, target int64) (dl, dr int, ok bool) {
+	for dl := 1; dl <= s.k-1; dl++ {
+		if s.get2(i, r-1, dl)+s.get2(r+1, j, s.k-dl) == target {
+			return s.minParts(i, r-1, dl), s.minParts(r+1, j, s.k-dl), true
 		}
 	}
-	panic(fmt.Sprintf("statictree: stored root %d does not reproduce the 1-tree cost on [%d,%d]", r, i, j))
+	return 0, 0, false
 }
 
 // minParts returns the smallest part count t ≤ maxT achieving

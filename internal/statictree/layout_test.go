@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
@@ -37,12 +38,15 @@ func layoutDemands(n int) []demandCase {
 }
 
 // TestSolverFillMatchesRowMajor pins the Solver's fill to the former one
-// (rowMajorSolver) cell for cell: every stored plane t = 1..k-1, both
-// column copies, the root table, the cost, the pruning counters and the
-// built tree. Each case runs inline and again on two and three workers
-// with the spawn threshold at zero, so every diagonal but the last is
-// pooled and the concurrent writes of the row cells and of their column
-// copies, and the barrier between diagonals, run under the race detector.
+// (rowMajorSolver, with its pruned root search) cell for cell: every
+// stored plane t = 1..k-1, the column copy of plane 1, the root of every
+// segment (re-derived by bestRootSplit against the former root table),
+// the cost and the built tree. The hole planes must agree across worker
+// counts, and at n ≤ 64 with their definition. Each case runs inline and
+// again on two and three workers with the spawn threshold at zero, so
+// every diagonal but the last is pooled and the concurrent writes of the
+// row cells and of their column copies, and the barrier between
+// diagonals, run under the race detector.
 func TestSolverFillMatchesRowMajor(t *testing.T) {
 	// A one-worker Solver fills inline at any threshold. The parallel
 	// cases run after this function returns, so Cleanup, which waits for
@@ -54,7 +58,7 @@ func TestSolverFillMatchesRowMajor(t *testing.T) {
 		for _, dc := range layoutDemands(n) {
 			t.Run(fmt.Sprintf("%s/n=%d", dc.name, n), func(t *testing.T) {
 				t.Parallel()
-				checkSolverFill(t, dc.d, 1, 2, 3)
+				checkSolverFill(t, dc.d, []int{2, 3, 4, 8, 10}, 1, 2, 3)
 			})
 		}
 	}
@@ -64,8 +68,9 @@ func TestSolverFillMatchesRowMajor(t *testing.T) {
 // (GOMAXPROCS 1) with every diagonal but the last pooled: a worker that
 // waits at the barrier between two diagonals must yield the processor to
 // the one it waits for, or the fill crawls at the scheduler's preemption
-// tick. The fill must finish and match the inline one cell for cell,
-// pruning counters included.
+// tick. The fill must finish and match the inline one cell for cell. The
+// barrier is the same at every arity, so k = 10, the costliest under the
+// race detector, runs only in TestSolverFillMatchesRowMajor.
 func TestSolverFillOneProcessor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	old := spawnWorkThreshold
@@ -74,16 +79,15 @@ func TestSolverFillOneProcessor(t *testing.T) {
 	for _, n := range []int{2, 3, 17, 64, 200} {
 		for _, dc := range layoutDemands(n) {
 			t.Run(fmt.Sprintf("%s/n=%d", dc.name, n), func(t *testing.T) {
-				checkSolverFill(t, dc.d, 1, 2)
+				checkSolverFill(t, dc.d, []int{2, 3, 4, 8}, 1, 2)
 			})
 		}
 	}
 }
 
-// checkSolverFill solves d at several arities on one Solver per worker
+// checkSolverFill solves d at each arity of ks on one Solver per worker
 // count and compares each with the row-major fill.
-func checkSolverFill(t *testing.T, d *workload.Demand, workerCounts ...int) {
-	n := d.N
+func checkSolverFill(t *testing.T, d *workload.Demand, ks []int, workerCounts ...int) {
 	sc, err := newSegmentCosts(d)
 	if err != nil {
 		t.Fatal(err)
@@ -94,47 +98,97 @@ func checkSolverFill(t *testing.T, d *workload.Demand, workerCounts ...int) {
 			t.Fatal(err)
 		}
 	}
-	for _, k := range []int{2, 3, 4, 8} {
-		ref := &rowMajorSolver{n: n, sc: sc, workers: 1}
-		refTree, refCost, err := ref.Optimal(k)
+	for _, k := range ks {
+		ref := &rowMajorSolver{n: d.N, sc: sc, workers: 1}
+		refTree, _, err := ref.Optimal(k)
 		if err != nil {
 			t.Fatalf("k=%d row-major fill: %v", k, err)
 		}
 		for _, s := range solvers {
-			name := fmt.Sprintf("k=%d workers=%d", k, s.workers)
-			tree, cost, err := s.Optimal(k)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			if err := matchRowMajor(s, ref, refTree, k); err != nil {
+				t.Fatalf("workers=%d: %v", s.workers, err)
 			}
-			if cost != refCost {
-				t.Fatalf("%s: cost %d, row-major fill %d", name, cost, refCost)
+		}
+		first := solvers[0]
+		if d.N <= 64 {
+			if err := checkHolePlanes(first); err != nil {
+				t.Fatalf("workers=%d: %v", first.workers, err)
 			}
-			// Planes 1..k-1 sit where the row-major fill keeps them.
-			planes := (k - 1) * s.T
-			if x := firstDiff(s.dp2[:planes], ref.dp2[:planes]); x >= 0 {
-				t.Fatalf("%s: dp2 plane %d cell %d = %d, row-major fill %d", name, x/s.T+1, x%s.T, s.dp2[x], ref.dp2[x])
-			}
-			for i := 1; i <= n; i++ {
-				for j := i; j <= n; j++ {
-					c := s.sc.t.col(i, j)
-					if s.col1[c] != s.get2(i, j, 1) || s.colTop[c] != s.get2(i, j, k-1) {
-						t.Fatalf("%s: column copies of (%d,%d) hold %d and %d, planes 1 and k-1 %d and %d",
-							name, i, j, s.col1[c], s.colTop[c], s.get2(i, j, 1), s.get2(i, j, k-1))
-					}
-				}
-			}
-			if x := firstDiff(s.root, ref.root); x >= 0 {
-				t.Fatalf("%s: root cell %d = %d, row-major fill %d", name, x, s.root[x], ref.root[x])
-			}
-			if e, sk := s.rootsEvaluated.Load(), s.rootsSkipped.Load(); e != ref.rootsEvaluated.Load() || sk != ref.rootsSkipped.Load() {
-				t.Fatalf("%s: %d roots evaluated and %d skipped, row-major fill %d and %d",
-					name, e, sk, ref.rootsEvaluated.Load(), ref.rootsSkipped.Load())
-			}
-			if !reflect.DeepEqual(tree.Snapshot(), refTree.Snapshot()) {
-				t.Fatalf("%s: tree differs from the row-major fill's", name)
+		}
+		holes := (k - 2) * first.T
+		for _, s := range solvers[1:] {
+			if x := firstDiff(s.hole[:holes], first.hole[:holes]); x >= 0 {
+				t.Fatalf("k=%d: hole cell %d = %d on %d workers, %d on %d", k, x, s.hole[x], s.workers, first.hole[x], first.workers)
 			}
 		}
 	}
+}
+
+// matchRowMajor solves s at arity k and compares it with ref, the
+// row-major fill solved at k, and its tree: the cost, planes 1..k-1, the
+// column copy, each segment's re-derived root against ref's root table,
+// and the tree.
+func matchRowMajor(s *Solver, ref *rowMajorSolver, refTree *core.Tree, k int) error {
+	n := s.n
+	tree, cost, err := s.Optimal(k)
+	if err != nil {
+		return fmt.Errorf("k=%d: %v", k, err)
+	}
+	if want := ref.get2(1, n, 1); cost != want {
+		return fmt.Errorf("k=%d: cost %d, row-major fill %d", k, cost, want)
+	}
+	// Planes 1..k-1 sit where the row-major fill keeps them.
+	planes := (k - 1) * s.T
+	if x := firstDiff(s.dp2[:planes], ref.dp2[:planes]); x >= 0 {
+		return fmt.Errorf("k=%d: dp2 plane %d cell %d = %d, row-major fill %d", k, x/s.T+1, x%s.T, s.dp2[x], ref.dp2[x])
+	}
+	for i := 1; i <= n; i++ {
+		for j := i; j <= n; j++ {
+			if c := s.sc.t.col(i, j); s.col1[c] != s.get2(i, j, 1) {
+				return fmt.Errorf("k=%d: column copy of (%d,%d) holds %d, plane 1 %d", k, i, j, s.col1[c], s.get2(i, j, 1))
+			}
+			if r, _, _ := s.bestRootSplit(i, j); r != int(ref.root[s.sc.t.at(i, j)]) {
+				return fmt.Errorf("k=%d: root of [%d,%d] is %d, row-major fill %d", k, i, j, r, ref.root[s.sc.t.at(i, j)])
+			}
+		}
+	}
+	if !reflect.DeepEqual(tree.Snapshot(), refTree.Snapshot()) {
+		return fmt.Errorf("k=%d: tree differs from the row-major fill's", k)
+	}
+	return nil
+}
+
+// checkHolePlanes compares every stored hole cell H(i,j,t), t = 2..k-1,
+// with its definition over the Solver's own forest planes: the least
+// cost, over the hole's position r in [i,j], of a left side of a ≥ 1
+// slots (an empty one takes one and costs nothing) and b right trees, in
+// a+b ≤ t slots, where an empty right side takes none.
+func checkHolePlanes(s *Solver) error {
+	n, k := s.n, s.k
+	for t := 2; t < k; t++ {
+		for i := 1; i <= n; i++ {
+			for j := i; j <= n; j++ {
+				want := int64(inf)
+				for r := i; r <= j; r++ {
+					if r == j {
+						want = min(want, s.get2(i, j-1, t))
+						continue
+					}
+					for a := 1; a < t; a++ {
+						left := int64(0)
+						if r > i {
+							left = s.get2(i, r-1, a)
+						}
+						want = min(want, left+s.get2(r+1, j, t-a))
+					}
+				}
+				if got := s.hole[(t-2)*s.T+s.sc.t.at(i, j)]; got != want {
+					return fmt.Errorf("k=%d: H(%d,%d,%d) = %d, definition %d", k, i, j, t, got, want)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestUniformFillMatchesInterleaved pins the UniformSolver's fill, whose

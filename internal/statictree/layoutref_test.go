@@ -15,10 +15,13 @@ import (
 //   - rowMajorSolver stores every plane t = 1..k of dp2 row-major
 //     (plane k included, though nothing reads it) and peels the first
 //     tree off a forest, so its forest loop and its root bound both read
-//     down a column of a row-major triangle. With exhaustive set it
+//     down a column of a row-major triangle. It keeps the pruned root
+//     search and the root table that the Solver's hole planes replaced:
+//     TestSolverFillMatchesRowMajor and FuzzSolver compare every root
+//     the Solver re-derives with that table. With exhaustive set it
 //     evaluates every root of every segment with splitCost, the seed
-//     DP's root scan: the reference the pruning differential of
-//     solver_test.go compares the Solver with;
+//     DP's root scan: the reference TestSolverMatchesExhaustive and
+//     FuzzSolver compare the Solver's cost with;
 //   - interleavedUniformSolver interleaves its forest table as
 //     forest[s*(k+1)+t], so the convolution strides k+1 words. It also
 //     tries every first-tree size a = 1..L−t+1 and builds its tree

@@ -120,21 +120,25 @@ func (s *UniformSolver) run(k int) {
 	}
 }
 
-// minPlus returns the least x[i] + y[i] over the indices of y; x must be
-// at least as long. Four accumulators carry independent minima, so
-// consecutive steps do not wait for each other.
+// minPlus returns the least x[i] + y[i] over the indices of y, or inf
+// when y is empty; x must be at least as long. It is the one min-plus
+// kernel of both DPs. Four accumulators carry independent minima, so
+// consecutive steps do not wait for each other. Each step of four reads
+// two three-index subslices, so bounds are checked at most once per
+// step, not on every read, and no slice header is rewritten.
 func minPlus(x, y []int64) int64 {
 	x = x[:len(y)]
 	m0, m1, m2, m3 := int64(inf), int64(inf), int64(inf), int64(inf)
-	for len(y) >= 4 && len(x) >= 4 {
-		m0 = min(m0, x[0]+y[0])
-		m1 = min(m1, x[1]+y[1])
-		m2 = min(m2, x[2]+y[2])
-		m3 = min(m3, x[3]+y[3])
-		x, y = x[4:], y[4:]
+	i := 0
+	for ; i+4 <= len(y); i += 4 {
+		a, b := x[i:i+4:i+4], y[i:i+4:i+4]
+		m0 = min(m0, a[0]+b[0])
+		m1 = min(m1, a[1]+b[1])
+		m2 = min(m2, a[2]+b[2])
+		m3 = min(m3, a[3]+b[3])
 	}
-	for i, v := range y {
-		m0 = min(m0, x[i]+v)
+	for ; i < len(y); i++ {
+		m0 = min(m0, x[i]+y[i])
 	}
 	return min(m0, m1, m2, m3)
 }
